@@ -43,7 +43,6 @@ from .errors import (
 )
 from .exact_linalg import (
     IndexSubset,
-    Rational,
     RationalMatrix,
     all_maximal_minors,
     as_rational,

@@ -253,9 +253,9 @@ def build_z0(k: int, m: int, precision_digits: int = 12) -> AmplituhedronSetup:
         raise UnsupportedParameterError(f"m must be an even nonnegative integer, got {m}")
     if k < 1:
         raise UnsupportedParameterError(f"k must be positive, got {k}")
-    if precision_digits < 8:
+    if not 8 <= precision_digits <= _PRECISION_CEILING:
         raise UnsupportedParameterError(
-            f"precision_digits must be at least 8, got {precision_digits}"
+            f"precision_digits must be between 8 and {_PRECISION_CEILING}, got {precision_digits}"
         )
     n = k + m + 1
     digits = precision_digits

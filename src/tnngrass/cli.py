@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
@@ -34,6 +36,7 @@ from .exact_linalg import (
     IndexSubset,
     RationalMatrix,
     as_rational,
+    det,
     rational_to_string,
 )
 from .fiber import convexity_certificate, sample_fiber_partner
@@ -171,11 +174,11 @@ def load_setup(path: str) -> AmplituhedronSetup:
     try:
         z = RationalMatrix.from_json_dict(obj["Z"])
         setup = build_setup(int(obj["k"]), int(obj["m"]), z)
+        stored_kernel = obj.get("kernel")
+        stated = None if stored_kernel is None else tuple(as_rational(s) for s in stored_kernel)
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"{path}: not a valid setup file: {exc}") from exc
-    stored_kernel = obj.get("kernel")
-    if stored_kernel is not None:
-        stated = tuple(as_rational(s) for s in stored_kernel)
+    if stated is not None:
         if setup.kernel_gen is None or stated != setup.kernel_gen:
             raise UserInputError(f"{path}: stored kernel does not match the matrix")
     if "allMinorsPositive" in obj and bool(obj["allMinorsPositive"]) != setup.all_minors_positive:
@@ -230,9 +233,21 @@ def random_top_cell_point(
 # -- subcommands --------------------------------------------------------------
 
 
-def _emit(report: Report, out: str | None) -> int:
-    if out:
-        write_json(Path(out), report.to_json_dict())
+def _emit(report: Report, out: str | Path | None, artifact: dict | None = None, **extra) -> int:
+    """Write a command's output, print its report and return its exit code.
+
+    With ``artifact``, that payload goes to ``out`` (listed in the report)
+    or else to stdout.  Without one, ``out`` receives the report itself
+    plus any ``extra`` fields.
+    """
+    if artifact is not None:
+        if out:
+            write_json(Path(out), artifact)
+            report.artifacts.append(str(out))
+        else:
+            sys.stdout.write(canonical_json(artifact))
+    elif out:
+        write_json(Path(out), {**report.to_json_dict(), **extra})
     report.print_human()
     return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
 
@@ -251,12 +266,7 @@ def cmd_check_tnn(args: argparse.Namespace) -> int:
         print(
             f"violation: minor on columns {list(subset.members)} = {rational_to_string(value)}"
         )
-    if args.out:
-        payload = report.to_json_dict()
-        payload["tnnReport"] = result.to_json_dict()
-        write_json(Path(args.out), payload)
-    report.print_human()
-    return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
+    return _emit(report, args.out, tnnReport=result.to_json_dict())
 
 
 def cmd_cell_member(args: argparse.Namespace) -> int:
@@ -272,44 +282,27 @@ def cmd_cell_member(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.nodes:
-        nodes = [as_rational(tok) for tok in args.nodes.split(",")]
-    else:
-        nodes = [Fraction(i) for i in range(1, args.n + 1)]
+    nodes = args.nodes or [Fraction(i) for i in range(1, args.n + 1)]
     point = sample_top_cell(args.k, args.n, nodes)
-    payload = point.matrix.to_json_dict()
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(canonical_json(payload))
     report = Report(
         command="sample",
         inputs_digest=digest_of({"k": args.k, "n": args.n, "nodes": [rational_to_string(x) for x in nodes]}),
         verdicts=[("sampled_point_totally_positive", all(v > 0 for v in point.minors.values()))],
-        artifacts=[args.out] if args.out else [],
     )
-    report.print_human()
-    return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
+    return _emit(report, args.out, point.matrix.to_json_dict())
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     setup = load_setup(args.setup)
     matrix = load_matrix(args.matrix)
     mapped = hat_map(setup, matrix)
-    payload = mapped.to_json_dict()
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(canonical_json(payload))
     report = Report(
         command="map",
         inputs_digest=digest_of([setup.to_json_dict(), matrix.to_json_dict()]),
         verdicts=[("image_rank_full", mapped.image_rank == setup.k)],
         counters={"imageRank": mapped.image_rank, "sourceRank": mapped.source_rank},
-        artifacts=[args.out] if args.out else [],
     )
-    report.print_human()
-    return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
+    return _emit(report, args.out, mapped.to_json_dict())
 
 
 def cmd_fiber_check(args: argparse.Namespace) -> int:
@@ -318,25 +311,19 @@ def cmd_fiber_check(args: argparse.Namespace) -> int:
     v = load_matrix(args.v)
     cell = load_cell(args.cell) if args.cell else PositroidCellSpec.top_cell(setup.k, setup.n)
     cert = convexity_certificate(setup, cell, u, v)
-    payload = cert.to_json_dict()
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(canonical_json(payload))
     report = Report(
         command="fiber-check",
         inputs_digest=digest_of(
             [setup.to_json_dict(), u.to_json_dict(), v.to_json_dict(), cell.to_json_dict()]
         ),
         verdicts=[("convexity_certificate_valid", cert.verdict)],
-        artifacts=[args.out] if args.out else [],
     )
-    report.print_human()
+    rc = _emit(report, args.out, cert.to_json_dict())
     if not cert.verdict:
         raise InternalConsistencyError(
             "convexity certificate verdict is false for same-cell, same-fiber inputs"
         )
-    return EXIT_OK
+    return rc
 
 
 def cmd_fiber_campaign(args: argparse.Namespace) -> int:
@@ -349,8 +336,8 @@ def cmd_fiber_campaign(args: argparse.Namespace) -> int:
         trials=args.trials,
         k=args.k,
         m=args.m,
-        node_lo=as_rational(args.node_lo),
-        node_hi=as_rational(args.node_hi),
+        node_lo=args.node_lo,
+        node_hi=args.node_hi,
         zero_cols=tuple(sorted(set(args.zero_col or []))),
     )
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -400,20 +387,14 @@ def cmd_fiber_campaign(args: argparse.Namespace) -> int:
         counters=counters,
         artifacts=artifacts,
     )
-    if out_dir is not None:
-        write_json(out_dir / "report.json", report.to_json_dict())
-        print(f"artifacts in {out_dir}")
-    report.print_human()
-    return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
+    if out_dir is None:
+        return _emit(report, None)
+    print(f"artifacts in {out_dir}")
+    return _emit(report, out_dir / "report.json")
 
 
 def cmd_z0(args: argparse.Namespace) -> int:
     setup = build_z0(args.k, args.m, precision_digits=args.precision)
-    payload = setup.to_json_dict()
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(canonical_json(payload))
     report = Report(
         command="z0",
         inputs_digest=digest_of({"k": args.k, "m": args.m, "precision": args.precision}),
@@ -421,41 +402,27 @@ def cmd_z0(args: argparse.Namespace) -> int:
             ("all_minors_positive", setup.all_minors_positive),
             ("kernel_sign_alternating", bool(setup.kernel_alternating)),
         ],
-        artifacts=[args.out] if args.out else [],
     )
-    report.print_human()
-    return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
+    return _emit(report, args.out, setup.to_json_dict())
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     setup = load_setup(args.setup)
     matrix = load_matrix(args.matrix)
     projection = embed_point(setup, matrix)
-    payload = projection.entries.to_json_dict()
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(canonical_json(payload))
     report = Report(
         command="embed",
         inputs_digest=digest_of([setup.to_json_dict(), matrix.to_json_dict()]),
         verdicts=[("embedding_computed", True)],
         counters={"d": projection.entries.rows},
-        artifacts=[args.out] if args.out else [],
     )
-    report.print_human()
-    return EXIT_OK
+    return _emit(report, args.out, projection.entries.to_json_dict())
 
 
 def cmd_equivalence(args: argparse.Namespace) -> int:
     setup_a = load_setup(args.setup_a)
     setup_b = load_setup(args.setup_b)
     cert = construct_equivalence(setup_a, setup_b)
-    payload = cert.to_json_dict()
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        sys.stdout.write(canonical_json(payload))
     rng = trial_rng(args.seed, 0)
     transports_ok = True
     for _ in range(args.spot_checks):
@@ -471,10 +438,18 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
             ("transport_spot_checks", transports_ok),
         ],
         counters={"spotChecks": args.spot_checks},
-        artifacts=[args.out] if args.out else [],
     )
-    report.print_human()
-    return EXIT_OK if report.all_ok else EXIT_FALSE_VERDICT
+    return _emit(report, args.out, cert.to_json_dict())
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"true or false expected, got {value!r}")
+    return value
+
+
+def _stored_verdicts(obj: Mapping) -> list[tuple[str, bool]]:
+    return [(v["name"], _flag(v["ok"])) for v in obj["verdicts"]]
 
 
 def _recheck_fiber_certificate(obj: Mapping) -> list[tuple[str, bool]]:
@@ -482,16 +457,27 @@ def _recheck_fiber_certificate(obj: Mapping) -> list[tuple[str, bool]]:
     cell = PositroidCellSpec.from_json_dict(obj["cell"])
     nonbases = cell.nonbases
     supported = True
+    listed = []
     for entry in obj["minors"]:
         alpha = as_rational(entry["alpha"])
         beta = as_rational(entry["beta"])
         subset = IndexSubset(tuple(entry["cols"]))
+        listed.append(subset.members)
         if alpha < 0 or alpha + beta < 0:
             supported = False
         if subset in nonbases and (alpha != 0 or beta != 0):
             supported = False
-    stored = bool(obj["verdict"])
-    return [("verdict", stored), ("coefficients_support_verdict", supported == stored)]
+    # The count is compared first so a forged (n, k) cannot make the
+    # enumeration larger than the certificate itself.
+    covered = len(listed) == comb(cell.n, cell.k) and set(listed) == set(
+        itertools.combinations(range(1, cell.n + 1), cell.k)
+    )
+    stored = _flag(obj["verdict"])
+    return [
+        ("verdict", stored),
+        ("lists_every_subset_once", covered),
+        ("coefficients_support_verdict", supported == stored),
+    ]
 
 
 def _recheck_equivalence_certificate(obj: Mapping) -> list[tuple[str, bool]]:
@@ -501,11 +487,9 @@ def _recheck_equivalence_certificate(obj: Mapping) -> list[tuple[str, bool]]:
     c = RationalMatrix.from_json_dict(obj["C"])
     d_diag = [as_rational(s) for s in obj["D_diag"]]
     det_c = as_rational(obj["detC"])
-    from .exact_linalg import det as exact_det
-
     return [
         ("identity_exact", c @ z @ RationalMatrix.diagonal(d_diag) == z_prime),
-        ("det_C_matches", exact_det(c) == det_c),
+        ("det_C_matches", det(c) == det_c),
         ("det_C_positive", det_c > 0),
         ("D_diagonal_positive", all(x > 0 for x in d_diag)),
     ]
@@ -516,13 +500,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.files:
         obj = load_json(path)
         if "verdicts" in obj:
-            verdicts = [(v["name"], bool(v["ok"])) for v in obj["verdicts"]]
+            recheck = _stored_verdicts
         elif "minors" in obj and "verdict" in obj:
-            verdicts = _recheck_fiber_certificate(obj)
+            recheck = _recheck_fiber_certificate
         elif "detC" in obj:
-            verdicts = _recheck_equivalence_certificate(obj)
+            recheck = _recheck_equivalence_certificate
         else:
             raise UserInputError(f"{path}: no verdicts found")
+        try:
+            verdicts = recheck(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UserInputError(f"{path}: missing or mistyped field: {exc!r}") from exc
         for name, ok in verdicts:
             print(f"{path}: [{'PASS' if ok else 'FAIL'}] {name}")
             all_ok = all_ok and ok
@@ -530,6 +518,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _rational_list(text: str) -> list[Fraction]:
+    return [as_rational(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="write a totally positive Vandermonde representative")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nodes", help="comma-separated rationals, default 1..n")
+    p.add_argument("--nodes", type=_rational_list, help="comma-separated rationals, default 1..n")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -577,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, help="must equal k+m+1; present for explicitness")
-    p.add_argument("--node-lo", default="1")
-    p.add_argument("--node-hi", default="10")
+    p.add_argument("--node-lo", type=as_rational, default="1")
+    p.add_argument("--node-hi", type=as_rational, default="10")
     p.add_argument("--zero-col", type=int, action="append", help="column to zero (repeatable)")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_fiber_campaign)

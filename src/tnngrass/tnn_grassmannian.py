@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -19,7 +20,6 @@ from .exact_linalg import (
     RationalMatrix,
     all_maximal_minors,
     as_rational,
-    binomial,
     rational_to_string,
 )
 
@@ -144,7 +144,7 @@ class PositroidCellSpec:
             if len(subset) != self.k:
                 raise DimensionError(f"nonbasis {list(subset.members)} does not have size {self.k}")
             subset.check_bounds(self.n)
-        if len(self.nonbases) >= binomial(self.n, self.k):
+        if len(self.nonbases) >= comb(self.n, self.k):
             raise DomainError("every subset declared dependent; no bases remain")
 
     @classmethod

@@ -13,6 +13,8 @@ from random import Random
 
 from tnngrass import (
     AmplituhedronSetup,
+    InconsistentSystemError,
+    RankError,
     RationalMatrix,
     build_setup,
 )
@@ -36,6 +38,71 @@ def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
             total += sign * rows[0][j] * cofactor_det(sub)
         sign = -sign
     return total
+
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Fraction Gauss-Jordan; returns (rows, pivot columns).
+
+    Plain Fraction arithmetic, independent of the library's integer
+    Bareiss kernel, and the reference that kernel is compared against.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((j for j in range(r, nrows) if rows[j][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for j in range(nrows):
+            if j != r and rows[j][c] != 0:
+                f = rows[j][c]
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref_kernel(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
+    """Right null space from ``fraction_rref``, first nonzero entry +1, by free column."""
+    n = len(rows[0])
+    reduced, pivots = fraction_rref([list(r) for r in rows])
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r_idx, p_col in enumerate(pivots):
+            v[p_col] = -reduced[r_idx][free]
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
+def rref_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Inverse from ``fraction_rref`` of [A | I], or None when A is singular."""
+    n = len(rows)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = fraction_rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def rref_left_factor(k_rows: list[list[Fraction]], w_rows: list[list[Fraction]]):
+    """C with K = C W from ``fraction_rref`` of [W^T | K^T], or the error the library raises."""
+    r = len(w_rows)
+    if len(fraction_rref([list(row) for row in w_rows])[1]) < r:
+        return RankError
+    aug = [list(a) + list(b) for a, b in zip(zip(*w_rows), zip(*k_rows))]
+    reduced, pivots = fraction_rref(aug)
+    if any(p >= r for p in pivots):
+        return InconsistentSystemError
+    return [list(col) for col in zip(*(row[r:] for row in reduced[:r]))]
 
 
 def det2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:

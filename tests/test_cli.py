@@ -154,6 +154,10 @@ class TestZ0Command:
     def test_odd_m_usage_error(self):
         assert main(["z0", "--k", "1", "--m", "1"]) == EXIT_USAGE
 
+    def test_precision_above_ceiling_usage_error(self, capsys):
+        assert main(["z0", "--k", "1", "--m", "2", "--precision", "700"]) == EXIT_USAGE
+        assert "640" in capsys.readouterr().err
+
     def test_k2_m2_positive(self, tmp_path):
         out = tmp_path / "z0.json"
         assert main(["z0", "--k", "2", "--m", "2", "--out", str(out)]) == EXIT_OK
@@ -218,6 +222,102 @@ class TestReport:
         bad = write(tmp_path / "bad_setup.json", payload)
         v = write(tmp_path / "v.json", RationalMatrix([[1, 0, 0, 0]]).to_json_dict())
         assert main(["map", bad, v]) == EXIT_USAGE
+
+
+@pytest.fixture
+def fiber_certificate(tmp_path, setup_file):
+    """A genuine convexity certificate for the top cell of Gr(1, 4)."""
+    u = write(tmp_path / "u.json", RationalMatrix([[1, 1, 1, 1]]).to_json_dict())
+    out = tmp_path / "cert.json"
+    assert main(["fiber-check", setup_file, u, u, "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+class TestReportFiberCertificates:
+    def test_campaign_certificates_pass(self, tmp_path, capsys):
+        out_dir = tmp_path / "certs"
+        assert main(
+            ["fiber-campaign", "--k", "2", "--m", "2", "--trials", "3", "--seed", "3",
+             "--out-dir", str(out_dir)]
+        ) == EXIT_OK
+        certs = sorted(str(p) for p in out_dir.glob("certificate_*.json"))
+        assert main(["report", *certs]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_vacuous_certificate_fails(self, tmp_path, capsys):
+        cert = {"cell": {"k": 1, "n": 3, "nonbases": []}, "minors": [], "verdict": True}
+        assert main(["report", write(tmp_path / "c.json", cert)]) == EXIT_FALSE_VERDICT
+        assert "[FAIL] lists_every_subset_once" in capsys.readouterr().out
+
+    def test_repeated_subset_fails(self, tmp_path, fiber_certificate):
+        fiber_certificate["minors"][1] = fiber_certificate["minors"][0]
+        path = write(tmp_path / "c.json", fiber_certificate)
+        assert main(["report", path]) == EXIT_FALSE_VERDICT
+
+    def test_forged_cell_size_fails_without_enumerating(self, tmp_path, fiber_certificate):
+        fiber_certificate["cell"] = {"k": 30, "n": 60, "nonbases": []}
+        path = write(tmp_path / "c.json", fiber_certificate)
+        assert main(["report", path]) == EXIT_FALSE_VERDICT
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: c["minors"][0].pop("beta"),
+            lambda c: c.pop("cell"),
+            lambda c: c.__setitem__("verdict", "yes"),
+            lambda c: c["minors"][0].__setitem__("alpha", 0.5),
+            lambda c: c["minors"][0].__setitem__("alpha", "1/0"),
+            lambda c: c["minors"][0].__setitem__("cols", 2),
+            lambda c: c.__setitem__("minors", [3]),
+        ],
+    )
+    def test_missing_or_mistyped_field_is_usage_error(
+        self, tmp_path, fiber_certificate, tamper, capsys
+    ):
+        tamper(fiber_certificate)
+        path = write(tmp_path / "c.json", fiber_certificate)
+        assert main(["report", path]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_mistyped_report_verdict_is_usage_error(self, tmp_path):
+        report = {"verdicts": [{"name": "x", "ok": "true"}]}
+        assert main(["report", write(tmp_path / "r.json", report)]) == EXIT_USAGE
+
+
+class TestStrictRationals:
+    @pytest.mark.parametrize("entry", ["0.5", "1e3", "1e400", " 1", "1/0"])
+    def test_matrix_file_entry_rejected(self, tmp_path, entry):
+        path = write(tmp_path / "m.json", {"rows": 1, "cols": 2, "entries": [["1", entry]]})
+        assert main(["check-tnn", path]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--node-lo", "1/0"],
+            ["--node-lo", "0.5"],
+            ["--node-hi", "1e400"],
+            ["--node-hi", " 10"],
+        ],
+    )
+    def test_campaign_node_range_rejected(self, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["fiber-campaign", "--k", "1", "--m", "2", "--trials", "1", *args])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_sample_nodes_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--k", "1", "--n", "2", "--nodes", " 1, 2.5"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_rejection_has_no_traceback(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "tnngrass.cli", "fiber-campaign", "--k", "1", "--m", "2",
+             "--trials", "1", "--node-lo", "1/0"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == EXIT_USAGE
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
 
 
 class TestEntryPoint:

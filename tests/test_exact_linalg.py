@@ -14,6 +14,7 @@ from tnngrass import (
     RankError,
     RationalMatrix,
     all_maximal_minors,
+    as_rational,
     det,
     invert,
     kernel_basis,
@@ -23,9 +24,53 @@ from tnngrass import (
     solve_for_left_factor,
     subsets_colex,
 )
-from helpers import cofactor_det, det2, random_invertible, random_matrix, vandermonde_det
+from helpers import (
+    cofactor_det,
+    det2,
+    fraction_rref,
+    random_invertible,
+    random_matrix,
+    rref_inverse,
+    rref_kernel,
+    rref_left_factor,
+    vandermonde_det,
+)
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+# About half the entries are zero, so whole zero columns and rows are common.
+sparse_entry_st = st.one_of(st.just(Fraction(0)), fractions_st)
+
+
+@st.composite
+def deficient_rows_st(draw, square=False):
+    """Up to 6 x 8 rows, some replaced by integer combinations of the rows above."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 8))
+    row_st = st.lists(sparse_entry_st, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row_st, min_size=nrows, max_size=nrows))
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=i, max_size=i))
+            rows[i] = [sum(c * rows[t][j] for t, c in enumerate(coeffs)) for j in range(ncols)]
+    return rows
+
+
+@st.composite
+def inner_singular_rows_st(draw):
+    """Square, at least 4 x 4, with a column before the last that depends on earlier ones.
+
+    That column has no pivot, so elimination must skip it and go on.
+    """
+    n = draw(st.integers(4, 6))
+    row_st = st.lists(sparse_entry_st, min_size=n, max_size=n)
+    rows = draw(st.lists(row_st, min_size=n, max_size=n))
+    j = draw(st.integers(0, n - 2))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=j, max_size=j))
+    for row in rows:
+        row[j] = sum((c * row[t] for t, c in enumerate(coeffs)), Fraction(0))
+    return rows
 
 
 def square_matrix_st(max_size=4):
@@ -217,6 +262,59 @@ class TestSolveForLeftFactor:
         assert solve_for_left_factor(g @ w, w) == g
 
 
+class TestAgainstFractionRref:
+    """The integer kernel agrees with Fraction Gauss-Jordan on degenerate inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(deficient_rows_st())
+    def test_rank_and_kernel(self, rows):
+        m = RationalMatrix(rows)
+        assert rank(m) == len(fraction_rref([list(r) for r in rows])[1])
+        assert kernel_basis(m) == rref_kernel(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(deficient_rows_st(square=True))
+    def test_det_and_invert(self, rows):
+        m = RationalMatrix(rows)
+        assert det(m) == cofactor_det(rows)
+        expected = rref_inverse(rows)
+        if expected is None:
+            assert det(m) == 0
+            with pytest.raises(RankError):
+                invert(m)
+        else:
+            assert invert(m) == RationalMatrix(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inner_singular_rows_st())
+    def test_singular_with_inner_pivot_free_column(self, rows):
+        m = RationalMatrix(rows)
+        assert det(m) == 0
+        assert rank(m) == len(fraction_rref([list(r) for r in rows])[1]) < len(rows)
+        assert kernel_basis(m) == rref_kernel(rows)
+        with pytest.raises(RankError):
+            invert(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(deficient_rows_st(), st.data())
+    def test_left_factor(self, w_rows, data):
+        r, n = len(w_rows), len(w_rows[0])
+        row_st = st.lists(sparse_entry_st, min_size=n, max_size=n)
+        if data.draw(st.booleans()):
+            k_rows = data.draw(st.lists(row_st, min_size=r, max_size=r))
+        else:
+            g_row_st = st.lists(sparse_entry_st, min_size=r, max_size=r)
+            g = RationalMatrix(data.draw(st.lists(g_row_st, min_size=r, max_size=r)))
+            k_rows = [list(row) for row in (g @ RationalMatrix(w_rows)).row_tuples()]
+        expected = rref_left_factor(k_rows, w_rows)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                solve_for_left_factor(RationalMatrix(k_rows), RationalMatrix(w_rows))
+        else:
+            got = solve_for_left_factor(RationalMatrix(k_rows), RationalMatrix(w_rows))
+            assert got == RationalMatrix(expected)
+
+
 class TestCauchyBinet:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
@@ -298,3 +396,14 @@ class TestSubsetsAndSerialization:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
             RationalMatrix([[0.5]])
+
+    @pytest.mark.parametrize("text", ["7", "-7", "+7", "3/4", "-6/8", "0/5"])
+    def test_p_over_q_strings_parse(self, text):
+        assert as_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e3", "1e400", " 1", "2.5", "1/0", "1/-2", "", "1/", "/2", "1 / 2", "٣"]
+    )
+    def test_other_strings_rejected(self, text):
+        with pytest.raises(ValueError):
+            as_rational(text)
