@@ -18,7 +18,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
@@ -43,6 +42,7 @@ from .fiber import convexity_certificate, sample_fiber_partner
 from .tnn_grassmannian import (
     PositroidCellSpec,
     TNNPoint,
+    capped_comb,
     check_tnn,
     in_closed_cell,
     matroid_of,
@@ -145,7 +145,9 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past Python's digit limit; RecursionError deep nesting.
         raise UserInputError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UserInputError(f"{path}: top-level JSON object expected")
@@ -156,7 +158,7 @@ def load_matrix(path: str) -> RationalMatrix:
     obj = load_json(path)
     try:
         return RationalMatrix.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"{path}: not a valid matrix file: {exc}") from exc
 
 
@@ -164,7 +166,7 @@ def load_cell(path: str) -> PositroidCellSpec:
     obj = load_json(path)
     try:
         return PositroidCellSpec.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"{path}: not a valid cell file: {exc}") from exc
 
 
@@ -176,7 +178,7 @@ def load_setup(path: str) -> AmplituhedronSetup:
         setup = build_setup(int(obj["k"]), int(obj["m"]), z)
         stored_kernel = obj.get("kernel")
         stated = None if stored_kernel is None else tuple(as_rational(s) for s in stored_kernel)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"{path}: not a valid setup file: {exc}") from exc
     if stated is not None:
         if setup.kernel_gen is None or stated != setup.kernel_gen:
@@ -467,9 +469,11 @@ def _recheck_fiber_certificate(obj: Mapping) -> list[tuple[str, bool]]:
             supported = False
         if subset in nonbases and (alpha != 0 or beta != 0):
             supported = False
-    # The count is compared first so a forged (n, k) cannot make the
-    # enumeration larger than the certificate itself.
-    covered = len(listed) == comb(cell.n, cell.k) and set(listed) == set(
+    # The count is compared first, with a capped C(n, k), so a forged
+    # (n, k) costs neither a huge binomial nor an enumeration larger than
+    # the certificate itself.
+    count = len(listed)
+    covered = capped_comb(cell.n, cell.k, count) == count and set(listed) == set(
         itertools.combinations(range(1, cell.n + 1), cell.k)
     )
     stored = _flag(obj["verdict"])
@@ -509,7 +513,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise UserInputError(f"{path}: no verdicts found")
         try:
             verdicts = recheck(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UserInputError(f"{path}: missing or mistyped field: {exc!r}") from exc
         for name, ok in verdicts:
             print(f"{path}: [{'PASS' if ok else 'FAIL'}] {name}")

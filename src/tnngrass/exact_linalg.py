@@ -10,6 +10,14 @@ multiplication of fractions does.  Rank, determinants of size above 3
 and, after an integer back-substitution, the reduced row echelon form
 behind kernels, solves and inverses all come from its output.
 
+A table of all maximal minors of a k x n matrix with k >= 4 also comes
+from one elimination: with the reduced form R (the identity on the pivot
+columns) and d the determinant of the pivot columns, each minor is d
+times a signed minor of R of size at most min(k, n - k) (Postnikov,
+"Total positivity, Grassmannians, and networks", arXiv math/0609764,
+section 3).  For k <= 3 each minor is one closed-form determinant, which
+is cheaper than the elimination.
+
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
 package shares that convention.
@@ -17,6 +25,7 @@ package shares that convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -122,11 +131,20 @@ class IndexSubset:
 
 
 def subsets_colex(n: int, k: int) -> list[IndexSubset]:
-    """All k-subsets of {1..n} in colexicographic order."""
+    """All k-subsets of {1..n} in colexicographic order.
+
+    The subsets are built once per (n, k) and cached; each call returns a
+    fresh list of the shared, immutable subsets.
+    """
     if k < 0 or n < 0:
         raise DimensionError("subset parameters must be nonnegative")
+    return list(_colex_subsets(n, k))
+
+
+@functools.lru_cache(maxsize=64)
+def _colex_subsets(n: int, k: int) -> tuple[IndexSubset, ...]:
     combos = itertools.combinations(range(1, n + 1), k)
-    return [IndexSubset(c) for c in sorted(combos, key=lambda c: tuple(reversed(c)))]
+    return tuple(IndexSubset(c) for c in sorted(combos, key=lambda c: tuple(reversed(c))))
 
 
 class RationalMatrix:
@@ -390,17 +408,16 @@ def _det_int(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
-def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
-    """Reduced row echelon form of an integer matrix (destroys ``a``).
+def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[int]], int]:
+    """Reduced rows of a ``_bareiss`` echelon form, all times one integer d.
 
-    Returns the pivot columns, the nonzero reduced rows multiplied by a
-    common integer d, and d itself.  d is the last Bareiss pivot, the
-    determinant of the pivot block, so by Cramer's rule the scaled rows
-    are integral and back-substitution from the bottom divides exactly.
+    Returns the nonzero rows of the reduced row echelon form multiplied
+    by d, and d itself.  d is the last Bareiss pivot, the determinant of
+    the pivot block, so by Cramer's rule the scaled rows are integral and
+    back-substitution from the bottom divides exactly.
     """
-    pivots, _ = _bareiss(a)
     if not pivots:
-        return pivots, [], 1
+        return [], 1
     r = len(pivots)
     d = a[r - 1][pivots[-1]]
     reduced: list[list[int]] = [[]] * r
@@ -412,6 +429,17 @@ def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
                 acc = [x - f * y for x, y in zip(acc, reduced[j])]
         piv = a[i][pivots[i]]
         reduced[i] = [x // piv for x in acc]
+    return reduced, d
+
+
+def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """Reduced row echelon form of an integer matrix (destroys ``a``).
+
+    Returns the pivot columns, the nonzero reduced rows multiplied by a
+    common integer d, and d itself (see ``_back_substitute``).
+    """
+    pivots, _ = _bareiss(a)
+    reduced, d = _back_substitute(a, pivots)
     return pivots, reduced, d
 
 
@@ -442,15 +470,61 @@ def all_maximal_minors(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
 
     Iteration order of the returned dict is colexicographic, and results
     are independent of evaluation strategy.
+
+    For k <= 3 each minor is a closed-form determinant of its columns.
+    For larger k the integer rows are eliminated once: if the rank is
+    below k every minor is 0; otherwise, with D = d R the scaled reduced
+    rows from ``_back_substitute`` and s = |I - pivots|,
+
+        p_I = sign * sigma_I * det(D[pivot rows not in I, I - pivots]) / d^(s-1),
+
+    where sign is the row-swap sign of the elimination and sigma_I is
+    (-1)^(sum of r(c) + pos_I(c)) over the pivot columns c in I, with
+    r(c) the 0-based row of pivot c and pos_I(c) its 0-based position in
+    I (the generalized Laplace expansion along those unit columns).  The
+    division is exact because the quotient is d det(R_I), a minor of the
+    integer rows; for s = 0 the minor is sign * d.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
     int_rows, scale = _int_rows_and_scale(m.row_tuples())
+    subsets = subsets_colex(n, k)
     out: dict[IndexSubset, Fraction] = {}
-    for subset in subsets_colex(n, k):
-        sub = [[row[j - 1] for j in subset.members] for row in int_rows]
-        out[subset] = Fraction(_det_int(sub), scale)
+    if k <= 3:
+        # the sizes ``_det_int`` answers in closed form
+        for subset in subsets:
+            sub = [[row[j - 1] for j in subset.members] for row in int_rows]
+            out[subset] = Fraction(_det_int(sub), scale)
+        return out
+    pivots, sign = _bareiss(int_rows)
+    if len(pivots) < k:
+        return dict.fromkeys(subsets, Fraction(0))
+    reduced, d = _back_substitute(int_rows, pivots)
+    pivot_row = {c + 1: r for r, c in enumerate(pivots)}
+    # d^(s-1) for block size s >= 1
+    d_powers = [0, 1]
+    for _ in range(min(k, n - k) - 1):
+        d_powers.append(d_powers[-1] * d)
+    for subset in subsets:
+        free: list[int] = []
+        in_subset = [False] * k
+        parity = 0
+        for pos, j in enumerate(subset.members):
+            r = pivot_row.get(j)
+            if r is None:
+                free.append(j - 1)
+            else:
+                in_subset[r] = True
+                parity += r + pos
+        if not free:
+            value = sign * d
+        else:
+            block = [[reduced[r][c] for c in free] for r in range(k) if not in_subset[r]]
+            value = _det_int(block) // d_powers[len(free)]
+            if (parity & 1) != (sign < 0):
+                value = -value
+        out[subset] = Fraction(value, scale)
     return out
 
 

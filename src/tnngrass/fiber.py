@@ -191,14 +191,21 @@ def convexity_certificate(
         raise DimensionError(
             f"cell is for {cell.k}x{cell.n}, setup is {setup.k}x{setup.n}"
         )
+    tables = []
     for name, mat in (("U", u), ("V", v)):
-        if not in_closed_cell(mat, cell):
+        # in_closed_cell scans the whole table itself, so the unvalidated
+        # point only carries the table on to alpha and beta below
+        point = TNNPoint(matrix=mat, minors=all_maximal_minors(mat))
+        if not in_closed_cell(point, cell):
             raise NotInCellError(f"{name} is not in the closed cell")
+        tables.append(point.minors)
     x = fiber_displacement(setup, u, v)
 
+    # fiber_displacement checked V - U = x^T a exactly, so V is U + step
+    # and its table gives the minors at lambda = 1; lambda = 2 is computed
+    # independently as the affinity check.
     step = outer_product(x, a)
-    minors0 = all_maximal_minors(u)
-    minors1 = all_maximal_minors(u + step)
+    minors0, minors1 = tables
     minors2 = all_maximal_minors(u + step + step)
 
     entries: list[tuple[IndexSubset, Fraction, Fraction]] = []

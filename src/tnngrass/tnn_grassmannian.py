@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -27,6 +26,7 @@ __all__ = [
     "TNNWitnessReport",
     "TNNPoint",
     "PositroidCellSpec",
+    "capped_comb",
     "check_tnn",
     "check_totally_positive",
     "matroid_of",
@@ -128,6 +128,25 @@ class TNNPoint:
         return self.matrix.cols
 
 
+def capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k) when it is at most ``cap``, otherwise ``cap + 1``.
+
+    The product runs term by term through C(n, 1), C(n, 2), ..., which
+    never decrease up to min(k, n - k), and stops once it passes the cap.
+    A size read from a file, such as n in the millions, therefore costs
+    a few multiplications instead of an integer of millions of digits.
+    """
+    k = min(k, n - k)
+    if k < 0:
+        return 0
+    value = 1
+    for i in range(k):
+        value = value * (n - i) // (i + 1)
+        if value > cap:
+            return cap + 1
+    return value
+
+
 @dataclass(frozen=True)
 class PositroidCellSpec:
     """A closed cell given by the k-subsets whose minors must vanish."""
@@ -144,7 +163,7 @@ class PositroidCellSpec:
             if len(subset) != self.k:
                 raise DimensionError(f"nonbasis {list(subset.members)} does not have size {self.k}")
             subset.check_bounds(self.n)
-        if len(self.nonbases) >= comb(self.n, self.k):
+        if capped_comb(self.n, self.k, len(self.nonbases)) <= len(self.nonbases):
             raise DomainError("every subset declared dependent; no bases remain")
 
     @classmethod

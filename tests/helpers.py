@@ -8,15 +8,18 @@ not tautology.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from random import Random
 
 from tnngrass import (
     AmplituhedronSetup,
     InconsistentSystemError,
+    IndexSubset,
     RankError,
     RationalMatrix,
     build_setup,
+    det,
 )
 
 # (k, m) pairs exercised by the fiber acceptance criteria.
@@ -66,6 +69,22 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         if r == nrows:
             break
     return rows, pivots
+
+
+def subset_minor_table(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
+    """Every maximal minor as its own determinant, in colexicographic order.
+
+    One ``det`` per column subset, with subsets enumerated here rather
+    than by the library: the per-subset path that the one-elimination
+    table of ``all_maximal_minors`` is compared against.
+    """
+    rows_all = IndexSubset(tuple(range(1, m.rows + 1)))
+    combos = itertools.combinations(range(1, m.cols + 1), m.rows)
+    table = {}
+    for combo in sorted(combos, key=lambda c: tuple(reversed(c))):
+        subset = IndexSubset(combo)
+        table[subset] = det(m.submatrix(rows_all, subset))
+    return table
 
 
 def rref_kernel(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
@@ -130,8 +149,6 @@ def random_matrix(rng: Random, rows: int, cols: int, **kw) -> RationalMatrix:
 
 
 def random_invertible(rng: Random, n: int) -> RationalMatrix:
-    from tnngrass import det
-
     while True:
         m = random_matrix(rng, n, n)
         if det(m) != 0:
@@ -139,8 +156,6 @@ def random_invertible(rng: Random, n: int) -> RationalMatrix:
 
 
 def random_positive_det(rng: Random, n: int) -> RationalMatrix:
-    from tnngrass import det
-
     while True:
         m = random_matrix(rng, n, n)
         if det(m) > 0:

@@ -1,12 +1,21 @@
 """Command-line interface: exit codes, determinism, file formats."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import tnngrass
 from tnngrass import RationalMatrix, build_setup
 from tnngrass.cli import (
     EXIT_FALSE_VERDICT,
@@ -17,6 +26,16 @@ from tnngrass.cli import (
     main,
 )
 from helpers import vandermonde_setup
+
+
+def run_cli(*args):
+    """``python -m tnngrass.cli`` in a child process that imports this same package."""
+    package_root = str(Path(tnngrass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tnngrass.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 def write(path, payload):
@@ -259,6 +278,15 @@ class TestReportFiberCertificates:
         path = write(tmp_path / "c.json", fiber_certificate)
         assert main(["report", path]) == EXIT_FALSE_VERDICT
 
+    def test_forged_huge_cell_size_fails_quickly(self, tmp_path, capsys):
+        cert = {"cell": {"k": 2000000, "n": 4000000, "nonbases": []}, "minors": [],
+                "verdict": True}
+        path = write(tmp_path / "c.json", cert)
+        start = time.perf_counter()
+        assert main(["report", path]) == EXIT_FALSE_VERDICT
+        assert time.perf_counter() - start < 2.0
+        assert "[FAIL] lists_every_subset_once" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "tamper",
         [
@@ -282,6 +310,87 @@ class TestReportFiberCertificates:
     def test_mistyped_report_verdict_is_usage_error(self, tmp_path):
         report = {"verdicts": [{"name": "x", "ok": "true"}]}
         assert main(["report", write(tmp_path / "r.json", report)]) == EXIT_USAGE
+
+
+json_scalar_st = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-3, 8),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["1", "-2/3", "0", "1/0", "0.5", "1e400"]),
+)
+json_value_st = st.recursive(
+    json_scalar_st,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def maybe(strategy):
+    """The strategy's value most of the time, any JSON value otherwise."""
+    return st.one_of(strategy, strategy, strategy, json_value_st)
+
+
+small_int_st = st.integers(-1, 6)
+cols_st = maybe(st.lists(small_int_st, max_size=4))
+rational_st = maybe(st.sampled_from(["0", "1", "-1", "1/2", "3", "-5/4"]))
+minor_entry_st = maybe(st.fixed_dictionaries({"cols": cols_st, "alpha": rational_st,
+                                              "beta": rational_st}))
+cell_st = maybe(st.fixed_dictionaries({
+    "k": maybe(small_int_st | st.integers(0, 10**12) | st.floats()),
+    "n": maybe(small_int_st | st.integers(0, 10**12) | st.floats()),
+    "nonbases": maybe(st.lists(cols_st, max_size=3)),
+}))
+fiber_cert_st = st.fixed_dictionaries(
+    {"cell": cell_st, "minors": maybe(st.lists(minor_entry_st, max_size=6)),
+     "verdict": maybe(st.booleans())}
+)
+matrix_st = maybe(st.fixed_dictionaries({
+    "rows": maybe(small_int_st), "cols": maybe(small_int_st),
+    "entries": maybe(st.lists(st.lists(rational_st, max_size=3), max_size=3)),
+}))
+equivalence_cert_st = st.fixed_dictionaries(
+    {"Z": matrix_st, "Zprime": matrix_st, "C": matrix_st,
+     "D_diag": maybe(st.lists(rational_st, max_size=3)), "detC": rational_st}
+)
+stored_report_st = st.fixed_dictionaries(
+    {"verdicts": maybe(st.lists(maybe(st.fixed_dictionaries(
+        {"name": maybe(st.text(max_size=5)), "ok": maybe(st.booleans())})), max_size=3))}
+)
+
+
+class TestReportFuzz:
+    """``report`` maps any JSON file to exit 0, 1 or 2 and never raises."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(fiber_cert_st, equivalence_cert_st, stored_report_st, json_value_st))
+    def test_any_json_gives_an_exit_code(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                rc = main(["report", str(path)])
+        assert rc in (EXIT_OK, EXIT_FALSE_VERDICT, EXIT_USAGE)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"cell": {"k": Infinity, "n": 3, "nonbases": []}, "minors": [], "verdict": true}',
+            b'{"cell": {"k": 1e400, "n": 3, "nonbases": []}, "minors": [], "verdict": true}',
+            b"\xff\xfe",
+            b'{"a": ' + b"1" * 5000 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["infinity", "float-overflow", "not-utf8", "digit-limit", "deep-nesting"],
+    )
+    def test_hostile_file_is_usage_error(self, tmp_path, raw, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(raw)
+        assert main(["report", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestStrictRationals:
@@ -310,22 +419,13 @@ class TestStrictRationals:
         assert exc.value.code == EXIT_USAGE
 
     def test_rejection_has_no_traceback(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "tnngrass.cli", "fiber-campaign", "--k", "1", "--m", "2",
-             "--trials", "1", "--node-lo", "1/0"],
-            capture_output=True,
-            text=True,
-        )
+        out = run_cli("fiber-campaign", "--k", "1", "--m", "2", "--trials", "1", "--node-lo", "1/0")
         assert out.returncode == EXIT_USAGE
         assert "error:" in out.stderr and "Traceback" not in out.stderr
 
 
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
-        out = subprocess.run(
-            [sys.executable, "-m", "tnngrass.cli", "z0", "--k", "1", "--m", "2"],
-            capture_output=True,
-            text=True,
-        )
+        out = run_cli("z0", "--k", "1", "--m", "2")
         assert out.returncode == 0
         assert "kernel_sign_alternating" in out.stdout

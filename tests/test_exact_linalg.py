@@ -33,6 +33,7 @@ from helpers import (
     rref_inverse,
     rref_kernel,
     rref_left_factor,
+    subset_minor_table,
     vandermonde_det,
 )
 
@@ -70,6 +71,33 @@ def inner_singular_rows_st(draw):
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=j, max_size=j))
     for row in rows:
         row[j] = sum((c * row[t] for t, c in enumerate(coeffs)), Fraction(0))
+    return rows
+
+
+@st.composite
+def minor_table_rows_st(draw):
+    """k x n rows, 1 <= k <= 8 and k <= n <= k + 5, with the degenerate shapes mixed in.
+
+    Entries are signed and often zero; rows may be combinations of the
+    rows above (rank deficiency), and columns may be zeroed or copied
+    from another column.
+    """
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, k + 5))
+    row_st = st.lists(sparse_entry_st, min_size=n, max_size=n)
+    rows = draw(st.lists(row_st, min_size=k, max_size=k))
+    for i in range(1, k):
+        if draw(st.integers(0, 9)) == 0:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=i, max_size=i))
+            rows[i] = [sum((c * rows[t][j] for t, c in enumerate(coeffs)), Fraction(0))
+                       for j in range(n)]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2)):
+        for row in rows:
+            row[dst] = row[src]
     return rows
 
 
@@ -177,6 +205,22 @@ class TestAllMaximalMinors:
     def test_tall_matrix_rejected(self):
         with pytest.raises(DimensionError):
             all_maximal_minors(RationalMatrix([[1], [2]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(minor_table_rows_st())
+    def test_matches_per_subset_oracle(self, rows):
+        m = RationalMatrix(rows)
+        assert list(all_maximal_minors(m).items()) == list(subset_minor_table(m).items())
+
+    def test_rank_deficient_table_is_zero(self):
+        m = RationalMatrix([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]])
+        assert set(all_maximal_minors(m).values()) == {Fraction(0)}
+
+    def test_wide_vandermonde_against_product_oracle(self):
+        nodes = [Fraction(i, 3) for i in range(1, 16)]
+        m = RationalMatrix([[x ** i for x in nodes] for i in range(12)])
+        for subset, value in all_maximal_minors(m).items():
+            assert value == vandermonde_det([nodes[j - 1] for j in subset.members])
 
 
 class TestRank:
@@ -320,8 +364,9 @@ class TestCauchyBinet:
     @given(st.integers(0, 10_000))
     def test_identity_holds(self, seed):
         rng = Random(seed)
-        k = rng.randint(1, 3)
-        n = rng.randint(k, 6)
+        # k >= 4 takes the one-elimination table, k <= 3 the closed forms
+        k = rng.randint(1, 6)
+        n = rng.randint(k, k + 4)
         a = random_matrix(rng, k, n, lo=-5, hi=5, max_den=3)
         b = random_matrix(rng, n, k, lo=-5, hi=5, max_den=3)
         rows_all = IndexSubset(tuple(range(1, k + 1)))
@@ -360,7 +405,8 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         rng = Random(271)
-        matrices = [random_matrix(rng, 3, 6) for _ in range(8)]
+        matrices = [random_matrix(rng, 3, 6) for _ in range(4)]
+        matrices += [random_matrix(rng, 5, 8) for _ in range(4)]
         sequential = [all_maximal_minors(m) for m in matrices]
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(4):
@@ -372,6 +418,13 @@ class TestSubsetsAndSerialization:
     def test_colex_enumeration(self):
         subsets = [tuple(s.members) for s in subsets_colex(4, 2)]
         assert subsets == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+
+    def test_colex_lists_are_fresh(self):
+        first = subsets_colex(5, 3)
+        first.clear()
+        again = subsets_colex(5, 3)
+        assert len(again) == 10 and again is not first
+        assert [s.members for s in again] == [s.members for s in subsets_colex(5, 3)]
 
     def test_index_subset_validation(self):
         with pytest.raises(DimensionError):

@@ -1,6 +1,7 @@
 """Positivity tests, matroid extraction, cell membership, sampling."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from tnngrass import (
     sample_top_cell,
     zero_columns,
 )
+from tnngrass.tnn_grassmannian import capped_comb
 from helpers import draw_nodes, random_positive_det, vandermonde_det
 
 
@@ -129,6 +131,15 @@ class TestCellSpec:
     def test_wrong_size_nonbasis_rejected(self):
         with pytest.raises(DimensionError):
             PositroidCellSpec(k=2, n=3, nonbases=frozenset({IndexSubset((1,))}))
+
+    def test_huge_declared_size_is_accepted_quickly(self):
+        cell = PositroidCellSpec(k=2_000_000, n=4_000_000, nonbases=frozenset())
+        assert cell.is_top
+
+    @given(st.integers(0, 40), st.integers(-2, 42), st.integers(0, 10**6))
+    def test_capped_comb_matches_comb(self, n, k, cap):
+        exact = comb(n, k) if k >= 0 else 0
+        assert capped_comb(n, k, cap) == (exact if exact <= cap else cap + 1)
 
     def test_json_round_trip(self):
         cell = PositroidCellSpec(
