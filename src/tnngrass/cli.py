@@ -34,6 +34,7 @@ from .errors import InternalConsistencyError, UserInputError
 from .exact_linalg import (
     IndexSubset,
     RationalMatrix,
+    as_int,
     as_rational,
     det,
     rational_to_string,
@@ -175,7 +176,7 @@ def load_setup(path: str) -> AmplituhedronSetup:
     obj = load_json(path)
     try:
         z = RationalMatrix.from_json_dict(obj["Z"])
-        setup = build_setup(int(obj["k"]), int(obj["m"]), z)
+        setup = build_setup(as_int(obj["k"]), as_int(obj["m"]), z)
         stored_kernel = obj.get("kernel")
         stated = None if stored_kernel is None else tuple(as_rational(s) for s in stored_kernel)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -353,7 +354,6 @@ def cmd_fiber_campaign(args: argparse.Namespace) -> int:
         "nontrivial_pairs": 0,
         "degenerate_pairs": 0,
         "accepted": 0,
-        "rejected": 0,
     }
     all_true = True
     for t in range(config.trials):

@@ -45,6 +45,7 @@ __all__ = [
     "RowVector",
     "IndexSubset",
     "RationalMatrix",
+    "as_int",
     "as_rational",
     "rational_to_string",
     "subsets_colex",
@@ -88,6 +89,13 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
+def as_int(value: object) -> int:
+    """An integer field as read from input: bool, float and str are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"integer expected, got {type(value).__name__} {value!r:.40}")
+    return value
+
+
 def rational_to_string(q: Fraction) -> str:
     """Render as ``p/q``, or just ``p`` for integers."""
     if q.denominator == 1:
@@ -102,16 +110,12 @@ class IndexSubset:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mem = tuple(int(i) for i in self.members)
+        mem = tuple(as_int(i) for i in self.members)
         object.__setattr__(self, "members", mem)
         if any(i < 1 for i in mem):
             raise DimensionError(f"indices must be >= 1, got {mem}")
         if any(a >= b for a, b in zip(mem, mem[1:])):
             raise DimensionError(f"indices must be strictly increasing, got {mem}")
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "IndexSubset":
-        return cls(tuple(sorted(set(int(i) for i in indices))))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -215,10 +219,6 @@ class RationalMatrix:
         n = len(vals)
         return cls([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_row_vector(cls, vec: Sequence[int | str | Fraction]) -> "RationalMatrix":
-        return cls([list(vec)])
-
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
@@ -306,7 +306,7 @@ class RationalMatrix:
     def from_json_dict(cls, obj: Mapping) -> "RationalMatrix":
         entries = obj["entries"]
         mat = cls(entries)
-        if mat.rows != int(obj["rows"]) or mat.cols != int(obj["cols"]):
+        if mat.rows != as_int(obj["rows"]) or mat.cols != as_int(obj["cols"]):
             raise DimensionError("declared shape does not match entries")
         return mat
 

@@ -6,7 +6,8 @@ row vector x.  Along the segment U + lambda x^T a every maximal minor is
 an affine function of lambda; a certificate stores those per-minor
 coefficients (fitted at lambda = 0, 1 and independently confirmed at
 lambda = 2) and its verdict proves that every convex combination stays
-inside the closed cell.
+inside the closed cell.  The same affinity lets the sampler decide the
+admissible partners of a point exactly, from its own table and one more.
 
 The section witness realizes the inverse direction: given a spanning
 representative K of a fiber point and the target image W, the unique C
@@ -276,43 +277,38 @@ def sample_fiber_partner(
     cell: PositroidCellSpec,
     point: TNNPoint,
     rng: Random,
-    scale: Fraction = Fraction(1, 8),
-    max_shrink: int = 40,
     stats: dict[str, int] | None = None,
 ) -> FiberPair:
-    """Draw V = U + x^T a with V still in the closed cell.
+    """Draw V = U + lambda d^T a with V still in the closed cell.
 
-    Candidate displacements are drawn at geometrically shrinking scales
-    and rejected until the partner passes the exact cell membership
-    test.  When no nonzero displacement is admissible (cells cut out by
-    zeroed columns admit only the trivial one, since the kernel vector
-    has no zero entries there), the pair degenerates to V = U.
-
-    When ``stats`` is given, its "accepted" and "rejected" counters are
-    incremented, so campaigns can report their rejection rate.
+    Along the line every minor is alpha + lambda beta: alpha is the
+    point's own table, beta comes from one table at lambda = 1 for a
+    drawn d with no zero entry.  lambda = 0 (V = U) when a nonbasis minor
+    moves or a vanishing one falls, as on cells cut out by zeroed
+    columns; otherwise lambda is the largest of 1, 1/2, 1/4, ... keeping
+    every moving minor positive.  ``stats["accepted"]`` counts calls.
     """
     a = _require_corank_one(setup)
     u = point.matrix
     if not in_closed_cell(point, cell):
         raise NotInCellError("sample point is not in the closed cell")
-
-    def bump(key: str) -> None:
-        if stats is not None:
-            stats[key] = stats.get(key, 0) + 1
-
-    for shrink in range(max_shrink):
-        factor = scale / (2 ** shrink)
-        x = tuple(
-            factor * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            for _ in range(setup.k)
-        )
-        if all(entry == 0 for entry in x):
-            continue
-        v = u + outer_product(x, a)
-        if in_closed_cell(v, cell):
-            bump("accepted")
-            return FiberPair(setup=setup, u=u, v=v, x=x)
-        bump("rejected")
-    bump("accepted")
-    zero = tuple(Fraction(0) for _ in range(setup.k))
-    return FiberPair(setup=setup, u=u, v=u, x=zero)
+    if stats is not None:
+        stats["accepted"] = stats.get("accepted", 0) + 1
+    d = tuple(
+        Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 8 * rng.randint(1, 4))
+        for _ in range(setup.k)
+    )
+    alpha = point.minors
+    moved = all_maximal_minors(u + outer_product(d, a))
+    beta = {s: moved[s] - value for s, value in alpha.items()}
+    lam = Fraction(1)
+    if any(beta[s] != 0 for s in cell.nonbases) or any(
+        value == 0 and beta[s] < 0 for s, value in alpha.items()
+    ):
+        lam = Fraction(0)
+    # every falling minor is positive at U, so halving ends
+    falling = [(alpha[s], b) for s, b in beta.items() if b < 0]
+    while lam and any(value + lam * b <= 0 for value, b in falling):
+        lam /= 2
+    x = tuple(lam * entry for entry in d)
+    return FiberPair(setup=setup, u=u, v=u + outer_product(x, a), x=x)

@@ -18,6 +18,7 @@ from .exact_linalg import (
     IndexSubset,
     RationalMatrix,
     all_maximal_minors,
+    as_int,
     as_rational,
     rational_to_string,
 )
@@ -181,7 +182,7 @@ class PositroidCellSpec:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "PositroidCellSpec":
         nonbases = frozenset(IndexSubset(tuple(s)) for s in obj["nonbases"])
-        return cls(k=int(obj["k"]), n=int(obj["n"]), nonbases=nonbases)
+        return cls(k=as_int(obj["k"]), n=as_int(obj["n"]), nonbases=nonbases)
 
 
 def matroid_of(point: TNNPoint) -> PositroidCellSpec:

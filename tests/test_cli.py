@@ -296,6 +296,8 @@ class TestReportFiberCertificates:
             lambda c: c["minors"][0].__setitem__("alpha", 0.5),
             lambda c: c["minors"][0].__setitem__("alpha", "1/0"),
             lambda c: c["minors"][0].__setitem__("cols", 2),
+            lambda c: c["minors"][0].__setitem__("cols", [1.0]),
+            lambda c: c["cell"].__setitem__("n", 4.0),
             lambda c: c.__setitem__("minors", [3]),
         ],
     )
@@ -391,6 +393,103 @@ class TestReportFuzz:
         path.write_bytes(raw)
         assert main(["report", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+
+setup_st = maybe(st.fixed_dictionaries(
+    {"k": maybe(small_int_st), "m": maybe(small_int_st), "Z": matrix_st},
+    optional={"kernel": maybe(st.lists(rational_st, max_size=4)),
+              "allMinorsPositive": maybe(st.booleans())},
+))
+entry_st = st.sampled_from(["0", "1", "-1", "1/2", "3", "-5/4"])
+shaped_matrix_st = st.integers(1, 3).flatmap(
+    lambda cols: st.lists(st.lists(entry_st, min_size=cols, max_size=cols), min_size=1, max_size=3)
+).map(lambda entries: {"rows": len(entries), "cols": len(entries[0]), "entries": entries})
+
+
+def near(*payloads):
+    """Each payload as it is, or with one field replaced by any JSON value."""
+    return st.sampled_from(payloads).flatmap(
+        lambda payload: st.just(payload) | st.builds(
+            lambda key, value: {**payload, key: value}, st.sampled_from(sorted(payload)), json_value_st
+        )
+    )
+
+
+# genuine inputs and near misses, so the fuzz also reaches the code behind
+# the loaders: U and V lie in one fiber of the setup, whose kernel is (1, -2, 1)
+VALID_SETUP = vandermonde_setup(1, 1, [Fraction(i) for i in (1, 2, 3)]).to_json_dict()
+VALID_U = RationalMatrix([[1, 1, 1]]).to_json_dict()
+VALID_V = RationalMatrix([["5/4", "1/2", "5/4"]]).to_json_dict()
+loader_setup_st = near(VALID_SETUP) | setup_st
+loader_matrix_st = near(VALID_U, VALID_V) | shaped_matrix_st
+loader_cell_st = near({"k": 1, "n": 3, "nonbases": []}, {"k": 1, "n": 3, "nonbases": [[2]]}) | cell_st
+LOADER_INPUTS = {
+    "check-tnn": st.tuples(loader_matrix_st),
+    "cell-member": st.tuples(loader_matrix_st, loader_cell_st),
+    "map": st.tuples(loader_setup_st, loader_matrix_st),
+    "fiber-check": st.tuples(loader_setup_st, loader_matrix_st, loader_matrix_st)
+    | st.tuples(loader_setup_st, loader_matrix_st, loader_matrix_st, loader_cell_st),
+}
+
+
+class TestLoaderFuzz:
+    """Every command that loads JSON maps any input to exit 0, 1 or 2 and never raises."""
+
+    @pytest.mark.parametrize("command", sorted(LOADER_INPUTS))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_json_gives_an_exit_code(self, command, data):
+        payloads = data.draw(LOADER_INPUTS[command])
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, payload in enumerate(payloads):
+                path = Path(tmp) / f"in{i}.json"
+                path.write_text(json.dumps(payload), encoding="utf-8")
+                paths.append(str(path))
+            if command == "fiber-check" and len(paths) == 4:
+                paths[3:] = ["--cell", paths[3]]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                rc = main([command, *paths])
+        assert rc in (EXIT_OK, EXIT_FALSE_VERDICT, EXIT_USAGE)
+
+
+class TestStrictIntegers:
+    """Integer fields must be JSON integers: no float, string or boolean is converted."""
+
+    def test_certificate_with_float_cell_size_is_usage_error(self, tmp_path):
+        cert = {
+            "cell": {"k": 1.9, "n": 3.7, "nonbases": []},
+            "minors": [{"cols": [i], "alpha": "1", "beta": "0"} for i in (1, 2, 3)],
+            "verdict": True,
+        }
+        out = run_cli("report", write(tmp_path / "c.json", cert))
+        assert out.returncode == EXIT_USAGE
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+    def test_matrix_with_mistyped_shape_is_usage_error(self, tmp_path):
+        matrix = {"rows": True, "cols": "2", "entries": [["1", "2"]]}
+        out = run_cli("check-tnn", write(tmp_path / "m.json", matrix))
+        assert out.returncode == EXIT_USAGE
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("value", [1.0, "1", True, None])
+    def test_cell_size_field(self, tmp_path, matrix_file, value):
+        cell = write(tmp_path / "cell.json", {"k": value, "n": 3, "nonbases": []})
+        assert main(["cell-member", matrix_file, cell]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("member", [1.0, "1", True])
+    def test_nonbasis_member(self, tmp_path, matrix_file, member):
+        cell = write(tmp_path / "cell.json", {"k": 2, "n": 3, "nonbases": [[member, 3]]})
+        assert main(["cell-member", matrix_file, cell]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("field", ["k", "m"])
+    def test_setup_field(self, tmp_path, setup_file, field):
+        payload = json.loads(Path(setup_file).read_text())
+        payload[field] = float(payload[field])
+        bad = write(tmp_path / "bad_setup.json", payload)
+        v = write(tmp_path / "v.json", RationalMatrix([[1, 0, 0, 0]]).to_json_dict())
+        assert main(["map", bad, v]) == EXIT_USAGE
 
 
 class TestStrictRationals:

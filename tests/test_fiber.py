@@ -4,7 +4,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tnngrass.fiber as fiber_mod
+import tnngrass.tnn_grassmannian as tnn_mod
 from tnngrass import (
     FiberMismatchError,
     IndexSubset,
@@ -14,6 +18,7 @@ from tnngrass import (
     RationalMatrix,
     TNNPoint,
     UnsupportedParameterError,
+    all_maximal_minors,
     build_setup,
     check_tnn,
     convexity_certificate,
@@ -283,6 +288,16 @@ class TestSectionWitness:
             section_witness(setup, k_rep, RationalMatrix.zeros(2, 3))
 
 
+class FirstDraw(Random):
+    """Makes the sampler draw d = (-3/8, ...): the first choice, the smallest integer."""
+
+    def choice(self, seq):
+        return seq[0]
+
+    def randint(self, a, b):
+        return a
+
+
 class TestFiberPairSampling:
     def test_pair_validates(self):
         rng = Random(107)
@@ -305,3 +320,86 @@ class TestFiberPairSampling:
         pair = sample_fiber_partner(setup, cell, zeroed, rng)
         assert pair.u == pair.v
         assert all(entry == 0 for entry in pair.x)
+
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["top-cell", "zeroed-column"])
+    def test_one_minor_table_per_call(self, monkeypatch, zeroed):
+        rng = Random(113)
+        setup = random_corank_one_setup(rng, 3, 2)
+        point = scaled_vandermonde_point(rng, 3, 6)
+        if zeroed:
+            point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((4,))))
+        cell = matroid_of(point)
+        tables = []
+
+        def counted(matrix):
+            tables.append(matrix)
+            return all_maximal_minors(matrix)
+
+        # membership tests build their tables through tnn_grassmannian
+        monkeypatch.setattr(fiber_mod, "all_maximal_minors", counted)
+        monkeypatch.setattr(tnn_mod, "all_maximal_minors", counted)
+        for _ in range(5):
+            tables.clear()
+            sample_fiber_partner(setup, cell, point, rng)
+            assert len(tables) == 1
+
+    def test_partner_stops_short_of_a_vanishing_minor(self):
+        setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
+        a = setup.kernel_gen
+        # at lambda = 1 every entry with a_j > 0 lands exactly on 0, so the
+        # largest admissible lambda is 1/2
+        u = RationalMatrix([[Fraction(3, 8) * aj if aj > 0 else 1 for aj in a]])
+        point = TNNPoint.from_matrix(u)
+        pair = sample_fiber_partner(setup, PositroidCellSpec.top_cell(1, 4), point, FirstDraw(1))
+        assert pair.x == (Fraction(-3, 16),)
+        assert all(pair.v.entry(0, j) > 0 for j in range(4))
+
+    @pytest.mark.parametrize("zeroed, x", [(1, Fraction(0)), (2, Fraction(-3, 16))])
+    def test_lower_cell_point_in_top_cell(self, zeroed, x):
+        # a = (1, -3, 3, -1) and d = (-3/8): the zero entry falls in
+        # column 1, so only V = U stays in the cell, and rises in column 2
+        setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
+        u = RationalMatrix([[0 if j == zeroed else 1 for j in range(1, 5)]])
+        cell = PositroidCellSpec.top_cell(1, 4)
+        pair = sample_fiber_partner(setup, cell, TNNPoint.from_matrix(u), FirstDraw(1))
+        assert pair.x == (x,)
+        assert in_closed_cell(pair.v, cell)
+
+    def test_stats_count_calls(self):
+        rng = Random(127)
+        setup = random_corank_one_setup(rng, 2, 2)
+        cell = PositroidCellSpec.top_cell(2, 5)
+        stats = {"accepted": 0, "rejected": 0}
+        for _ in range(3):
+            sample_fiber_partner(setup, cell, scaled_vandermonde_point(rng, 2, 5), rng, stats=stats)
+        assert stats == {"accepted": 3, "rejected": 0}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 4),
+        m=st.integers(0, 2),
+        zeroed=st.booleans(),
+    )
+    def test_partner_keeps_positive_minors_and_nonbases(self, seed, k, m, zeroed):
+        rng = Random(seed)
+        setup = random_corank_one_setup(rng, k, m)
+        n = setup.n
+        point = scaled_vandermonde_point(rng, k, n)
+        if zeroed:
+            point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((rng.randint(1, n),))))
+            cell = matroid_of(point)
+        else:
+            cell = PositroidCellSpec.top_cell(k, n)
+        pair = sample_fiber_partner(setup, cell, point, rng)
+        assert pair.u == point.matrix
+        assert make_fiber_pair(setup, pair.u, pair.v).x == pair.x
+        after = all_maximal_minors(pair.v)
+        for subset, value in point.minors.items():
+            if value > 0:
+                assert after[subset] > 0
+        for subset in cell.nonbases:
+            assert after[subset] == 0
+        # interior points always move; zeroed columns pin the partner to U,
+        # since the kernel vector has no zero entry
+        assert any(entry != 0 for entry in pair.x) != zeroed
