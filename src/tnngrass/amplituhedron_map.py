@@ -121,6 +121,9 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
                 f"corank-one setup produced a {len(basis)}-dimensional kernel"
             )
         kernel_gen = basis[0]
+        # with the dimension above, the kernel is exactly span(a), as fiber needs
+        if any(sum(z * x for z, x in zip(row, kernel_gen)) != 0 for row in Z.row_tuples()):
+            raise InternalConsistencyError("kernel generator is not annihilated by Z")
         alternating = signs_alternate(kernel_gen)
         if all_positive and not alternating:
             raise InternalConsistencyError(

@@ -35,11 +35,12 @@ from .exact_linalg import (
     IndexSubset,
     RationalMatrix,
     as_int,
+    as_list,
     as_rational,
     det,
     rational_to_string,
 )
-from .fiber import convexity_certificate, sample_fiber_partner
+from .fiber import convexity_certificate, sample_fiber_partner, segment_in_cell
 from .tnn_grassmannian import (
     PositroidCellSpec,
     TNNPoint,
@@ -178,7 +179,7 @@ def load_setup(path: str) -> AmplituhedronSetup:
         z = RationalMatrix.from_json_dict(obj["Z"])
         setup = build_setup(as_int(obj["k"]), as_int(obj["m"]), z)
         stored_kernel = obj.get("kernel")
-        stated = None if stored_kernel is None else tuple(as_rational(s) for s in stored_kernel)
+        stated = None if stored_kernel is None else tuple(map(as_rational, as_list(stored_kernel)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"{path}: not a valid setup file: {exc}") from exc
     if stated is not None:
@@ -422,6 +423,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_equivalence(args: argparse.Namespace) -> int:
+    if args.spot_checks < 1:
+        raise UserInputError("spot checks must be >= 1")
     setup_a = load_setup(args.setup_a)
     setup_b = load_setup(args.setup_b)
     cert = construct_equivalence(setup_a, setup_b)
@@ -451,23 +454,20 @@ def _flag(value) -> bool:
 
 
 def _stored_verdicts(obj: Mapping) -> list[tuple[str, bool]]:
-    return [(v["name"], _flag(v["ok"])) for v in obj["verdicts"]]
+    return [(v["name"], _flag(v["ok"])) for v in as_list(obj["verdicts"])]
 
 
 def _recheck_fiber_certificate(obj: Mapping) -> list[tuple[str, bool]]:
     """Recompute a stored convexity verdict from its own coefficients."""
     cell = PositroidCellSpec.from_json_dict(obj["cell"])
-    nonbases = cell.nonbases
     supported = True
     listed = []
-    for entry in obj["minors"]:
+    for entry in as_list(obj["minors"]):
         alpha = as_rational(entry["alpha"])
         beta = as_rational(entry["beta"])
-        subset = IndexSubset(tuple(entry["cols"]))
+        subset = IndexSubset(tuple(as_list(entry["cols"])))
         listed.append(subset.members)
-        if alpha < 0 or alpha + beta < 0:
-            supported = False
-        if subset in nonbases and (alpha != 0 or beta != 0):
+        if not segment_in_cell(alpha, beta, subset in cell.nonbases):
             supported = False
     # The count is compared first, with a capped C(n, k), so a forged
     # (n, k) costs neither a huge binomial nor an enumeration larger than
@@ -489,7 +489,7 @@ def _recheck_equivalence_certificate(obj: Mapping) -> list[tuple[str, bool]]:
     z = RationalMatrix.from_json_dict(obj["Z"])
     z_prime = RationalMatrix.from_json_dict(obj["Zprime"])
     c = RationalMatrix.from_json_dict(obj["C"])
-    d_diag = [as_rational(s) for s in obj["D_diag"]]
+    d_diag = [as_rational(s) for s in as_list(obj["D_diag"])]
     det_c = as_rational(obj["detC"])
     return [
         ("identity_exact", c @ z @ RationalMatrix.diagonal(d_diag) == z_prime),

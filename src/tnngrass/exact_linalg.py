@@ -46,6 +46,7 @@ __all__ = [
     "IndexSubset",
     "RationalMatrix",
     "as_int",
+    "as_list",
     "as_rational",
     "rational_to_string",
     "subsets_colex",
@@ -93,6 +94,13 @@ def as_int(value: object) -> int:
     """An integer field as read from input: bool, float and str are refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"integer expected, got {type(value).__name__} {value!r:.40}")
+    return value
+
+
+def as_list(value: object) -> list:
+    """A list field as read from input: a JSON array, never a string or object iterated as one."""
+    if not isinstance(value, list):
+        raise TypeError(f"list expected, got {type(value).__name__} {value!r:.40}")
     return value
 
 
@@ -304,8 +312,7 @@ class RationalMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "RationalMatrix":
-        entries = obj["entries"]
-        mat = cls(entries)
+        mat = cls(as_list(row) for row in as_list(obj["entries"]))
         if mat.rows != as_int(obj["rows"]) or mat.cols != as_int(obj["cols"]):
             raise DimensionError("declared shape does not match entries")
         return mat

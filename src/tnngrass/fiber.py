@@ -1,17 +1,19 @@
 """Fiber convexity certificates and the section witness for the map on spans.
 
-With n = k+m+1 the kernel of v -> v Z^T is spanned by a single vector a,
-so two representatives in the same fiber differ by x^T a for a unique
-row vector x.  Along the segment U + lambda x^T a every maximal minor is
-an affine function of lambda; a certificate stores those per-minor
-coefficients (fitted at lambda = 0, 1 and independently confirmed at
-lambda = 2) and its verdict proves that every convex combination stays
-inside the closed cell.  The same affinity lets the sampler decide the
-admissible partners of a point exactly, from its own table and one more.
+With n = k+m+1 the kernel of v -> v Z^T is exactly span(a) for a single
+vector a (``build_setup`` checks Z a^T = 0), so V lies in U's fiber iff
+V - U = x^T a for a row vector x, the one same-fiber test.  Along that
+segment U + lambda x^T a every maximal minor is affine in lambda; a
+certificate stores the per-minor coefficients (fitted at lambda = 0, 1
+and independently confirmed at lambda = 2), from which ``segment_in_cell``
+proves that every convex combination stays inside the closed cell.  The
+same affinity lets the sampler decide a point's admissible partners
+exactly, from its own table and one more.
 
 The section witness realizes the inverse direction: given a spanning
 representative K of a fiber point and the target image W, the unique C
-with K Z^T = C W has positive determinant and C^{-1} K is the canonical
+with K Z^T = C W (one exact solve, which also decides that the spans
+agree) has positive determinant and C^{-1} K is the canonical
 representative mapping exactly onto W.
 """
 
@@ -26,6 +28,7 @@ from .amplituhedron_map import AmplituhedronSetup
 from .errors import (
     DimensionError,
     FiberMismatchError,
+    InconsistentSystemError,
     InternalConsistencyError,
     NotInCellError,
     RankError,
@@ -62,6 +65,7 @@ __all__ = [
     "convexity_certificate",
     "section_witness",
     "sample_fiber_partner",
+    "segment_in_cell",
 ]
 
 
@@ -73,27 +77,18 @@ def _require_corank_one(setup: AmplituhedronSetup) -> RowVector:
     return setup.kernel_gen
 
 
-def _same_fiber(setup: AmplituhedronSetup, u: RationalMatrix, v: RationalMatrix) -> bool:
-    zt = setup.Z.transpose()
-    return u @ zt == v @ zt
-
-
 def fiber_displacement(
     setup: AmplituhedronSetup, u: RationalMatrix, v: RationalMatrix
 ) -> RowVector:
-    """The unique row vector x with V - U = x^T a, for same-fiber U, V."""
+    """The unique row vector x with V - U = x^T a; FiberMismatchError if there is none."""
     a = _require_corank_one(setup)
     if u.rows != setup.k or u.cols != setup.n or v.rows != setup.k or v.cols != setup.n:
         raise DimensionError(f"representatives must be {setup.k}x{setup.n}")
-    if not _same_fiber(setup, u, v):
-        raise FiberMismatchError("U and V have different images under V -> V Z^T")
     pivot = next(j for j, entry in enumerate(a) if entry != 0)
     delta = v - u
     x = tuple(delta.entry(i, pivot) / a[pivot] for i in range(setup.k))
     if delta != outer_product(x, a):
-        # Same image forces every row of V - U into span(a); reaching this
-        # would contradict the kernel computation itself.
-        raise InternalConsistencyError("same-fiber difference is not a multiple of the kernel")
+        raise FiberMismatchError("U and V have different images under V -> V Z^T")
     return x
 
 
@@ -142,13 +137,23 @@ def minor_affine_coeffs(
     return alpha, beta
 
 
+def segment_in_cell(alpha: Fraction, beta: Fraction, nonbasis: bool) -> bool:
+    """Whether the minor alpha + lambda beta stays in its cell for 0 <= lambda <= 1.
+
+    Being affine in lambda, it does iff it is nonnegative at both ends, or
+    on a nonbasis iff it is the zero polynomial.
+    """
+    if nonbasis:
+        return alpha == 0 and beta == 0
+    return alpha >= 0 and alpha + beta >= 0
+
+
 @dataclass(frozen=True)
 class FiberConvexityCertificate:
     """Per-minor affine coefficients proving a fiber segment stays in a cell.
 
-    The verdict is true iff every minor is nonnegative at both endpoints
-    and every nonbasis minor is the zero polynomial; by affineness in
-    lambda this covers all convex combinations at once.
+    The verdict is true iff ``segment_in_cell`` holds for every minor; by
+    affineness in lambda this covers all convex combinations at once.
     """
 
     cell: PositroidCellSpec
@@ -202,15 +207,13 @@ def convexity_certificate(
         tables.append(point.minors)
     x = fiber_displacement(setup, u, v)
 
-    # fiber_displacement checked V - U = x^T a exactly, so V is U + step
-    # and its table gives the minors at lambda = 1; lambda = 2 is computed
-    # independently as the affinity check.
-    step = outer_product(x, a)
+    # fiber_displacement checked V = U + x^T a exactly, so V's table gives
+    # the minors at lambda = 1; lambda = 2 is computed independently as the
+    # affinity check.
     minors0, minors1 = tables
-    minors2 = all_maximal_minors(u + step + step)
+    minors2 = all_maximal_minors(v + outer_product(x, a))
 
     entries: list[tuple[IndexSubset, Fraction, Fraction]] = []
-    verdict = True
     for subset in subsets_colex(setup.n, setup.k):
         alpha = minors0[subset]
         beta = minors1[subset] - alpha
@@ -219,10 +222,7 @@ def convexity_certificate(
                 f"minor on columns {list(subset.members)} is not affine along the fiber line"
             )
         entries.append((subset, alpha, beta))
-        if alpha < 0 or alpha + beta < 0:
-            verdict = False
-        if subset in cell.nonbases and (alpha != 0 or beta != 0):
-            verdict = False
+    verdict = all(segment_in_cell(alpha, beta, s in cell.nonbases) for s, alpha, beta in entries)
     return FiberConvexityCertificate(cell=cell, per_minor=tuple(entries), verdict=verdict)
 
 
@@ -245,7 +245,8 @@ def section_witness(
     same fiber point (the hypothesis under which det(C) > 0 is a proved
     fact; it is not independently decidable here).  A nonpositive det(C)
     with totally nonnegative K is therefore reported as an internal
-    inconsistency.
+    inconsistency.  The solve raises RankError for a W of deficient rank
+    and FiberMismatchError when span(W) differs from span(K Z^T).
     """
     if k_rep.rows != setup.k or k_rep.cols != setup.n:
         raise DimensionError(f"K must be {setup.k}x{setup.n}")
@@ -253,12 +254,11 @@ def section_witness(
         raise DimensionError(f"W must be {setup.k}x{setup.k + setup.m}")
     if rank(k_rep) < setup.k:
         raise RankError("K must have full row rank")
-    if rank(w) < setup.k:
-        raise RankError("W must have full row rank")
     k_image = k_rep @ setup.Z.transpose()
-    if rank(k_image.stack_below(w)) != setup.k:
-        raise FiberMismatchError("span(K Z^T) differs from span(W)")
-    c = solve_for_left_factor(k_image, w)
+    try:
+        c = solve_for_left_factor(k_image, w)
+    except InconsistentSystemError as exc:
+        raise FiberMismatchError("span(K Z^T) differs from span(W)") from exc
     det_c = det(c)
     if det_c == 0:
         raise InternalConsistencyError("left factor between equal spans is singular")

@@ -19,6 +19,7 @@ from .exact_linalg import (
     RationalMatrix,
     all_maximal_minors,
     as_int,
+    as_list,
     as_rational,
     rational_to_string,
 )
@@ -84,15 +85,11 @@ def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
     Rank fullness is equivalent to some maximal minor being nonzero, so a
     single minor sweep decides everything.
     """
-    if matrix.rows > matrix.cols:
-        raise DimensionError(f"wide matrix required, got {matrix.rows}x{matrix.cols}")
     return _scan_minors(all_maximal_minors(matrix))
 
 
 def check_totally_positive(matrix: RationalMatrix) -> bool:
     """True iff every maximal minor is strictly positive."""
-    if matrix.rows > matrix.cols:
-        raise DimensionError(f"wide matrix required, got {matrix.rows}x{matrix.cols}")
     return all(v > 0 for v in all_maximal_minors(matrix).values())
 
 
@@ -181,7 +178,7 @@ class PositroidCellSpec:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "PositroidCellSpec":
-        nonbases = frozenset(IndexSubset(tuple(s)) for s in obj["nonbases"])
+        nonbases = frozenset(IndexSubset(tuple(as_list(s))) for s in as_list(obj["nonbases"]))
         return cls(k=as_int(obj["k"]), n=as_int(obj["n"]), nonbases=nonbases)
 
 
@@ -200,18 +197,10 @@ def in_closed_cell(matrix: RationalMatrix | TNNPoint, cell: PositroidCellSpec) -
     True iff the matrix is totally nonnegative of full rank and every
     declared nonbasis minor vanishes exactly.
     """
-    if isinstance(matrix, TNNPoint):
-        minors: Mapping[IndexSubset, Fraction] = matrix.minors
-        k, n = matrix.k, matrix.n
-    else:
-        if matrix.rows > matrix.cols:
-            raise DimensionError(f"wide matrix required, got {matrix.rows}x{matrix.cols}")
-        k, n = matrix.rows, matrix.cols
-        minors = all_maximal_minors(matrix)
-    if (k, n) != (cell.k, cell.n):
-        raise DimensionError(
-            f"matrix is {k}x{n} but cell expects {cell.k}x{cell.n}"
-        )
+    mat = matrix.matrix if isinstance(matrix, TNNPoint) else matrix
+    if (mat.rows, mat.cols) != (cell.k, cell.n):
+        raise DimensionError(f"matrix is {mat.rows}x{mat.cols} but cell expects {cell.k}x{cell.n}")
+    minors = matrix.minors if isinstance(matrix, TNNPoint) else all_maximal_minors(mat)
     report = _scan_minors(minors)
     if not report.is_tnn:
         return False

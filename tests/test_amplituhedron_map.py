@@ -5,8 +5,10 @@ from random import Random
 
 import pytest
 
+import tnngrass.amplituhedron_map as map_mod
 from tnngrass import (
     DimensionError,
+    InternalConsistencyError,
     RankError,
     RationalMatrix,
     TNNPoint,
@@ -35,6 +37,17 @@ class TestBuildSetup:
         setup = build_setup(1, 0, RationalMatrix([[1, 1]]))
         assert setup.kernel_gen == (Fraction(1), Fraction(-1))
         assert setup.kernel_alternating
+
+    def test_kernel_generator_must_be_annihilated(self, monkeypatch):
+        # a one-dimensional "kernel" that Z does not kill would make the
+        # fiber module's same-fiber test unsound
+        z = RationalMatrix([[1, 1, 1], [1, 2, 3]])
+        assert build_setup(1, 1, z).kernel_gen == (Fraction(1), Fraction(-2), Fraction(1))
+        monkeypatch.setattr(
+            map_mod, "kernel_basis", lambda m: [(Fraction(1), Fraction(-1), Fraction(1))]
+        )
+        with pytest.raises(InternalConsistencyError, match="not annihilated"):
+            build_setup(1, 1, z)
 
     def test_vandermonde_positive_and_alternating(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])

@@ -206,6 +206,14 @@ class TestEmbedAndEquivalence:
         payload = json.loads(out.read_text())
         assert Fraction(payload["detC"]) > 0
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_spot_checks_below_one_is_usage_error(self, tmp_path, setup_file, count, capsys):
+        out = tmp_path / "eq.json"
+        args = ["equivalence", setup_file, setup_file, "--spot-checks", count, "--out", str(out)]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_degenerate_kernel_precondition_report(self, tmp_path):
         degenerate = build_setup(1, 1, RationalMatrix([[1, 1, 0], [0, 0, 1]]))
         bad = write(tmp_path / "bad.json", degenerate.to_json_dict())
@@ -490,6 +498,65 @@ class TestStrictIntegers:
         bad = write(tmp_path / "bad_setup.json", payload)
         v = write(tmp_path / "v.json", RationalMatrix([[1, 0, 0, 0]]).to_json_dict())
         assert main(["map", bad, v]) == EXIT_USAGE
+
+
+class TestStrictLists:
+    """List fields must be JSON arrays: no string or object is iterated in place of one."""
+
+    def test_matrix_with_string_row_is_usage_error(self, tmp_path):
+        matrix = {"rows": 1, "cols": 2, "entries": ["12"]}
+        out = run_cli("check-tnn", write(tmp_path / "m.json", matrix))
+        assert out.returncode == EXIT_USAGE
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+    def test_equivalence_certificate_with_string_diagonal_is_usage_error(
+        self, tmp_path, setup_file
+    ):
+        eq_path = tmp_path / "eq.json"
+        assert main(["equivalence", setup_file, setup_file, "--out", str(eq_path)]) == EXIT_OK
+        payload = json.loads(eq_path.read_text())
+        assert payload["D_diag"] == ["1", "1", "1", "1"]
+        payload["D_diag"] = "1111"
+        out = run_cli("report", write(eq_path, payload))
+        assert out.returncode == EXIT_USAGE
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("entries", ["12", {"12": 0}, [{"1": 0, "2": 0}]])
+    def test_matrix_entries(self, tmp_path, entries):
+        path = write(tmp_path / "m.json", {"rows": 1, "cols": 2, "entries": entries})
+        assert main(["check-tnn", path]) == EXIT_USAGE
+
+    def test_setup_kernel(self, tmp_path):
+        # the kernel (1, 0, 0) also reads back from the string "100"
+        setup = build_setup(1, 1, RationalMatrix([[0, 1, 0], [0, 0, 1]]))
+        payload = setup.to_json_dict()
+        assert payload["kernel"] == ["1", "0", "0"]
+        payload["kernel"] = "100"
+        bad = write(tmp_path / "setup.json", payload)
+        v = write(tmp_path / "v.json", RationalMatrix([[1, 0, 0]]).to_json_dict())
+        assert main(["map", bad, v]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("nonbases", [{}, "", {"12": 0}])
+    def test_cell_nonbases(self, tmp_path, matrix_file, nonbases):
+        cell = write(tmp_path / "cell.json", {"k": 2, "n": 3, "nonbases": nonbases})
+        assert main(["cell-member", matrix_file, cell]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: c.__setitem__("minors", {}),
+            lambda c: c["minors"][0].__setitem__("cols", "1"),
+            lambda c: c["cell"].__setitem__("nonbases", {}),
+        ],
+    )
+    def test_fiber_certificate_lists(self, tmp_path, fiber_certificate, tamper):
+        tamper(fiber_certificate)
+        assert main(["report", write(tmp_path / "c.json", fiber_certificate)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("verdicts", [{}, "", {"x": True}])
+    def test_report_verdicts(self, tmp_path, verdicts):
+        path = write(tmp_path / "r.json", {"verdicts": verdicts})
+        assert main(["report", path]) == EXIT_USAGE
 
 
 class TestStrictRationals:

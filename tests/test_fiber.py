@@ -86,6 +86,33 @@ class TestFiberDisplacement:
         with pytest.raises(UnsupportedParameterError):
             fiber_displacement(setup, RationalMatrix([[1, 0]]), RationalMatrix([[1, 0]]))
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 3),
+        m=st.integers(0, 2),
+        perturb=st.booleans(),
+    )
+    def test_mismatch_exactly_when_images_differ(self, seed, k, m, perturb):
+        # oracle: the two images under v -> v Z^T, compared entrywise
+        rng = Random(seed)
+        setup = random_corank_one_setup(rng, k, m)
+        u = scaled_vandermonde_point(rng, k, setup.n).matrix
+        x0 = tuple(random_fraction(rng) for _ in range(k))
+        v = u + outer_product(x0, setup.kernel_gen)
+        if perturb:
+            i, j = rng.randrange(k), rng.randrange(setup.n)
+            rows = [list(row) for row in v.row_tuples()]
+            rows[i][j] += random_fraction(rng, 1, 9)
+            v = RationalMatrix(rows)
+        zt = setup.Z.transpose()
+        if u @ zt == v @ zt:
+            x = fiber_displacement(setup, u, v)
+            assert u + outer_product(x, setup.kernel_gen) == v
+        else:
+            with pytest.raises(FiberMismatchError):
+                fiber_displacement(setup, u, v)
+
 
 class TestMinorAffineCoeffs:
     def test_zero_displacement(self):
@@ -176,6 +203,31 @@ class TestConvexityCertificate:
         u = RationalMatrix([[1, 1, 1, 1]])
         with pytest.raises(NotInCellError):
             convexity_certificate(setup, cell, u, u)
+
+    def test_no_matrix_product(self, monkeypatch):
+        rng = Random(131)
+        setup = random_corank_one_setup(rng, 2, 2)
+        cell = PositroidCellSpec.top_cell(2, 5)
+        pair = sample_fiber_partner(setup, cell, scaled_vandermonde_point(rng, 2, 5), rng)
+        products = []
+        matmul = RationalMatrix.__matmul__
+
+        def counted(left, right):
+            products.append((left, right))
+            return matmul(left, right)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        convexity_certificate(setup, cell, pair.u, pair.v)
+        assert products == []
+
+    @pytest.mark.parametrize("alpha", [-1, 0, 1])
+    @pytest.mark.parametrize("beta", [-2, -1, 0, 1])
+    @pytest.mark.parametrize("nonbasis", [False, True])
+    def test_segment_rule(self, alpha, beta, nonbasis):
+        # the rule as first written: nonnegative at both ends, and a
+        # nonbasis minor identically zero
+        expected = alpha >= 0 and alpha + beta >= 0 and not (nonbasis and (alpha or beta))
+        assert fiber_mod.segment_in_cell(Fraction(alpha), Fraction(beta), nonbasis) == expected
 
     def test_not_same_fiber_reported_distinctly(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
@@ -286,6 +338,31 @@ class TestSectionWitness:
         k_rep = sample_top_cell(2, 4, [1, 2, 3, 4]).matrix
         with pytest.raises(RankError):
             section_witness(setup, k_rep, RationalMatrix.zeros(2, 3))
+
+    def test_degenerate_target_off_span(self):
+        # rank 1 and outside span(K Z^T): the rank failure is reported
+        setup = vandermonde_setup(2, 1, [Fraction(i) for i in (1, 2, 3, 4)])
+        k_rep = sample_top_cell(2, 4, [1, 2, 3, 4]).matrix
+        w = RationalMatrix([[1, 0, 0], [2, 0, 0]])
+        assert rank(w) == 1
+        assert rank((k_rep @ setup.Z.transpose()).stack_below(w)) == 3
+        with pytest.raises(RankError):
+            section_witness(setup, k_rep, w)
+
+    def test_one_rank_call(self, monkeypatch):
+        rng = Random(137)
+        setup = random_corank_one_setup(rng, 2, 2)
+        k_rep = scaled_vandermonde_point(rng, 2, 5).matrix
+        w = k_rep @ setup.Z.transpose()
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return rank(matrix)
+
+        monkeypatch.setattr(fiber_mod, "rank", counted)
+        section_witness(setup, k_rep, w)
+        assert calls == [k_rep]
 
 
 class FirstDraw(Random):
