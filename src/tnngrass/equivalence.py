@@ -7,12 +7,19 @@ D = diag(a_i / b_i) then has positive diagonal, Z D and Z' share their
 kernel and hence their row span, and the unique C with Z' = C Z D has
 positive determinant.  The triple (C, D, det C) is an exact certificate
 that the two image bodies are projectively equivalent.
+
+Every identity of a certificate is read off one matrix, its residual
+R = C (Z D) - Z', formed once: Z D by scaling columns, then one product.
+The certificate is exact iff R = 0, and a transport spot check on V
+tests V R^T = 0, which is the square (V D) Z^T C^T = V Z'^T moved to one
+side (D is diagonal, so D^T = D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .amplituhedron_map import AmplituhedronSetup
 from .errors import (
@@ -59,6 +66,16 @@ class EquivalenceCertificate:
     def d_matrix(self) -> RationalMatrix:
         return RationalMatrix.diagonal(self.d_diag)
 
+    @cached_property
+    def residual(self) -> RationalMatrix:
+        """C Z D - Z', computed on first use and kept; zero iff the identity holds."""
+        return self.c @ self.z.scale_columns(self.d_diag) - self.z_prime
+
+    @property
+    def exact(self) -> bool:
+        """Whether Z' = C Z D holds entrywise."""
+        return _is_zero(self.residual)
+
     def to_json_dict(self) -> dict:
         return {
             "Z": self.z.to_json_dict(),
@@ -97,9 +114,8 @@ def construct_equivalence(
     d_diag = tuple(ai / bi for ai, bi in zip(a, b))
     if any(x <= 0 for x in d_diag):
         raise InternalConsistencyError("diagonal ratio of aligned alternating kernels is not positive")
-    zd = setup_a.Z @ RationalMatrix.diagonal(d_diag)
     try:
-        c = solve_for_left_factor(setup_b.Z, zd)
+        c = solve_for_left_factor(setup_b.Z, setup_a.Z.scale_columns(d_diag))
     except (RankError, InconsistentSystemError) as exc:
         # Equal kernels force equal row spans, so the solve cannot fail.
         raise InternalConsistencyError(
@@ -108,11 +124,12 @@ def construct_equivalence(
     det_c = det(c)
     if det_c <= 0:
         raise InternalConsistencyError(f"det(C) = {rational_to_string(det_c)} is not positive")
-    if c @ zd != setup_b.Z:
-        raise InternalConsistencyError("certificate identity Z' = C Z D failed entrywise")
-    return EquivalenceCertificate(
+    cert = EquivalenceCertificate(
         z=setup_a.Z, z_prime=setup_b.Z, d_diag=d_diag, c=c, det_c=det_c
     )
+    if not cert.exact:
+        raise InternalConsistencyError("certificate identity Z' = C Z D failed entrywise")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -142,17 +159,21 @@ def apply_projective_map(pm: ProjectiveMap, p: RationalMatrix) -> RationalMatrix
 def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -> bool:
     """Exact commutativity of the transport square on one representative.
 
-    Checks (V D) Z^T C^T = V Z'^T entrywise and that V D is still
-    totally nonnegative (positive column scaling preserves the sign of
-    every maximal minor).
+    The square (V D) Z^T C^T = V Z'^T holds entrywise iff V R^T = 0 for
+    the certificate's residual R = C Z D - Z', so each point costs one
+    product with the residual the certificate forms once.  Also checks
+    that V D, formed by scaling columns, is still totally nonnegative
+    (positive column scaling preserves the sign of every maximal minor).
     """
     v = point.matrix
     if v.cols != len(cert.d_diag):
         raise DimensionError(f"representative must have {len(cert.d_diag)} columns")
-    vd = v @ cert.d_matrix
-    lhs = vd @ cert.z.transpose() @ cert.c.transpose()
-    rhs = v @ cert.z_prime.transpose()
-    return lhs == rhs and check_tnn(vd).is_tnn
+    commutes = _is_zero(v @ cert.residual.transpose())
+    return commutes and check_tnn(v.scale_columns(cert.d_diag)).is_tnn
+
+
+def _is_zero(m: RationalMatrix) -> bool:
+    return not any(any(row) for row in m.row_tuples())
 
 
 def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:

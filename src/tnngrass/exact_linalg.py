@@ -18,6 +18,12 @@ times a signed minor of R of size at most min(k, n - k) (Postnikov,
 section 3).  For k <= 3 each minor is one closed-form determinant, which
 is cheaper than the elimination.
 
+Products use the same denominator clearing.  ``A @ B`` writes each row of
+A and each column of B as integers over the lcm of its denominators, so
+entry (i, j) is one integer dot product over d_i e_j, reduced once into a
+canonical ``Fraction``.  The result is the same matrix the term-by-term
+``Fraction`` sum gives, at one gcd per entry instead of one per term.
+
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
 package shares that convention.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,15 +258,28 @@ class RationalMatrix:
         cq = as_rational(c)
         return RationalMatrix(tuple(cq * a for a in row) for row in self._data)
 
+    def scale_columns(self, factors: Sequence[Fraction]) -> "RationalMatrix":
+        """M D for D = diag(factors), without forming D."""
+        if len(factors) != self.cols:
+            raise DimensionError(f"{len(factors)} column factors for {self.cols} columns")
+        return RationalMatrix(tuple(map(operator.mul, row, factors)) for row in self._data)
+
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Integer dot products: entry (i, j) is Fraction(a_i . b_j, d_i e_j).
+
+        Row i of self is a_i / d_i and column j of other is b_j / e_j, each
+        over the lcm of its denominators, so every entry costs one integer
+        dot product and one reduction instead of a Fraction per term.
+        """
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols_of_other = tuple(zip(*other._data))
+        left = [_cleared(row) for row in self._data]
+        right = [_cleared(col) for col in zip(*other._data)]
         return RationalMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols_of_other)
-            for row in self._data
+            tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for b, e in right)
+            for a, d in left
         )
 
     def __eq__(self, other: object) -> bool:
@@ -334,6 +354,12 @@ def outer_product(col: Sequence[Fraction], row: Sequence[Fraction]) -> RationalM
 # -- integer elimination ----------------------------------------------------
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers over one denominator: values[i] == ints[i] / d, d the lcm."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def _int_rows_and_scale(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Clear denominators row by row.
 
@@ -346,9 +372,9 @@ def _int_rows_and_scale(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[i
     int_rows: list[list[int]] = []
     scale = 1
     for row in rows:
-        mult = lcm(*(x.denominator for x in row))
+        ints, mult = _cleared(row)
         scale *= mult
-        int_rows.append([int(x * mult) for x in row])
+        int_rows.append(ints)
     return int_rows, scale
 
 

@@ -14,11 +14,14 @@ from random import Random
 
 from tnngrass import (
     AmplituhedronSetup,
+    EquivalenceCertificate,
     InconsistentSystemError,
     IndexSubset,
     RankError,
     RationalMatrix,
+    TNNPoint,
     build_setup,
+    check_tnn,
     det,
 )
 
@@ -124,6 +127,35 @@ def rref_left_factor(k_rows: list[list[Fraction]], w_rows: list[list[Fraction]])
     return [list(col) for col in zip(*(row[r:] for row in reduced[:r]))]
 
 
+def fraction_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The product by a Fraction sum over each row-column pair, term by term.
+
+    The reference that the integer dot products of ``RationalMatrix.__matmul__``
+    are compared against.
+    """
+    assert len(a[0]) == len(b)
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+
+
+def four_product_transport(cert: EquivalenceCertificate, point: TNNPoint) -> bool:
+    """The transport square by four dense products: (V D) Z^T C^T == V Z'^T, V D TNN.
+
+    D is the dense diagonal matrix and every product is a ``fraction_matmul``,
+    independent of the certificate's residual.
+    """
+    v = [list(row) for row in point.matrix.row_tuples()]
+    n = len(cert.d_diag)
+    d = [[cert.d_diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    z_t = [list(col) for col in zip(*cert.z.row_tuples())]
+    c_t = [list(col) for col in zip(*cert.c.row_tuples())]
+    z_prime_t = [list(col) for col in zip(*cert.z_prime.row_tuples())]
+    vd = fraction_matmul(v, d)
+    lhs = fraction_matmul(fraction_matmul(vd, z_t), c_t)
+    rhs = fraction_matmul(v, z_prime_t)
+    return lhs == rhs and check_tnn(RationalMatrix(vd)).is_tnn
+
+
 def det2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The ad - bc oracle for 2 x 2 blocks."""
     return a * d - b * c
@@ -180,10 +212,8 @@ def random_corank_one_setup(rng: Random, k: int, m: int) -> AmplituhedronSetup:
     return vandermonde_setup(k, m, draw_nodes(rng, k + m + 1))
 
 
-def scaled_vandermonde_point(rng: Random, k: int, n: int):
+def scaled_vandermonde_point(rng: Random, k: int, n: int) -> TNNPoint:
     """Totally positive point: Vandermonde with positive column scales."""
-    from tnngrass import TNNPoint
-
     nodes = draw_nodes(rng, n)
     scales = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
     matrix = RationalMatrix(

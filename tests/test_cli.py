@@ -242,6 +242,36 @@ class TestReport:
         eq_path.write_text(json.dumps(payload))
         assert main(["report", str(eq_path)]) == EXIT_FALSE_VERDICT
 
+    def test_report_with_no_verdict_fails(self, tmp_path, capsys):
+        path = write(tmp_path / "r.json", {"verdicts": []})
+        assert main(["report", path]) == EXIT_FALSE_VERDICT
+        assert f"{path}: [FAIL] lists_a_verdict" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("resize", [lambda d: d[:-1], lambda d: d + ["1"]], ids=["short", "long"])
+    def test_diagonal_of_wrong_length_is_usage_error(self, tmp_path, setup_file, resize, capsys):
+        eq_path = tmp_path / "eq.json"
+        assert main(["equivalence", setup_file, setup_file, "--out", str(eq_path)]) == EXIT_OK
+        payload = json.loads(eq_path.read_text())
+        payload["D_diag"] = resize(payload["D_diag"])
+        capsys.readouterr()
+        assert main(["report", write(eq_path, payload)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_equivalence_checks_the_identity_once(self, tmp_path, setup_file, monkeypatch):
+        calls = []
+        original = RationalMatrix.__matmul__
+
+        def counted(a, b):
+            calls.append((a.rows, a.cols, b.cols))
+            return original(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        args = ["equivalence", setup_file, setup_file, "--spot-checks", "3"]
+        assert main([*args, "--out", str(tmp_path / "eq.json")]) == EXIT_OK
+        # C (Z D) once for the certificate, then V R^T per spot check
+        assert len(calls) == 1 + 3
+
     def test_setup_file_with_wrong_kernel_rejected(self, tmp_path):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
         payload = setup.to_json_dict()

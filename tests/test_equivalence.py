@@ -1,5 +1,6 @@
 """Projective equivalence certificates, transport checks, vertex extraction."""
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from tnngrass import (
     DimensionError,
     DomainError,
+    InternalConsistencyError,
     ProjectiveMap,
     RankError,
     RationalMatrix,
@@ -26,6 +28,7 @@ from tnngrass import (
     pluecker,
 )
 from helpers import (
+    four_product_transport,
     random_corank_one_setup,
     random_invertible,
     scaled_vandermonde_point,
@@ -179,6 +182,136 @@ class TestTransportCheck:
             )
             assert direct == transported
             assert pluecker(direct).coords == pluecker(transported).coords
+
+
+def _bump_entry(m: RationalMatrix, i: int, j: int, delta: Fraction) -> RationalMatrix:
+    rows = [list(row) for row in m.row_tuples()]
+    rows[i][j] += delta
+    return RationalMatrix(rows)
+
+
+def _tampered(cert, rng: Random):
+    """The certificate with one entry of C, Z' or D moved."""
+    delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+    target = rng.choice(("c", "z_prime", "d_diag"))
+    if target == "d_diag":
+        d = list(cert.d_diag)
+        d[rng.randrange(len(d))] += delta
+        return dataclasses.replace(cert, d_diag=tuple(d))
+    m = getattr(cert, target)
+    moved = _bump_entry(m, rng.randrange(m.rows), rng.randrange(m.cols), delta)
+    return dataclasses.replace(cert, **{target: moved})
+
+
+class TestResidual:
+    def test_construct_makes_one_product(self, monkeypatch):
+        rng = Random(157)
+        a_setup = random_corank_one_setup(rng, 2, 2)
+        b_setup = random_corank_one_setup(rng, 2, 2)
+        calls = []
+        original = RationalMatrix.__matmul__
+
+        def counted(a, b):
+            calls.append((a.rows, a.cols, b.cols))
+            return original(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        cert = construct_equivalence(a_setup, b_setup)
+        assert len(calls) == 1
+        for _ in range(5):
+            assert equivalence_transport_check(cert, scaled_vandermonde_point(rng, 2, 5))
+        assert cert.exact
+        # one product per spot check; neither D nor C Z D is formed again
+        assert len(calls) == 6
+
+    def test_genuine_residual_is_zero(self):
+        rng = Random(163)
+        cert = construct_equivalence(
+            random_corank_one_setup(rng, 1, 2), random_corank_one_setup(rng, 1, 2)
+        )
+        assert cert.residual == cert.c @ cert.z @ cert.d_matrix - cert.z_prime
+        assert cert.exact
+
+    def test_tampered_certificate_is_not_exact(self):
+        rng = Random(167)
+        cert = construct_equivalence(
+            random_corank_one_setup(rng, 2, 2), random_corank_one_setup(rng, 2, 2)
+        )
+        for _ in range(10):
+            bad = _tampered(cert, rng)
+            assert not bad.exact
+            assert bad.residual == bad.c @ bad.z @ bad.d_matrix - bad.z_prime
+
+    def test_construct_rejects_a_wrong_left_factor(self, monkeypatch):
+        import tnngrass.equivalence as equivalence
+
+        setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
+        target = build_z0(1, 2)
+        solve = equivalence.solve_for_left_factor
+
+        def off_by_one(k_image, w):
+            return _bump_entry(solve(k_image, w), 0, 1, Fraction(1, 7))
+
+        monkeypatch.setattr(equivalence, "solve_for_left_factor", off_by_one)
+        with pytest.raises(InternalConsistencyError, match="Z' = C Z D"):
+            construct_equivalence(setup, target)
+
+
+class TestAgainstFourProducts:
+    """``equivalence_transport_check`` gives the verdicts of the four-product check."""
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4)])
+    def test_genuine_and_tampered_certificates(self, k, m):
+        rng = Random(173 + 10 * k + m)
+        verdicts = []
+        for _ in range(3):
+            cert = construct_equivalence(
+                random_corank_one_setup(rng, k, m), random_corank_one_setup(rng, k, m)
+            )
+            tampered = [_tampered(cert, rng) for _ in range(3)]
+            # C and D both negated keep Z' = C Z D; V D then flips its minors' sign iff k is odd
+            flipped = dataclasses.replace(
+                cert, c=-cert.c, d_diag=tuple(-x for x in cert.d_diag)
+            )
+            for candidate in [cert, flipped, *tampered]:
+                for _ in range(2):
+                    point = scaled_vandermonde_point(rng, k, k + m + 1)
+                    verdict = equivalence_transport_check(candidate, point)
+                    assert verdict == four_product_transport(candidate, point)
+                    verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_negated_pair_splits_by_parity(self):
+        rng = Random(179)
+        for k, m in [(1, 2), (2, 2)]:
+            cert = construct_equivalence(
+                random_corank_one_setup(rng, k, m), random_corank_one_setup(rng, k, m)
+            )
+            flipped = dataclasses.replace(
+                cert, c=-cert.c, d_diag=tuple(-x for x in cert.d_diag)
+            )
+            point = scaled_vandermonde_point(rng, k, k + m + 1)
+            assert flipped.exact
+            assert equivalence_transport_check(flipped, point) == (k % 2 == 0)
+
+
+class TestDiagonalLength:
+    def test_short_or_long_diagonal_rejected(self):
+        setup = vandermonde_setup(2, 2, [Fraction(i) for i in (1, 2, 3, 4, 5)])
+        cert = construct_equivalence(setup, build_z0(2, 2))
+        point = scaled_vandermonde_point(Random(181), 2, 5)
+        for d_diag in (cert.d_diag[:-1], cert.d_diag + (Fraction(1),)):
+            with pytest.raises(DimensionError):
+                equivalence_transport_check(dataclasses.replace(cert, d_diag=d_diag), point)
+
+    def test_diagonal_matching_the_point_but_not_z_rejected(self):
+        # the point agrees with D, so only Z's column count can tell
+        setup = vandermonde_setup(2, 2, [Fraction(i) for i in (1, 2, 3, 4, 5)])
+        cert = construct_equivalence(setup, build_z0(2, 2))
+        long_cert = dataclasses.replace(cert, d_diag=cert.d_diag + (Fraction(1),))
+        point = scaled_vandermonde_point(Random(191), 2, 6)
+        with pytest.raises(DimensionError):
+            equivalence_transport_check(long_cert, point)
 
 
 class TestCyclicPolytopeVertices:

@@ -27,6 +27,7 @@ from tnngrass import (
 from helpers import (
     cofactor_det,
     det2,
+    fraction_matmul,
     fraction_rref,
     random_invertible,
     random_matrix,
@@ -398,6 +399,70 @@ class TestInvert:
     def test_singular_rejected(self):
         with pytest.raises(RankError):
             invert(RationalMatrix([[1, 2], [2, 4]]))
+
+
+# Signed, zero-heavy entries; large denominators next to small ones whose
+# products and sums often reduce to integers.
+product_entry_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6])),
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30),
+        st.sampled_from([7, 2**61 - 1, 10**24 + 7, 3**40]),
+    ),
+)
+
+
+def product_grid_st(rows, cols):
+    row_st = st.lists(product_entry_st, min_size=cols, max_size=cols)
+    return st.lists(row_st, min_size=rows, max_size=rows)
+
+
+@st.composite
+def product_pair_st(draw):
+    """A (1-6) x (1-8) matrix and a conforming (1-8) x (1-8) one."""
+    r, s, t = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return draw(product_grid_st(r, s)), draw(product_grid_st(s, t))
+
+
+class TestMatmul:
+    @settings(max_examples=200, deadline=None)
+    @given(product_pair_st())
+    def test_against_fraction_products(self, pair):
+        a, b = pair
+        product = RationalMatrix(a) @ RationalMatrix(b)
+        expected = fraction_matmul(a, b)
+        assert [list(row) for row in product.row_tuples()] == expected
+        # the same canonical Fractions, so the same JSON bytes
+        assert all(type(x) is Fraction for row in product.row_tuples() for x in row)
+        assert product.to_json_dict() == RationalMatrix(expected).to_json_dict()
+
+    def test_entries_that_reduce_to_integers(self):
+        a = RationalMatrix([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 6), Fraction(-1, 6)]])
+        b = RationalMatrix([[3, Fraction(3, 2)], [Fraction(3, 2), 0]])
+        product = a @ b
+        assert product == RationalMatrix([[2, Fraction(1, 2)], [Fraction(1, 4), Fraction(1, 4)]])
+        assert product.entry(0, 0).denominator == 1
+        assert product.to_json_dict()["entries"] == [["2", "1/2"], ["1/4", "1/4"]]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
+
+
+class TestScaleColumns:
+    def test_equals_diagonal_product(self):
+        rng = Random(283)
+        for _ in range(20):
+            m = random_matrix(rng, 3, 5)
+            factors = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)]
+            assert m.scale_columns(factors) == m @ RationalMatrix.diagonal(factors)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_factor_count(self, count):
+        with pytest.raises(DimensionError):
+            RationalMatrix([[1, 2, 3]]).scale_columns([Fraction(1)] * count)
 
 
 class TestConcurrency:
