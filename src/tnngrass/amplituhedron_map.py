@@ -110,7 +110,7 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
     positivity = _scan_minors(minors)
     if not positivity.rank_ok:
         raise RankError(f"Z has rank below {k + m}")
-    all_positive = all(v > 0 for v in minors.values())
+    all_positive = min(minors.ints) > 0
 
     kernel_gen: RowVector | None = None
     alternating: bool | None = None

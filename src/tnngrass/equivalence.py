@@ -40,7 +40,7 @@ from .exact_linalg import (
     solve_for_left_factor,
     subsets_colex,
 )
-from .tnn_grassmannian import TNNPoint, check_tnn
+from .tnn_grassmannian import TNNPoint, _scan_minors
 
 __all__ = [
     "EquivalenceCertificate",
@@ -162,14 +162,16 @@ def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -
     The square (V D) Z^T C^T = V Z'^T holds entrywise iff V R^T = 0 for
     the certificate's residual R = C Z D - Z', so each point costs one
     product with the residual the certificate forms once.  Also checks
-    that V D, formed by scaling columns, is still totally nonnegative
-    (positive column scaling preserves the sign of every maximal minor).
+    that V D is still totally nonnegative (positive column scaling
+    preserves the sign of every maximal minor).  V D's table comes from
+    the point's own table, each minor times the product of its columns'
+    factors, so no minor is recomputed.
     """
     v = point.matrix
     if v.cols != len(cert.d_diag):
         raise DimensionError(f"representative must have {len(cert.d_diag)} columns")
     commutes = _is_zero(v @ cert.residual.transpose())
-    return commutes and check_tnn(v.scale_columns(cert.d_diag)).is_tnn
+    return commutes and _scan_minors(point.minors.scale_columns(cert.d_diag)).is_tnn
 
 
 def _is_zero(m: RationalMatrix) -> bool:

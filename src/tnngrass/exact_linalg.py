@@ -15,8 +15,13 @@ from one elimination: with the reduced form R (the identity on the pivot
 columns) and d the determinant of the pivot columns, each minor is d
 times a signed minor of R of size at most min(k, n - k) (Postnikov,
 "Total positivity, Grassmannians, and networks", arXiv math/0609764,
-section 3).  For k <= 3 each minor is one closed-form determinant, which
-is cheaper than the elimination.
+section 3).  Which rows and columns of R that minor uses, and its sign,
+depend only on (n, k) and the pivot columns, so that bookkeeping is one
+cached plan per pivot pattern.  For k <= 3 each minor is one closed-form
+determinant, which is cheaper than the elimination.  Either way the
+table is a ``MinorTable``: integer minors of the row-cleared matrix over
+one positive scale, so sign tests read integers and a ``Fraction`` is
+built only when a caller reads a value.
 
 Products use the same denominator clearing.  ``A @ B`` writes each row of
 A and each column of B as integers over the lcm of its denominators, so
@@ -35,15 +40,17 @@ import functools
 import itertools
 import operator
 import re
+from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionError,
     InconsistentSystemError,
     RankError,
+    UnsupportedParameterError,
 )
 
 RowVector = tuple[Fraction, ...]
@@ -51,7 +58,10 @@ RowVector = tuple[Fraction, ...]
 __all__ = [
     "RowVector",
     "IndexSubset",
+    "MinorTable",
     "RationalMatrix",
+    "MAX_SUBSETS",
+    "capped_comb",
     "as_int",
     "as_list",
     "as_rational",
@@ -149,11 +159,37 @@ class IndexSubset:
             raise DimensionError(f"index {self.members[-1]} out of range 1..{n}")
 
 
+# The most k-subsets any enumeration (and so any minor table) may have.
+# C(20, 10) = 184756 fits; C(40, 20), about 1.4e11, from a matrix file of a
+# few KB, is refused before a single subset is built.
+MAX_SUBSETS = 200_000
+
+
+def capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k) when it is at most ``cap``, otherwise ``cap + 1``.
+
+    The product runs term by term through C(n, 1), C(n, 2), ..., which
+    never decrease up to min(k, n - k), and stops once it passes the cap.
+    A size read from a file, such as n in the millions, therefore costs
+    a few multiplications instead of an integer of millions of digits.
+    """
+    k = min(k, n - k)
+    if k < 0:
+        return 0
+    value = 1
+    for i in range(k):
+        value = value * (n - i) // (i + 1)
+        if value > cap:
+            return cap + 1
+    return value
+
+
 def subsets_colex(n: int, k: int) -> list[IndexSubset]:
     """All k-subsets of {1..n} in colexicographic order.
 
     The subsets are built once per (n, k) and cached; each call returns a
-    fresh list of the shared, immutable subsets.
+    fresh list of the shared, immutable subsets.  More than
+    ``MAX_SUBSETS`` of them raise UnsupportedParameterError.
     """
     if k < 0 or n < 0:
         raise DimensionError("subset parameters must be nonnegative")
@@ -162,8 +198,108 @@ def subsets_colex(n: int, k: int) -> list[IndexSubset]:
 
 @functools.lru_cache(maxsize=64)
 def _colex_subsets(n: int, k: int) -> tuple[IndexSubset, ...]:
+    if capped_comb(n, k, MAX_SUBSETS) > MAX_SUBSETS:
+        raise UnsupportedParameterError(
+            f"C({n}, {k}) column subsets exceed the limit of {MAX_SUBSETS}"
+        )
     combos = itertools.combinations(range(1, n + 1), k)
     return tuple(IndexSubset(c) for c in sorted(combos, key=lambda c: tuple(reversed(c))))
+
+
+@functools.lru_cache(maxsize=64)
+def _colex_index(n: int, k: int) -> dict[IndexSubset, int]:
+    """Position of each k-subset of {1..n} in colexicographic order."""
+    return {subset: i for i, subset in enumerate(_colex_subsets(n, k))}
+
+
+class MinorTable(Mapping[IndexSubset, Fraction]):
+    """All maximal minors of a k x n matrix as integers over one positive scale.
+
+    ``ints[i] / scale`` is the minor on ``subsets[i]``, in colexicographic
+    order.  The scale is positive, so the sign of a minor is the sign of
+    its integer and sign tests never build a Fraction.  As a mapping from
+    column subset to ``Fraction`` (lookup, iteration, ``values()``,
+    ``items()``, equality with a dict) it builds each canonical Fraction
+    on access.  Immutable.
+    """
+
+    __slots__ = ("n", "subsets", "ints", "scale", "_index")
+
+    def __init__(self, n: int, k: int, ints: Sequence[int], scale: int):
+        subsets = _colex_subsets(n, k)
+        if len(ints) != len(subsets):
+            raise DimensionError(f"{len(ints)} minors for C({n}, {k}) column subsets")
+        if scale <= 0:
+            raise ValueError(f"minor table scale must be positive, got {scale}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_index", _colex_index(n, k))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MinorTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MinorTable is immutable")
+
+    def __getitem__(self, subset: IndexSubset) -> Fraction:
+        return Fraction(self.ints[self._index[subset]], self.scale)
+
+    def __iter__(self) -> Iterator[IndexSubset]:
+        return iter(self.subsets)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def values(self) -> ValuesView[Fraction]:
+        return _MinorValues(self)
+
+    def items(self) -> ItemsView[IndexSubset, Fraction]:
+        return _MinorItems(self)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{list(s.members)}: {rational_to_string(v)}" for s, v in self.items())
+        return f"MinorTable({{{body}}})"
+
+    def int_at(self, subset: IndexSubset) -> int:
+        """The minor on ``subset`` times ``scale``: an integer of the same sign."""
+        return self.ints[self._index[subset]]
+
+    def scale_columns(self, factors: Sequence[Fraction]) -> "MinorTable":
+        """The table of M D for D = diag(factors), when this is M's table.
+
+        Each maximal minor is multilinear in the columns, so the minor of
+        M D on I is the minor of M on I times the product of the factors
+        over I, for factors of any sign.  Clearing the factors to e_j / e
+        keeps it integral: the new integers are ints[I] times the product
+        of e_j over I, over scale * e^k.
+        """
+        if len(factors) != self.n:
+            raise DimensionError(f"{len(factors)} column factors for {self.n} columns")
+        cleared, denominator = _cleared(factors)
+        k = len(self.subsets[0])
+        ints = [
+            value * prod(cleared[j - 1] for j in subset.members)
+            for subset, value in zip(self.subsets, self.ints)
+        ]
+        return MinorTable(self.n, k, ints, self.scale * denominator**k)
+
+
+class _MinorValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Fraction]:
+        table = self._mapping
+        return map(Fraction, table.ints, itertools.repeat(table.scale))
+
+
+class _MinorItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[IndexSubset, Fraction]]:
+        table = self._mapping
+        return zip(table.subsets, table.values())
 
 
 class RationalMatrix:
@@ -498,11 +634,15 @@ def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -
     return det(m.submatrix(row_subset, col_subset))
 
 
-def all_maximal_minors(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
+def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     """Every k x k minor of a k x n matrix, keyed by column subset.
 
-    Iteration order of the returned dict is colexicographic, and results
-    are independent of evaluation strategy.
+    The result is a ``MinorTable``: the integer minors of the row-cleared
+    matrix from ``_int_rows_and_scale`` in colexicographic order, over its
+    positive scale.  Read as a mapping it gives the same ``Fraction``
+    values, in the same order, whatever the evaluation strategy.  Tables
+    with more than ``MAX_SUBSETS`` minors raise UnsupportedParameterError
+    before any is computed.
 
     For k <= 3 each minor is a closed-form determinant of its columns.
     For larger k the integer rows are eliminated once: if the rank is
@@ -516,30 +656,52 @@ def all_maximal_minors(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
     r(c) the 0-based row of pivot c and pos_I(c) its 0-based position in
     I (the generalized Laplace expansion along those unit columns).  The
     division is exact because the quotient is d det(R_I), a minor of the
-    integer rows; for s = 0 the minor is sign * d.
+    integer rows; for s = 0 the minor is sign * d.  The rows, columns and
+    sigma_I of every subset depend only on (n, k) and the pivots, and come
+    from ``_echelon_plan``.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
+    subsets = _colex_subsets(n, k)
     int_rows, scale = _int_rows_and_scale(m.row_tuples())
-    subsets = subsets_colex(n, k)
-    out: dict[IndexSubset, Fraction] = {}
     if k <= 3:
         # the sizes ``_det_int`` answers in closed form
-        for subset in subsets:
-            sub = [[row[j - 1] for j in subset.members] for row in int_rows]
-            out[subset] = Fraction(_det_int(sub), scale)
-        return out
+        ints = [
+            _det_int([[row[j - 1] for j in subset.members] for row in int_rows])
+            for subset in subsets
+        ]
+        return MinorTable(n, k, ints, scale)
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
-        return dict.fromkeys(subsets, Fraction(0))
+        return MinorTable(n, k, [0] * len(subsets), scale)
     reduced, d = _back_substitute(int_rows, pivots)
-    pivot_row = {c + 1: r for r, c in enumerate(pivots)}
     # d^(s-1) for block size s >= 1
     d_powers = [0, 1]
     for _ in range(min(k, n - k) - 1):
         d_powers.append(d_powers[-1] * d)
-    for subset in subsets:
+    ints = []
+    for rows, free, odd in _echelon_plan(n, k, tuple(pivots)):
+        if not free:
+            ints.append(sign * d)
+            continue
+        value = _det_int([[reduced[r][c] for c in free] for r in rows]) // d_powers[len(free)]
+        ints.append(-value if odd != (sign < 0) else value)
+    return MinorTable(n, k, ints, scale)
+
+
+@functools.lru_cache(maxsize=32)
+def _echelon_plan(
+    n: int, k: int, pivots: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
+    """Per k-subset I in colex order: (pivot rows not in I, free columns of I, sigma_I < 0).
+
+    The bookkeeping of ``all_maximal_minors`` for full-rank k x n
+    matrices with these 0-based pivot columns; free columns are 0-based.
+    """
+    pivot_row = {c + 1: r for r, c in enumerate(pivots)}
+    plan = []
+    for subset in _colex_subsets(n, k):
         free: list[int] = []
         in_subset = [False] * k
         parity = 0
@@ -550,15 +712,9 @@ def all_maximal_minors(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
             else:
                 in_subset[r] = True
                 parity += r + pos
-        if not free:
-            value = sign * d
-        else:
-            block = [[reduced[r][c] for c in free] for r in range(k) if not in_subset[r]]
-            value = _det_int(block) // d_powers[len(free)]
-            if (parity & 1) != (sign < 0):
-                value = -value
-        out[subset] = Fraction(value, scale)
-    return out
+        rows = tuple(r for r in range(k) if not in_subset[r])
+        plan.append((rows, tuple(free), parity % 2 == 1))
+    return tuple(plan)
 
 
 def rank(m: RationalMatrix) -> int:

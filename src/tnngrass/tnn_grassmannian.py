@@ -10,17 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegeneracyError, DimensionError, DomainError
 from .exact_linalg import (
     IndexSubset,
+    MinorTable,
     RationalMatrix,
     all_maximal_minors,
     as_int,
     as_list,
     as_rational,
+    capped_comb,
     rational_to_string,
 )
 
@@ -64,19 +65,14 @@ class TNNWitnessReport:
         return {"isTNN": self.is_tnn, "rankOK": self.rank_ok, "firstViolation": violation}
 
 
-def _scan_minors(minors: Mapping[IndexSubset, Fraction]) -> TNNWitnessReport:
-    rank_ok = False
-    violation: tuple[IndexSubset, Fraction] | None = None
-    for subset, value in minors.items():  # colexicographic iteration order
-        if value != 0:
-            rank_ok = True
-        if value < 0 and violation is None:
-            violation = (subset, value)
-    return TNNWitnessReport(
-        is_tnn=rank_ok and violation is None,
-        rank_ok=rank_ok,
-        first_violation=violation,
-    )
+def _scan_minors(minors: MinorTable) -> TNNWitnessReport:
+    """Signs read off the integer minors; a Fraction only for the first violation."""
+    for subset, value in zip(minors.subsets, minors.ints):  # colexicographic order
+        if value < 0:
+            violation = (subset, Fraction(value, minors.scale))
+            return TNNWitnessReport(is_tnn=False, rank_ok=True, first_violation=violation)
+    rank_ok = any(minors.ints)
+    return TNNWitnessReport(is_tnn=rank_ok, rank_ok=rank_ok)
 
 
 def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
@@ -90,7 +86,7 @@ def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
 
 def check_totally_positive(matrix: RationalMatrix) -> bool:
     """True iff every maximal minor is strictly positive."""
-    return all(v > 0 for v in all_maximal_minors(matrix).values())
+    return min(all_maximal_minors(matrix).ints) > 0
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ class TNNPoint:
     """
 
     matrix: RationalMatrix
-    minors: Mapping[IndexSubset, Fraction] = field(compare=False, repr=False, hash=False)
+    minors: MinorTable = field(compare=False, repr=False, hash=False)
 
     @classmethod
     def from_matrix(cls, matrix: RationalMatrix) -> "TNNPoint":
@@ -115,7 +111,7 @@ class TNNPoint:
             raise DomainError(
                 f"minor on columns {list(subset.members)} is negative: {rational_to_string(value)}"
             )
-        return cls(matrix=matrix, minors=MappingProxyType(minors))
+        return cls(matrix=matrix, minors=minors)
 
     @property
     def k(self) -> int:
@@ -124,25 +120,6 @@ class TNNPoint:
     @property
     def n(self) -> int:
         return self.matrix.cols
-
-
-def capped_comb(n: int, k: int, cap: int) -> int:
-    """C(n, k) when it is at most ``cap``, otherwise ``cap + 1``.
-
-    The product runs term by term through C(n, 1), C(n, 2), ..., which
-    never decrease up to min(k, n - k), and stops once it passes the cap.
-    A size read from a file, such as n in the millions, therefore costs
-    a few multiplications instead of an integer of millions of digits.
-    """
-    k = min(k, n - k)
-    if k < 0:
-        return 0
-    value = 1
-    for i in range(k):
-        value = value * (n - i) // (i + 1)
-        if value > cap:
-            return cap + 1
-    return value
 
 
 @dataclass(frozen=True)
@@ -187,7 +164,8 @@ def matroid_of(point: TNNPoint) -> PositroidCellSpec:
 
     Nonbases are exactly the column subsets with vanishing minor.
     """
-    nonbases = frozenset(s for s, v in point.minors.items() if v == 0)
+    minors = point.minors
+    nonbases = frozenset(s for s, v in zip(minors.subsets, minors.ints) if v == 0)
     return PositroidCellSpec(k=point.k, n=point.n, nonbases=nonbases)
 
 
@@ -204,7 +182,7 @@ def in_closed_cell(matrix: RationalMatrix | TNNPoint, cell: PositroidCellSpec) -
     report = _scan_minors(minors)
     if not report.is_tnn:
         return False
-    return all(minors[s] == 0 for s in cell.nonbases)
+    return all(minors.int_at(s) == 0 for s in cell.nonbases)
 
 
 def sample_top_cell(
@@ -239,9 +217,10 @@ def zero_columns(point: TNNPoint, cols: IndexSubset) -> RationalMatrix:
     cols.check_bounds(point.n)
     result = point.matrix.with_zeroed_columns(cols)
     dead = set(cols)
+    minors = point.minors
     survives = any(
         value != 0
-        for subset, value in point.minors.items()
+        for subset, value in zip(minors.subsets, minors.ints)
         if not dead.intersection(subset.members)
     )
     if not survives:

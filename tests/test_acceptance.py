@@ -267,16 +267,37 @@ def test_criterion_10_oracle_equivalence():
             ]
         assert det(RationalMatrix(rows)) == cofactor_det(rows)
 
-    rows_cache = {}
-    for trial in range(1000):
-        k = rng.randint(1, 3)
-        n = rng.randint(k, 6)
-        a = random_matrix(rng, k, n, lo=-5, hi=5, max_den=3)
-        b = random_matrix(rng, n, k, lo=-5, hi=5, max_den=3)
-        rows_all = rows_cache.setdefault(k, IndexSubset(tuple(range(1, k + 1))))
+    def cauchy_binet_holds(a: RationalMatrix, b: RationalMatrix) -> bool:
+        rows_all = IndexSubset(tuple(range(1, a.rows + 1)))
         rhs = sum(
             value * det(b.submatrix(subset, rows_all))
             for subset, value in all_maximal_minors(a).items()
         )
-        assert det(a @ b) == rhs
-    report(10, "10000 dual-path determinants and 1000 product-of-minors identities exact")
+        return det(a @ b) == rhs
+
+    for _ in range(1000):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 6)
+        a = random_matrix(rng, k, n, lo=-5, hi=5, max_den=3)
+        b = random_matrix(rng, n, k, lo=-5, hi=5, max_den=3)
+        assert cauchy_binet_holds(a, b)
+
+    # k = 4..6 runs the echelon path of all_maximal_minors; a separate
+    # generator leaves the draws above unchanged.  A zeroed column of A
+    # moves its pivot columns.
+    echelon_rng = Random(10_010)
+    for _ in range(400):
+        k = echelon_rng.randint(4, 6)
+        n = echelon_rng.randint(k, k + 3)
+        a = random_matrix(echelon_rng, k, n, lo=-5, hi=5, max_den=3)
+        if echelon_rng.random() < 0.5:
+            dead = echelon_rng.randrange(n)
+            a = RationalMatrix(
+                [Fraction(0) if j == dead else x for j, x in enumerate(row)] for row in a.row_tuples()
+            )
+        b = random_matrix(echelon_rng, n, k, lo=-5, hi=5, max_den=3)
+        assert cauchy_binet_holds(a, b)
+    report(
+        10,
+        "10000 dual-path determinants and 1400 product-of-minors identities exact (400 with k = 4..6)",
+    )

@@ -75,6 +75,24 @@ class TestCheckTnn:
         assert main(["check-tnn", "/nonexistent.json"]) == EXIT_USAGE
 
 
+class TestTableSizeLimit:
+    """A few KB of input asking for C(40, 20) or C(41, 20) minors is refused up front."""
+
+    @pytest.mark.parametrize("command", ["check-tnn", "fiber-campaign"])
+    def test_refused_quickly_without_traceback(self, tmp_path, command):
+        if command == "check-tnn":
+            rows = [[int(i == j) for j in range(40)] for i in range(20)]
+            args = [command, write(tmp_path / "wide.json", RationalMatrix(rows).to_json_dict())]
+        else:
+            args = [command, "--k", "20", "--m", "20", "--trials", "1"]
+        start = time.perf_counter()
+        out = run_cli(*args)
+        assert time.perf_counter() - start < 20.0
+        assert out.returncode == EXIT_USAGE
+        assert "error:" in out.stderr and "exceed" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 class TestCellMember:
     def test_member(self, tmp_path, matrix_file):
         cell = write(tmp_path / "cell.json", {"k": 2, "n": 3, "nonbases": []})

@@ -15,6 +15,7 @@ from tnngrass import (
     RationalMatrix,
     TNNPoint,
     UnsupportedParameterError,
+    EquivalenceCertificate,
     apply_projective_map,
     build_setup,
     build_z0,
@@ -293,6 +294,63 @@ class TestAgainstFourProducts:
             point = scaled_vandermonde_point(rng, k, k + m + 1)
             assert flipped.exact
             assert equivalence_transport_check(flipped, point) == (k % 2 == 0)
+
+
+class TestTransportTable:
+    """V D's table comes from the point's own table, with check_tnn(V D) as the oracle."""
+
+    @staticmethod
+    def _exact_certificate(z: RationalMatrix, d: list[Fraction]) -> EquivalenceCertificate:
+        # Z' := C Z D with C = I, so the square commutes for any d and the
+        # verdict is the total nonnegativity of V D alone
+        c = RationalMatrix.identity(z.rows)
+        return EquivalenceCertificate(
+            z=z, z_prime=c @ z.scale_columns(d), d_diag=tuple(d), c=c, det_c=Fraction(1)
+        )
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4), (4, 1)])
+    def test_verdicts_match_check_tnn_of_the_scaled_matrix(self, k, m):
+        rng = Random(181 + 10 * k + m)
+        n = k + m + 1
+        genuine = construct_equivalence(
+            random_corank_one_setup(rng, k, m), random_corank_one_setup(rng, k, m)
+        )
+        z = genuine.z
+        diagonals = [
+            [Fraction(0)] + [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n - 1)],
+            [Fraction(0)] * (n - k + 1) + [Fraction(1)] * (k - 1),
+            [Fraction(-2)] + [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n - 1)],
+            [Fraction(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)],
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)],
+        ]
+        verdicts = []
+        for cert in [genuine] + [self._exact_certificate(z, d) for d in diagonals]:
+            assert cert.exact
+            for _ in range(2):
+                point = scaled_vandermonde_point(rng, k, n)
+                verdict = equivalence_transport_check(cert, point)
+                assert verdict == check_tnn(point.matrix.scale_columns(cert.d_diag)).is_tnn
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_transport_builds_no_minor_table(self, monkeypatch):
+        import tnngrass.tnn_grassmannian as tnn_mod
+
+        rng = Random(191)
+        cert = construct_equivalence(
+            random_corank_one_setup(rng, 2, 2), random_corank_one_setup(rng, 2, 2)
+        )
+        points = [scaled_vandermonde_point(rng, 2, 5) for _ in range(5)]
+        tables = []
+        original = tnn_mod.all_maximal_minors
+
+        def counted(matrix):
+            tables.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(tnn_mod, "all_maximal_minors", counted)
+        assert all(equivalence_transport_check(cert, point) for point in points)
+        assert tables == []
 
 
 class TestDiagonalLength:

@@ -13,6 +13,7 @@ from tnngrass import (
     IndexSubset,
     RankError,
     RationalMatrix,
+    UnsupportedParameterError,
     all_maximal_minors,
     as_rational,
     det,
@@ -24,6 +25,7 @@ from tnngrass import (
     solve_for_left_factor,
     subsets_colex,
 )
+from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
     cofactor_det,
     det2,
@@ -222,6 +224,60 @@ class TestAllMaximalMinors:
         m = RationalMatrix([[x ** i for x in nodes] for i in range(12)])
         for subset, value in all_maximal_minors(m).items():
             assert value == vandermonde_det([nodes[j - 1] for j in subset.members])
+
+    def test_echelon_plan_follows_the_pivot_columns(self):
+        # Same shape, k >= 4, pivots (0, 1, 2, 3) against (1, 2, 3, 4): a plan
+        # keyed on (n, k) alone would read the second table with the first
+        # one's rows, columns and signs.
+        rng = Random(77)
+        generic = random_matrix(rng, 4, 8, max_den=3)
+        rows = [[Fraction(0)] + list(row[1:]) for row in random_matrix(rng, 4, 8).row_tuples()]
+        zero_first = RationalMatrix(rows)
+        for m in (generic, zero_first, generic, zero_first):
+            assert list(all_maximal_minors(m).items()) == list(subset_minor_table(m).items())
+
+    def test_table_is_an_immutable_mapping_over_a_positive_scale(self):
+        m = random_matrix(Random(78), 5, 7, max_den=5)
+        table = all_maximal_minors(m)
+        oracle = subset_minor_table(m)
+        assert isinstance(table, MinorTable)
+        assert table == oracle and oracle == table
+        assert table.scale > 0
+        assert [Fraction(v, table.scale) for v in table.ints] == list(oracle.values())
+        assert all(type(v) is Fraction for v in table.values())
+        first = table.subsets[0]
+        with pytest.raises(TypeError):
+            table[first] = Fraction(0)
+        for name in ("ints", "scale", "subsets"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, None)
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        with pytest.raises(KeyError):
+            table[IndexSubset((1, 2))]
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (4, 6), (5, 7)])
+    def test_scale_columns_matches_the_scaled_matrix(self, k, n):
+        rng = Random(79 + k)
+        m = random_matrix(rng, k, n, max_den=4)
+        for factors in (
+            [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)],
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)],
+            [Fraction(0)] + [Fraction(-1)] * (n - 1),
+        ):
+            scaled = all_maximal_minors(m).scale_columns(factors)
+            assert scaled == all_maximal_minors(m.scale_columns(factors))
+            assert scaled.scale > 0
+        with pytest.raises(DimensionError):
+            all_maximal_minors(m).scale_columns([Fraction(1)] * (n + 1))
+
+    def test_huge_table_refused_before_enumerating(self):
+        m = RationalMatrix([[Fraction(int(i == j)) for j in range(40)] for i in range(20)])
+        with pytest.raises(UnsupportedParameterError):
+            all_maximal_minors(m)
+        with pytest.raises(UnsupportedParameterError):
+            subsets_colex(40, 20)
+        assert MAX_SUBSETS >= 100 * len(subsets_colex(15, 12))
 
 
 class TestRank:
