@@ -17,11 +17,13 @@ times a signed minor of R of size at most min(k, n - k) (Postnikov,
 "Total positivity, Grassmannians, and networks", arXiv math/0609764,
 section 3).  Which rows and columns of R that minor uses, and its sign,
 depend only on (n, k) and the pivot columns, so that bookkeeping is one
-cached plan per pivot pattern.  For k <= 3 each minor is one closed-form
-determinant, which is cheaper than the elimination.  Either way the
-table is a ``MinorTable``: integer minors of the row-cleared matrix over
-one positive scale, so sign tests read integers and a ``Fraction`` is
-built only when a caller reads a value.
+plan per pivot pattern, cached because generic matrices of one shape
+share their pivots (a process that builds many tables of one shape, as
+a fiber campaign does, builds the plan once).  For k <= 3 each minor is
+one closed-form determinant, which is cheaper than the elimination.
+Either way the table is a ``MinorTable``: integer minors of the
+row-cleared matrix over one positive scale, so sign tests read integers
+and a ``Fraction`` is built only when a caller reads a value.
 
 Products use the same denominator clearing.  ``A @ B`` writes each row of
 A and each column of B as integers over the lcm of its denominators, so
@@ -40,11 +42,12 @@ import functools
 import itertools
 import operator
 import re
+from collections import OrderedDict
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionError,
@@ -187,29 +190,73 @@ def capped_comb(n: int, k: int, cap: int) -> int:
 def subsets_colex(n: int, k: int) -> list[IndexSubset]:
     """All k-subsets of {1..n} in colexicographic order.
 
-    The subsets are built once per (n, k) and cached; each call returns a
-    fresh list of the shared, immutable subsets.  More than
-    ``MAX_SUBSETS`` of them raise UnsupportedParameterError.
+    Each call returns a fresh list of immutable subsets, shared through
+    the ``_colex`` cache.  More than ``MAX_SUBSETS`` of them raise
+    UnsupportedParameterError.
     """
     if k < 0 or n < 0:
         raise DimensionError("subset parameters must be nonnegative")
-    return list(_colex_subsets(n, k))
+    return list(_colex(n, k).subsets)
 
 
-@functools.lru_cache(maxsize=64)
-def _colex_subsets(n: int, k: int) -> tuple[IndexSubset, ...]:
+# Shape data (the subsets of a table, their positions, its echelon plans)
+# is cached in two caches of at most this many subsets' worth of entries
+# each, least recently used first out: for k <= 8 about 285 bytes per
+# subset with its position and 200 bytes per plan entry were measured, so
+# about 50 MB at most in all; each member beyond 8 adds 8 bytes to a
+# subset.  Larger tables rebuild their shape data once per call.
+CACHED_SUBSETS = 100_000
+
+
+def _shape_cache(build):
+    """Cache ``build(n, k, *key)``, data of the C(n, k) subsets of {1..n},
+    holding at most ``CACHED_SUBSETS`` subsets' worth of entries."""
+    entries: OrderedDict = OrderedDict()
+    held = 0
+
+    @functools.wraps(build)
+    def lookup(n: int, k: int, *key):
+        nonlocal held
+        full_key = (n, k, *key)
+        if full_key in entries:
+            entries.move_to_end(full_key)
+            return entries[full_key][0]
+        value = build(n, k, *key)
+        size = capped_comb(n, k, CACHED_SUBSETS)
+        if size <= CACHED_SUBSETS:
+            entries[full_key] = (value, size)
+            held += size
+            while held > CACHED_SUBSETS:
+                held -= entries.popitem(last=False)[1][1]
+        return value
+
+    return lookup
+
+
+def _colex_members(n: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of {1..n} as increasing tuples in colexicographic order.
+
+    Colex order is the lexicographic order of the decreasing tuples over
+    the alphabet n, n-1, ..., 1, read backwards.  More than ``MAX_SUBSETS``
+    subsets raise UnsupportedParameterError before any is built.
+    """
     if capped_comb(n, k, MAX_SUBSETS) > MAX_SUBSETS:
         raise UnsupportedParameterError(
             f"C({n}, {k}) column subsets exceed the limit of {MAX_SUBSETS}"
         )
-    combos = itertools.combinations(range(1, n + 1), k)
-    return tuple(IndexSubset(c) for c in sorted(combos, key=lambda c: tuple(reversed(c))))
+    return [c[::-1] for c in reversed(list(itertools.combinations(range(n, 0, -1), k)))]
 
 
-@functools.lru_cache(maxsize=64)
-def _colex_index(n: int, k: int) -> dict[IndexSubset, int]:
-    """Position of each k-subset of {1..n} in colexicographic order."""
-    return {subset: i for i, subset in enumerate(_colex_subsets(n, k))}
+class _Colex(NamedTuple):
+    subsets: tuple[IndexSubset, ...]
+    index: dict[IndexSubset, int]
+
+
+@_shape_cache
+def _colex(n: int, k: int) -> _Colex:
+    """The k-subsets of {1..n} in colexicographic order and the position of each."""
+    subsets = tuple(IndexSubset(c) for c in _colex_members(n, k))
+    return _Colex(subsets, {subset: i for i, subset in enumerate(subsets)})
 
 
 class MinorTable(Mapping[IndexSubset, Fraction]):
@@ -220,22 +267,22 @@ class MinorTable(Mapping[IndexSubset, Fraction]):
     its integer and sign tests never build a Fraction.  As a mapping from
     column subset to ``Fraction`` (lookup, iteration, ``values()``,
     ``items()``, equality with a dict) it builds each canonical Fraction
-    on access.  Immutable.
+    on access.  Immutable; built by ``all_maximal_minors`` and
+    ``scale_columns`` only.
     """
 
     __slots__ = ("n", "subsets", "ints", "scale", "_index")
 
-    def __init__(self, n: int, k: int, ints: Sequence[int], scale: int):
-        subsets = _colex_subsets(n, k)
-        if len(ints) != len(subsets):
-            raise DimensionError(f"{len(ints)} minors for C({n}, {k}) column subsets")
+    def __init__(self, n: int, colex: _Colex, ints: Sequence[int], scale: int):
+        if len(ints) != len(colex.subsets):
+            raise DimensionError(f"{len(ints)} minors for {len(colex.subsets)} column subsets")
         if scale <= 0:
             raise ValueError(f"minor table scale must be positive, got {scale}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "subsets", colex.subsets)
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_index", _colex_index(n, k))
+        object.__setattr__(self, "_index", colex.index)
 
     def __setattr__(self, name, value):
         raise AttributeError("MinorTable is immutable")
@@ -283,7 +330,8 @@ class MinorTable(Mapping[IndexSubset, Fraction]):
             value * prod(cleared[j - 1] for j in subset.members)
             for subset, value in zip(self.subsets, self.ints)
         ]
-        return MinorTable(self.n, k, ints, self.scale * denominator**k)
+        colex = _Colex(self.subsets, self._index)
+        return MinorTable(self.n, colex, ints, self.scale * denominator**k)
 
 
 class _MinorValues(ValuesView):
@@ -658,23 +706,23 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     division is exact because the quotient is d det(R_I), a minor of the
     integer rows; for s = 0 the minor is sign * d.  The rows, columns and
     sigma_I of every subset depend only on (n, k) and the pivots, and come
-    from ``_echelon_plan``.
+    from ``_echelon_plan``, cached per pivot pattern.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
-    subsets = _colex_subsets(n, k)
+    colex = _colex(n, k)
     int_rows, scale = _int_rows_and_scale(m.row_tuples())
     if k <= 3:
         # the sizes ``_det_int`` answers in closed form
         ints = [
             _det_int([[row[j - 1] for j in subset.members] for row in int_rows])
-            for subset in subsets
+            for subset in colex.subsets
         ]
-        return MinorTable(n, k, ints, scale)
+        return MinorTable(n, colex, ints, scale)
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
-        return MinorTable(n, k, [0] * len(subsets), scale)
+        return MinorTable(n, colex, [0] * len(colex.subsets), scale)
     reduced, d = _back_substitute(int_rows, pivots)
     # d^(s-1) for block size s >= 1
     d_powers = [0, 1]
@@ -687,10 +735,10 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
             continue
         value = _det_int([[reduced[r][c] for c in free] for r in rows]) // d_powers[len(free)]
         ints.append(-value if odd != (sign < 0) else value)
-    return MinorTable(n, k, ints, scale)
+    return MinorTable(n, colex, ints, scale)
 
 
-@functools.lru_cache(maxsize=32)
+@_shape_cache
 def _echelon_plan(
     n: int, k: int, pivots: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
@@ -698,14 +746,18 @@ def _echelon_plan(
 
     The bookkeeping of ``all_maximal_minors`` for full-rank k x n
     matrices with these 0-based pivot columns; free columns are 0-based.
+    On small entries it costs about as much as the minors themselves, so
+    it is cached per pivot pattern; that pays off only when one process
+    builds several tables of one shape and one pivot pattern, as with
+    generic k x n matrices, whose pivots are (0, ..., k-1).
     """
     pivot_row = {c + 1: r for r, c in enumerate(pivots)}
     plan = []
-    for subset in _colex_subsets(n, k):
+    for members in _colex_members(n, k):
         free: list[int] = []
         in_subset = [False] * k
         parity = 0
-        for pos, j in enumerate(subset.members):
+        for pos, j in enumerate(members):
             r = pivot_row.get(j)
             if r is None:
                 free.append(j - 1)

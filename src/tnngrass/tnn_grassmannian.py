@@ -95,6 +95,9 @@ class TNNPoint:
 
     Carries the full maximal-minor table computed during validation, so
     downstream cell and matroid queries never recompute determinants.
+    ``minors`` must be ``all_maximal_minors(matrix)``: cell queries and
+    ``equivalence_transport_check`` read it in place of the matrix and do
+    not check it.  ``from_matrix`` builds it so.
     """
 
     matrix: RationalMatrix

@@ -25,6 +25,7 @@ from tnngrass import (
     solve_for_left_factor,
     subsets_colex,
 )
+from tnngrass import exact_linalg
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
     cofactor_det,
@@ -278,6 +279,18 @@ class TestAllMaximalMinors:
         with pytest.raises(UnsupportedParameterError):
             subsets_colex(40, 20)
         assert MAX_SUBSETS >= 100 * len(subsets_colex(15, 12))
+
+    def test_shape_cache_holds_a_bounded_number_of_subsets(self, monkeypatch):
+        # Entries are weighed by C(n, k); the least recently used go first
+        # and a shape above the budget is rebuilt on every call.
+        monkeypatch.setattr(exact_linalg, "CACHED_SUBSETS", 10)
+        builds = []
+        lookup = exact_linalg._shape_cache(lambda n, k: builds.append((n, k)) or [n, k])
+        for n, k in [(5, 2), (5, 2), (4, 2), (5, 2), (6, 3), (6, 3), (5, 2)]:
+            assert lookup(n, k) == [n, k]
+        # C(5, 2) = 10 fills the budget, C(4, 2) = 6 pushes it out, and
+        # C(6, 3) = 20 is never kept.
+        assert builds == [(5, 2), (4, 2), (5, 2), (6, 3), (6, 3)]
 
 
 class TestRank:
