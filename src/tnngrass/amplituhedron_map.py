@@ -15,11 +15,10 @@ doubled on failure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import mpmath
 
 from .errors import (
     ConstructionError,
@@ -32,6 +31,7 @@ from .exact_linalg import (
     IndexSubset,
     RationalMatrix,
     RowVector,
+    _cleared,
     all_maximal_minors,
     kernel_basis,
     minor,
@@ -121,8 +121,11 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
                 f"corank-one setup produced a {len(basis)}-dimensional kernel"
             )
         kernel_gen = basis[0]
-        # with the dimension above, the kernel is exactly span(a), as fiber needs
-        if any(sum(z * x for z, x in zip(row, kernel_gen)) != 0 for row in Z.row_tuples()):
+        # with the dimension above, the kernel is exactly span(a), as fiber needs;
+        # each row of Z and a are integers over positive denominators, so
+        # Z a^T = 0 iff every integer dot product vanishes
+        a, _ = _cleared(kernel_gen)
+        if any(sum(map(operator.mul, _cleared(row)[0], a)) for row in Z.row_tuples()):
             raise InternalConsistencyError("kernel generator is not annihilated by Z")
         alternating = signs_alternate(kernel_gen)
         if all_positive and not alternating:
@@ -224,6 +227,9 @@ def _trig_rows(k: int, m: int, n: int, digits: int) -> list[list[Fraction]]:
     eigenvalue is always the alternating vector, which is why it spans
     the kernel of the result.
     """
+    # imported here, so that only build_z0 (this function's one caller) loads mpmath
+    import mpmath
+
     with mpmath.workdps(digits + 15):
         scale = mpmath.mpf(10) ** digits
 

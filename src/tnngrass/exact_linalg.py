@@ -30,6 +30,8 @@ A and each column of B as integers over the lcm of its denominators, so
 entry (i, j) is one integer dot product over d_i e_j, reduced once into a
 canonical ``Fraction``.  The result is the same matrix the term-by-term
 ``Fraction`` sum gives, at one gcd per entry instead of one per term.
+The rank-one update ``U.add_outer(x, a)`` = U + x^T a, the step along a
+fiber line, clears the same way.
 
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
@@ -447,6 +449,31 @@ class RationalMatrix:
         if len(factors) != self.cols:
             raise DimensionError(f"{len(factors)} column factors for {self.cols} columns")
         return RationalMatrix(tuple(map(operator.mul, row, factors)) for row in self._data)
+
+    def add_outer(self, col: Sequence[Fraction], row: Sequence[Fraction]) -> "RationalMatrix":
+        """self + col^T row, the rank-one update, one reduction per entry.
+
+        With row i of self as u_i / d, ``row`` as a / e and col[i] = p / q,
+        entry (i, j) is Fraction(e q u_ij + p d a_j, d e q): the same matrix
+        as ``self + outer_product(col, row)`` without the Fraction per term.
+        """
+        if len(col) != self.rows or len(row) != self.cols:
+            raise DimensionError(
+                f"cannot add a {len(col)}x{len(row)} outer product to a {self.rows}x{self.cols} matrix"
+            )
+        a, e = _cleared(row)
+        rows = []
+        for data_row, c in zip(self._data, col):
+            p, q = c.numerator, c.denominator
+            if p == 0:
+                rows.append(data_row)
+                continue
+            u, d = _cleared(data_row)
+            u_factor, a_factor, denominator = e * q, p * d, d * e * q
+            rows.append(
+                tuple(Fraction(u_factor * x + a_factor * y, denominator) for x, y in zip(u, a))
+            )
+        return RationalMatrix(rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Integer dot products: entry (i, j) is Fraction(a_i . b_j, d_i e_j).

@@ -8,7 +8,9 @@ certificate stores the per-minor coefficients (fitted at lambda = 0, 1
 and independently confirmed at lambda = 2), from which ``segment_in_cell``
 proves that every convex combination stays inside the closed cell.  The
 same affinity lets the sampler decide a point's admissible partners
-exactly, from its own table and one more.
+exactly, from its own table and one more.  Every decision along the line
+is a sign test, read on the integer minors of the tables over their
+positive scales; Fractions are built only for the stored coefficients.
 
 The section witness realizes the inverse direction: given a spanning
 representative K of a fiber point and the target image W, the unique C
@@ -46,7 +48,6 @@ from .exact_linalg import (
     rank,
     rational_to_string,
     solve_for_left_factor,
-    subsets_colex,
 )
 from .tnn_grassmannian import (
     PositroidCellSpec,
@@ -85,9 +86,8 @@ def fiber_displacement(
     if u.rows != setup.k or u.cols != setup.n or v.rows != setup.k or v.cols != setup.n:
         raise DimensionError(f"representatives must be {setup.k}x{setup.n}")
     pivot = next(j for j, entry in enumerate(a) if entry != 0)
-    delta = v - u
-    x = tuple(delta.entry(i, pivot) / a[pivot] for i in range(setup.k))
-    if delta != outer_product(x, a):
+    x = tuple((v.entry(i, pivot) - u.entry(i, pivot)) / a[pivot] for i in range(setup.k))
+    if v != u.add_outer(x, a):
         raise FiberMismatchError("U and V have different images under V -> V Z^T")
     return x
 
@@ -137,11 +137,13 @@ def minor_affine_coeffs(
     return alpha, beta
 
 
-def segment_in_cell(alpha: Fraction, beta: Fraction, nonbasis: bool) -> bool:
+def segment_in_cell(alpha: Fraction | int, beta: Fraction | int, nonbasis: bool) -> bool:
     """Whether the minor alpha + lambda beta stays in its cell for 0 <= lambda <= 1.
 
     Being affine in lambda, it does iff it is nonnegative at both ends, or
-    on a nonbasis iff it is the zero polynomial.
+    on a nonbasis iff it is the zero polynomial.  Only signs are compared,
+    so alpha and beta may be given times any common positive scale, such
+    as integer numerators over a positive common denominator.
     """
     if nonbasis:
         return alpha == 0 and beta == 0
@@ -209,20 +211,25 @@ def convexity_certificate(
 
     # fiber_displacement checked V = U + x^T a exactly, so V's table gives
     # the minors at lambda = 1; lambda = 2 is computed independently as the
-    # affinity check.
+    # affinity check.  With m_l / s_l the minor at lambda = l, alpha = m_0 / s_0
+    # and beta = m_1 / s_1 - m_0 / s_0; both the check and the verdict are
+    # read on integers, cleared by the positive scales.
     minors0, minors1 = tables
-    minors2 = all_maximal_minors(v + outer_product(x, a))
-
+    minors2 = all_maximal_minors(v.add_outer(x, a))
+    s0, s1, s2 = minors0.scale, minors1.scale, minors2.scale
+    s01, s02, s12 = s0 * s1, s0 * s2, s1 * s2
+    nonbases = cell.nonbases
     entries: list[tuple[IndexSubset, Fraction, Fraction]] = []
-    for subset in subsets_colex(setup.n, setup.k):
-        alpha = minors0[subset]
-        beta = minors1[subset] - alpha
-        if minors2[subset] != alpha + 2 * beta:
+    verdict = True
+    for subset, m0, m1, m2 in zip(minors0.subsets, minors0.ints, minors1.ints, minors2.ints):
+        if m2 * s01 != 2 * m1 * s02 - m0 * s12:
             raise InternalConsistencyError(
                 f"minor on columns {list(subset.members)} is not affine along the fiber line"
             )
-        entries.append((subset, alpha, beta))
-    verdict = all(segment_in_cell(alpha, beta, s in cell.nonbases) for s, alpha, beta in entries)
+        # alpha and beta times s0 s1
+        alpha, beta = m0 * s1, m1 * s0 - m0 * s1
+        verdict = verdict and segment_in_cell(alpha, beta, subset in nonbases)
+        entries.append((subset, Fraction(m0, s0), Fraction(beta, s01)))
     return FiberConvexityCertificate(cell=cell, per_minor=tuple(entries), verdict=verdict)
 
 
@@ -285,8 +292,15 @@ def sample_fiber_partner(
     point's own table, beta comes from one table at lambda = 1 for a
     drawn d with no zero entry.  lambda = 0 (V = U) when a nonbasis minor
     moves or a vanishing one falls, as on cells cut out by zeroed
-    columns; otherwise lambda is the largest of 1, 1/2, 1/4, ... keeping
-    every moving minor positive.  ``stats["accepted"]`` counts calls.
+    columns; otherwise lambda is the largest of 1, 1/2, 1/4, ... below
+    min(-alpha / beta) over the falling minors, which keeps every moving
+    minor positive.  ``stats["accepted"]`` counts calls and
+    ``stats["lambda_halvings"]`` adds up the t of each lambda = 2^-t
+    (0 when lambda is 0).
+
+    Both tables are read as integers: with alpha = a_I / s_a and the moved
+    minor m_I / s_m, beta = b_I / (s_a s_m) for b_I = m_I s_a - a_I s_m,
+    so beta has the sign of b_I and -alpha / beta = a_I s_m / (-b_I).
     """
     a = _require_corank_one(setup)
     u = point.matrix
@@ -299,16 +313,33 @@ def sample_fiber_partner(
         for _ in range(setup.k)
     )
     alpha = point.minors
-    moved = all_maximal_minors(u + outer_product(d, a))
-    beta = {s: moved[s] - value for s, value in alpha.items()}
-    lam = Fraction(1)
-    if any(beta[s] != 0 for s in cell.nonbases) or any(
-        value == 0 and beta[s] < 0 for s, value in alpha.items()
-    ):
+    moved = all_maximal_minors(u.add_outer(d, a))
+    s_alpha, s_moved = alpha.scale, moved.scale
+    stuck = any(moved.int_at(s) * s_alpha != alpha.int_at(s) * s_moved for s in cell.nonbases)
+    # the least ratio p / q of a_I s_m / (-b_I) over the falling minors,
+    # compared by cross-multiplication; q = 0 stands for none yet
+    p, q = 1, 0
+    for value, m in zip(alpha.ints, moved.ints):
+        if stuck:
+            break
+        b = m * s_alpha - value * s_moved
+        if b < 0:
+            # a vanishing minor that falls leaves only V = U
+            stuck = value == 0
+            num = value * s_moved
+            if num * q < p * -b:
+                p, q = num, -b
+    halvings = 0
+    if stuck:
         lam = Fraction(0)
-    # every falling minor is positive at U, so halving ends
-    falling = [(alpha[s], b) for s, b in beta.items() if b < 0]
-    while lam and any(value + lam * b <= 0 for value, b in falling):
-        lam /= 2
+    else:
+        # the least t >= 0 with 2^t p > q, so lambda = 2^-t < p / q
+        if q:
+            halvings = max(0, q.bit_length() - p.bit_length())
+            if p << halvings <= q:
+                halvings += 1
+        lam = Fraction(1, 1 << halvings)
+    if stats is not None:
+        stats["lambda_halvings"] = stats.get("lambda_halvings", 0) + halvings
     x = tuple(lam * entry for entry in d)
-    return FiberPair(setup=setup, u=u, v=u + outer_product(x, a), x=x)
+    return FiberPair(setup=setup, u=u, v=u.add_outer(x, a), x=x)

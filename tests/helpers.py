@@ -15,14 +15,21 @@ from random import Random
 from tnngrass import (
     AmplituhedronSetup,
     EquivalenceCertificate,
+    FiberMismatchError,
     InconsistentSystemError,
     IndexSubset,
+    InternalConsistencyError,
+    NotInCellError,
+    PositroidCellSpec,
     RankError,
     RationalMatrix,
     TNNPoint,
+    all_maximal_minors,
     build_setup,
     check_tnn,
     det,
+    in_closed_cell,
+    outer_product,
 )
 
 # (k, m) pairs exercised by the fiber acceptance criteria.
@@ -154,6 +161,78 @@ def four_product_transport(cert: EquivalenceCertificate, point: TNNPoint) -> boo
     lhs = fraction_matmul(fraction_matmul(vd, z_t), c_t)
     rhs = fraction_matmul(v, z_prime_t)
     return lhs == rhs and check_tnn(RationalMatrix(vd)).is_tnn
+
+
+def fraction_fiber_partner(
+    setup: AmplituhedronSetup, cell: PositroidCellSpec, point: TNNPoint, rng: Random
+) -> tuple[RationalMatrix, tuple[Fraction, ...], int]:
+    """The sampler on Fractions: (V, x, halvings), lambda found by halving from 1.
+
+    Draws d exactly as ``sample_fiber_partner`` does, reads alpha and beta
+    as Fractions through the tables' mappings, and halves lambda while some
+    falling minor alpha + lambda beta is <= 0.  The reference that the
+    one-pass integer choice of lambda is compared against.
+    """
+    a = setup.kernel_gen
+    u = point.matrix
+    if not in_closed_cell(point, cell):
+        raise NotInCellError("sample point is not in the closed cell")
+    d = tuple(
+        Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 8 * rng.randint(1, 4))
+        for _ in range(setup.k)
+    )
+    alpha = point.minors
+    moved = all_maximal_minors(u + outer_product(d, a))
+    beta = {s: moved[s] - value for s, value in alpha.items()}
+    lam = Fraction(1)
+    if any(beta[s] != 0 for s in cell.nonbases) or any(
+        value == 0 and beta[s] < 0 for s, value in alpha.items()
+    ):
+        lam = Fraction(0)
+    falling = [(alpha[s], b) for s, b in beta.items() if b < 0]
+    halvings = 0
+    while lam and any(value + lam * b <= 0 for value, b in falling):
+        lam /= 2
+        halvings += 1
+    x = tuple(lam * entry for entry in d)
+    return u + outer_product(x, a), x, halvings
+
+
+def fraction_certificate(
+    setup: AmplituhedronSetup, cell: PositroidCellSpec, u: RationalMatrix, v: RationalMatrix
+) -> tuple[list[tuple[IndexSubset, Fraction, Fraction]], bool]:
+    """(per_minor, verdict) of the convexity certificate, every minor read as a Fraction.
+
+    alpha = p(U), beta = p(V) - p(U), and p(V + x^T a) == alpha + 2 beta is
+    checked on Fractions, with the matrices built by ``outer_product``, ``+``
+    and ``-`` and the segment rule written out: the reference for the
+    integer path of ``convexity_certificate``.
+    """
+    for name, mat in (("U", u), ("V", v)):
+        if not in_closed_cell(mat, cell):
+            raise NotInCellError(f"{name} is not in the closed cell")
+    a = setup.kernel_gen
+    delta = v - u
+    pivot = next(j for j, entry in enumerate(a) if entry != 0)
+    x = tuple(delta.entry(i, pivot) / a[pivot] for i in range(u.rows))
+    if delta != outer_product(x, a):
+        raise FiberMismatchError("U and V have different images under V -> V Z^T")
+    minors0, minors1 = all_maximal_minors(u), all_maximal_minors(v)
+    minors2 = all_maximal_minors(v + outer_product(x, a))
+    entries = []
+    for subset in minors0:
+        alpha = minors0[subset]
+        beta = minors1[subset] - alpha
+        if minors2[subset] != alpha + 2 * beta:
+            raise InternalConsistencyError(
+                f"minor on columns {list(subset.members)} is not affine along the fiber line"
+            )
+        entries.append((subset, alpha, beta))
+    verdict = all(
+        alpha == beta == 0 if s in cell.nonbases else alpha >= 0 and alpha + beta >= 0
+        for s, alpha, beta in entries
+    )
+    return entries, verdict
 
 
 def det2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:

@@ -28,14 +28,17 @@ from tnngrass.cli import (
 from helpers import vandermonde_setup
 
 
-def run_cli(*args):
-    """``python -m tnngrass.cli`` in a child process that imports this same package."""
+def run_python(*args):
+    """A child Python process that imports this same package."""
     package_root = str(Path(tnngrass.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "tnngrass.cli", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """``python -m tnngrass.cli`` in a child process that imports this same package."""
+    return run_python("-m", "tnngrass.cli", *args)
 
 
 def write(path, payload):
@@ -142,6 +145,15 @@ class TestFiberCommands:
         assert (dir_a / "certificate_00000.json").read_bytes() != (
             dir_c / "certificate_00000.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("zero_col", [[], ["--zero-col", "3"]], ids=["top", "zeroed"])
+    def test_campaign_counts_lambda_halvings(self, tmp_path, zero_col):
+        args = ["fiber-campaign", "--k", "2", "--m", "1", "--trials", "20", *zero_col]
+        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_OK
+        counters = json.loads((tmp_path / "report.json").read_text())["counters"]
+        # a zeroed column pins every partner to V = U, which takes no halving
+        assert counters["accepted"] == 20
+        assert (counters["lambda_halvings"] == 0) == bool(zero_col)
 
     def test_campaign_zero_column_cells(self, tmp_path):
         out_dir = tmp_path / "certs"
@@ -639,6 +651,19 @@ class TestStrictRationals:
 
 
 class TestEntryPoint:
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        code = (
+            "import sys, tnngrass.cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "tnngrass.cli.main(['z0', '--k', '1', '--m', '2'])\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        out = run_python("-c", code)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "False" and lines[-1] == "True"
+        assert "[PASS] kernel_sign_alternating" in out.stdout
+
     def test_console_script_runs(self, tmp_path):
         out = run_cli("z0", "--k", "1", "--m", "2")
         assert out.returncode == 0

@@ -20,6 +20,7 @@ from tnngrass import (
     invert,
     kernel_basis,
     minor,
+    outer_product,
     rank,
     rational_to_string,
     solve_for_left_factor,
@@ -518,6 +519,54 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
+
+
+@st.composite
+def rank_one_update_st(draw):
+    """A (1-5) x (1-8) matrix with a conforming column and row of product entries."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    matrix = draw(product_grid_st(rows, cols))
+    col = draw(st.lists(product_entry_st, min_size=rows, max_size=rows))
+    row = draw(st.lists(product_entry_st, min_size=cols, max_size=cols))
+    return matrix, col, row
+
+
+class TestAddOuter:
+    @settings(max_examples=200, deadline=None)
+    @given(rank_one_update_st())
+    def test_against_sum_with_outer_product(self, update):
+        matrix, col, row = update
+        m = RationalMatrix(matrix)
+        result = m.add_outer(col, row)
+        expected = m + outer_product(col, row)
+        assert result == expected
+        # the same canonical Fractions, so the same JSON bytes
+        assert all(type(x) is Fraction for r in result.row_tuples() for x in r)
+        assert result.to_json_dict() == expected.to_json_dict()
+
+    def test_zero_column_entry_keeps_the_row(self):
+        m = RationalMatrix([[Fraction(1, 3), 2], [Fraction(-5, 7), Fraction(1, 2)]])
+        result = m.add_outer((Fraction(0), Fraction(1, 2)), (Fraction(2), Fraction(-1, 3)))
+        assert result.row(0) == m.row(0)
+        assert result.row(1) == (Fraction(2, 7), Fraction(1, 3))
+
+    def test_built_by_the_constructor(self, monkeypatch):
+        built = []
+        init = RationalMatrix.__init__
+
+        def counted(matrix, rows):
+            built.append(matrix)
+            init(matrix, rows)
+
+        monkeypatch.setattr(RationalMatrix, "__init__", counted)
+        m = RationalMatrix([[1, 2, 3]])
+        result = m.add_outer((Fraction(1, 2),), (Fraction(1), Fraction(0), Fraction(-1)))
+        assert built == [m, result]
+
+    @pytest.mark.parametrize("col, row", [(2, 3), (1, 2), (1, 4), (0, 3)])
+    def test_length_mismatch(self, col, row):
+        with pytest.raises(DimensionError):
+            RationalMatrix([[1, 2, 3]]).add_outer([Fraction(1)] * col, [Fraction(1)] * row)
 
 
 class TestScaleColumns:

@@ -12,6 +12,7 @@ import tnngrass.tnn_grassmannian as tnn_mod
 from tnngrass import (
     FiberMismatchError,
     IndexSubset,
+    InternalConsistencyError,
     NotInCellError,
     PositroidCellSpec,
     RankError,
@@ -35,7 +36,10 @@ from tnngrass import (
     section_witness,
     zero_columns,
 )
+from tnngrass.exact_linalg import MinorTable, _colex
 from helpers import (
+    fraction_certificate,
+    fraction_fiber_partner,
     random_corank_one_setup,
     random_fraction,
     random_positive_det,
@@ -263,6 +267,30 @@ class TestConvexityCertificate:
             blend = pair.u.scale(1 - lam) + pair.v.scale(lam)
             assert check_tnn(blend).is_tnn
 
+    @pytest.mark.parametrize("position", [0, 7, -1])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_lambda_two_table_off_by_one(self, monkeypatch, position, delta):
+        rng = Random(137)
+        setup = random_corank_one_setup(rng, 3, 2)
+        cell = PositroidCellSpec.top_cell(3, 6)
+        pair = sample_fiber_partner(setup, cell, scaled_vandermonde_point(rng, 3, 6), rng)
+        tables = []
+
+        def tampered(matrix):
+            table = all_maximal_minors(matrix)
+            tables.append(table)
+            if len(tables) < 3:
+                return table
+            # the third table is the independent one at lambda = 2
+            ints = list(table.ints)
+            ints[position] += delta
+            return MinorTable(table.n, _colex(table.n, matrix.rows), ints, table.scale)
+
+        monkeypatch.setattr(fiber_mod, "all_maximal_minors", tampered)
+        with pytest.raises(InternalConsistencyError, match="not affine"):
+            convexity_certificate(setup, cell, pair.u, pair.v)
+        assert len(tables) == 3
+
     def test_json_shape(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
         cell = PositroidCellSpec.top_cell(1, 4)
@@ -431,6 +459,23 @@ class TestFiberPairSampling:
         assert pair.x == (Fraction(-3, 16),)
         assert all(pair.v.entry(0, j) > 0 for j in range(4))
 
+    @pytest.mark.parametrize("halvings", [0, 2, 10, 40])
+    def test_ratio_at_a_power_of_two(self, halvings):
+        # U = (3/8) 2^-t a on the columns with a_j > 0 reaches 0 exactly at
+        # lambda = 2^-t, so lambda is 2^-(t+1), t + 1 halvings from 1
+        setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
+        a = setup.kernel_gen
+        u = RationalMatrix([[Fraction(3, 8 << halvings) * aj if aj > 0 else 1 for aj in a]])
+        point = TNNPoint.from_matrix(u)
+        cell = PositroidCellSpec.top_cell(1, 4)
+        stats = {}
+        pair = sample_fiber_partner(setup, cell, point, FirstDraw(1), stats=stats)
+        assert pair.x == (Fraction(-3, 16 << halvings),)
+        assert stats["lambda_halvings"] == halvings + 1
+        assert fraction_fiber_partner(setup, cell, point, FirstDraw(1)) == (
+            pair.v, pair.x, halvings + 1
+        )
+
     @pytest.mark.parametrize("zeroed, x", [(1, Fraction(0)), (2, Fraction(-3, 16))])
     def test_lower_cell_point_in_top_cell(self, zeroed, x):
         # a = (1, -3, 3, -1) and d = (-3/8): the zero entry falls in
@@ -449,7 +494,7 @@ class TestFiberPairSampling:
         stats = {"accepted": 0, "rejected": 0}
         for _ in range(3):
             sample_fiber_partner(setup, cell, scaled_vandermonde_point(rng, 2, 5), rng, stats=stats)
-        assert stats == {"accepted": 3, "rejected": 0}
+        assert stats == {"accepted": 3, "rejected": 0, "lambda_halvings": 18}
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -480,3 +525,47 @@ class TestFiberPairSampling:
         # interior points always move; zeroed columns pin the partner to U,
         # since the kernel vector has no zero entry
         assert any(entry != 0 for entry in pair.x) != zeroed
+
+
+class TestIntegerFiberLine:
+    """The integer sampler and certificate against their Fraction oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 4),
+        m=st.integers(0, 2),
+        zeroed=st.booleans(),
+    )
+    def test_same_partner_and_certificate(self, seed, k, m, zeroed):
+        rng = Random(seed)
+        setup = random_corank_one_setup(rng, k, m)
+        n = setup.n
+        point = scaled_vandermonde_point(rng, k, n)
+        if zeroed:
+            point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((rng.randint(1, n),))))
+            cell = matroid_of(point)
+        else:
+            cell = PositroidCellSpec.top_cell(k, n)
+        oracle_rng = Random()
+        oracle_rng.setstate(rng.getstate())
+        stats = {}
+        pair = sample_fiber_partner(setup, cell, point, rng, stats=stats)
+        v, x, halvings = fraction_fiber_partner(setup, cell, point, oracle_rng)
+        assert (pair.v, pair.x, stats["lambda_halvings"]) == (v, x, halvings)
+        cert = convexity_certificate(setup, cell, pair.u, pair.v)
+        per_minor, verdict = fraction_certificate(setup, cell, pair.u, pair.v)
+        assert list(cert.per_minor) == per_minor
+        assert cert.verdict is verdict is True
+
+        # a same-fiber partner with large denominators, in the cell or not
+        x2 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 10**12)) for _ in range(k))
+        v2 = pair.u + outer_product(x2, setup.kernel_gen)
+        try:
+            expected = fraction_certificate(setup, cell, pair.u, v2)
+        except NotInCellError:
+            with pytest.raises(NotInCellError):
+                convexity_certificate(setup, cell, pair.u, v2)
+        else:
+            cert2 = convexity_certificate(setup, cell, pair.u, v2)
+            assert (list(cert2.per_minor), cert2.verdict) == expected
