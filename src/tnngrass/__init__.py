@@ -62,8 +62,6 @@ from .fiber import (
     SectionWitness,
     convexity_certificate,
     fiber_displacement,
-    make_fiber_pair,
-    minor_affine_coeffs,
     sample_fiber_partner,
     section_witness,
 )

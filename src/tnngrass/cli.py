@@ -198,14 +198,16 @@ def trial_rng(seed: int, trial: int) -> Random:
 
 
 def draw_nodes(rng: Random, count: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Distinct increasing rationals in [lo, hi] on a fixed 64-step grid."""
+    """Distinct increasing rationals in [lo, hi] on a fixed 64-step grid, drawn as indices."""
     if count > 65:
         raise UserInputError(f"cannot draw {count} distinct nodes from a 65-point grid")
-    span = hi - lo
-    picks: set[Fraction] = set()
+    if hi <= lo:
+        raise UserInputError(f"node range needs lo < hi, got [{lo}, {hi}]")
+    picks: set[int] = set()
     while len(picks) < count:
-        picks.add(lo + span * Fraction(rng.randint(0, 64), 64))
-    return sorted(picks)
+        picks.add(rng.randint(0, 64))
+    step = (hi - lo) / 64
+    return [lo + step * j for j in sorted(picks)]
 
 
 def random_positive_setup(
@@ -228,10 +230,13 @@ def random_top_cell_point(
     """
     nodes = draw_nodes(rng, n, lo, hi)
     scales = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
-    matrix = RationalMatrix(
-        [[s * (x ** i) for s, x in zip(scales, nodes)] for i in range(k)]
-    )
-    return TNNPoint.from_matrix(matrix)
+    columns = []
+    for s, x in zip(scales, nodes):
+        column = [s]
+        for _ in range(k - 1):
+            column.append(column[-1] * x)
+        columns.append(column)
+    return TNNPoint.from_matrix(RationalMatrix(zip(*columns)))
 
 
 # -- subcommands --------------------------------------------------------------

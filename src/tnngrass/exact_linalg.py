@@ -6,24 +6,25 @@ integer routine, ``_bareiss``: column-skipping fraction-free elimination
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968).  Every intermediate entry is a minor
 of the scaled matrix, so entries never blow up the way naive cross
-multiplication of fractions does.  Rank, determinants of size above 3
+multiplication of fractions does.  Rank, determinants (its last pivot)
 and, after an integer back-substitution, the reduced row echelon form
-behind kernels, solves and inverses all come from its output.
+behind kernels, solves, inverses and minor tables all come from its
+output.
 
-A table of all maximal minors of a k x n matrix with k >= 4 also comes
-from one elimination: with the reduced form R (the identity on the pivot
-columns) and d the determinant of the pivot columns, each minor is d
-times a signed minor of R of size at most min(k, n - k) (Postnikov,
-"Total positivity, Grassmannians, and networks", arXiv math/0609764,
-section 3).  Which rows and columns of R that minor uses, and its sign,
-depend only on (n, k) and the pivot columns, so that bookkeeping is one
-plan per pivot pattern, cached because generic matrices of one shape
-share their pivots (a process that builds many tables of one shape, as
-a fiber campaign does, builds the plan once).  For k <= 3 each minor is
-one closed-form determinant, which is cheaper than the elimination.
-Either way the table is a ``MinorTable``: integer minors of the
-row-cleared matrix over one positive scale, so sign tests read integers
-and a ``Fraction`` is built only when a caller reads a value.
+A table of all maximal minors of a k x n matrix comes from one
+elimination and one Laplace ladder over the reduced form R.  Each minor
+is, up to a sign fixed by the pivots, d times the minor of R on the
+pivot rows it misses and the free columns it holds, d the determinant of
+the pivot columns (Postnikov, "Total positivity, Grassmannians, and
+networks", arXiv math/0609764, section 3).  The ladder builds those of
+size s from s of size s - 1 and one exact division by d, level by level;
+the levels hold C(k, s) C(n - k, s) minors each, C(n, k) in all, so it
+computes the table and nothing more.  Its bookkeeping depends only on
+(n, k) and the pivots and is cached as one plan per pivot pattern, which
+generic matrices of one shape share.  The table is a ``MinorTable``:
+integer minors of the row-cleared matrix over one positive scale, so
+sign tests read integers and a ``Fraction`` is built only when a caller
+reads a value.
 
 Products use the same denominator clearing.  ``A @ B`` writes each row of
 A and each column of B as integers over the lcm of its denominators, so
@@ -163,6 +164,13 @@ class IndexSubset:
         if self.members and self.members[-1] > n:
             raise DimensionError(f"index {self.members[-1]} out of range 1..{n}")
 
+    @classmethod
+    def _trusted(cls, members: tuple[int, ...]) -> "IndexSubset":
+        """A subset from members the library built increasing and >= 1, unchecked."""
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "members", members)
+        return subset
+
 
 # The most k-subsets any enumeration (and so any minor table) may have.
 # C(20, 10) = 184756 fits; C(40, 20), about 1.4e11, from a matrix file of a
@@ -201,11 +209,12 @@ def subsets_colex(n: int, k: int) -> list[IndexSubset]:
     return list(_colex(n, k).subsets)
 
 
-# Shape data (the subsets of a table, their positions, its echelon plans)
+# Shape data (the subsets of a table, their positions, its ladder plans)
 # is cached in two caches of at most this many subsets' worth of entries
-# each, least recently used first out: for k <= 8 about 285 bytes per
-# subset with its position and 200 bytes per plan entry were measured, so
-# about 50 MB at most in all; each member beyond 8 adds 8 bytes to a
+# each, least recently used first out.  tracemalloc measured about 285
+# bytes per subset with its position for k <= 8 and at most 240 bytes per
+# plan entry on plans of 1000 subsets or more (a plan also holds a fixed
+# 1-2 KB), so about 52 MB in all; each member beyond 8 adds 8 bytes to a
 # subset.  Larger tables rebuild their shape data once per call.
 CACHED_SUBSETS = 100_000
 
@@ -257,7 +266,7 @@ class _Colex(NamedTuple):
 @_shape_cache
 def _colex(n: int, k: int) -> _Colex:
     """The k-subsets of {1..n} in colexicographic order and the position of each."""
-    subsets = tuple(IndexSubset(c) for c in _colex_members(n, k))
+    subsets = tuple(map(IndexSubset._trusted, _colex_members(n, k)))
     return _Colex(subsets, {subset: i for i, subset in enumerate(subsets)})
 
 
@@ -407,14 +416,6 @@ class RationalMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, entries: Sequence[int | str | Fraction]) -> "RationalMatrix":
         vals = [as_rational(x) for x in entries]
         n = len(vals)
@@ -519,19 +520,6 @@ class RationalMatrix:
             tuple(self._data[i - 1][j - 1] for j in col_subset) for i in row_subset
         )
 
-    def with_zeroed_columns(self, cols: IndexSubset) -> "RationalMatrix":
-        cols.check_bounds(self.cols)
-        dead = set(cols)
-        return RationalMatrix(
-            tuple(Fraction(0) if (j + 1) in dead else x for j, x in enumerate(row))
-            for row in self._data
-        )
-
-    def stack_below(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
-            raise DimensionError("column counts differ")
-        return RationalMatrix(self._data + other._data)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -629,29 +617,6 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _det_int(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (destroys ``a``).
-
-    Sizes up to 3 use the closed forms: the loop alone makes a table of
-    all 3 x 3 minors of a 3 x 8 matrix about 1.3-1.4x slower (x86-64
-    cloud VM, CPython 3.11).  Larger sizes run ``_bareiss``, whose last
-    pivot is the determinant up to the sign of the row swaps.
-    """
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    pivots, sign = _bareiss(a)
-    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
-
-
 def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[int]], int]:
     """Reduced rows of a ``_bareiss`` echelon form, all times one integer d.
 
@@ -691,11 +656,13 @@ def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
 
 
 def det(m: RationalMatrix) -> Fraction:
-    """Exact determinant via row denominator clearing plus integer Bareiss."""
+    """Exact determinant: the last Bareiss pivot of the row-cleared matrix."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     int_rows, scale = _int_rows_and_scale(m.row_tuples())
-    return Fraction(_det_int(int_rows), scale)
+    pivots, sign = _bareiss(int_rows)
+    n = m.rows
+    return Fraction(sign * int_rows[-1][-1] if len(pivots) == n else 0, scale)
 
 
 def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -> Fraction:
@@ -719,81 +686,142 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     with more than ``MAX_SUBSETS`` minors raise UnsupportedParameterError
     before any is computed.
 
-    For k <= 3 each minor is a closed-form determinant of its columns.
-    For larger k the integer rows are eliminated once: if the rank is
-    below k every minor is 0; otherwise, with D = d R the scaled reduced
-    rows from ``_back_substitute`` and s = |I - pivots|,
+    The integer rows are eliminated once: if the rank is below k every
+    minor is 0.  Otherwise, with D = d R the scaled reduced rows from
+    ``_back_substitute``, R_I the pivot rows whose pivot column is not in
+    I and C_I = I - pivots = (c_0 < c_1 < ...), s = |C_I|, the Laplace
+    expansion along the unit columns of R gives
 
-        p_I = sign * sigma_I * det(D[pivot rows not in I, I - pivots]) / d^(s-1),
+        p_I = sign * sigma_I * v(R_I, C_I),  v(S, F) = det(D[S, F]) / d^(s-1),
 
     where sign is the row-swap sign of the elimination and sigma_I is
-    (-1)^(sum of r(c) + pos_I(c)) over the pivot columns c in I, with
-    r(c) the 0-based row of pivot c and pos_I(c) its 0-based position in
-    I (the generalized Laplace expansion along those unit columns).  The
-    division is exact because the quotient is d det(R_I), a minor of the
-    integer rows; for s = 0 the minor is sign * d.  The rows, columns and
-    sigma_I of every subset depend only on (n, k) and the pivots, and come
-    from ``_echelon_plan``, cached per pivot pattern.
+    (-1)^(sum of r(c) + pos_I(c)) over the pivot columns c in I (r(c) the
+    0-based row of pivot c, pos_I(c) its 0-based position in I).  v(S, F)
+    is d det(R[S, F]), an integer, and expanding it along the first row
+    r0 of S gives the ladder
+
+        v(S, F) = ( sum_t (-1)^t D[r0][c_t] v(S - r0, F - c_t) ) / d,
+
+    from v of the empty block, d, and v({r}, {c}) = D[r][c].  Filled by
+    increasing s, every minor costs s products and one exact division.
+    When k > n - k the ladder expands along the first column of F
+    instead, so that its inner loops run over the longer side.  The
+    terms of each level and the place and sigma_I of every subset come
+    from ``_ladder_plan``, cached per pivot pattern.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
     colex = _colex(n, k)
     int_rows, scale = _int_rows_and_scale(m.row_tuples())
-    if k <= 3:
-        # the sizes ``_det_int`` answers in closed form
-        ints = [
-            _det_int([[row[j - 1] for j in subset.members] for row in int_rows])
-            for subset in colex.subsets
-        ]
-        return MinorTable(n, colex, ints, scale)
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
         return MinorTable(n, colex, [0] * len(colex.subsets), scale)
     reduced, d = _back_substitute(int_rows, pivots)
-    # d^(s-1) for block size s >= 1
-    d_powers = [0, 1]
-    for _ in range(min(k, n - k) - 1):
-        d_powers.append(d_powers[-1] * d)
-    ints = []
-    for rows, free, odd in _echelon_plan(n, k, tuple(pivots)):
-        if not free:
-            ints.append(sign * d)
-            continue
-        value = _det_int([[reduced[r][c] for c in free] for r in rows]) // d_powers[len(free)]
-        ints.append(-value if odd != (sign < 0) else value)
+    plan = _ladder_plan(n, k, tuple(pivots))
+    blocks = [[row[c] for c in plan.free] for row in reduced]
+    if plan.transposed:
+        blocks = [list(col) for col in zip(*blocks)]
+    # the row-swap sign rides on v from level 0 up; the ladder's own
+    # coefficients are D, read with the term sign from ``signed``
+    level = blocks if sign > 0 else [[-x for x in row] for row in blocks]
+    signed = [row + [-x for x in row] for row in blocks]
+    values = [sign * d]
+    values.extend(itertools.chain.from_iterable(level))
+    for row_steps, (first, *middle, last) in plan.steps:
+        below_level, level = level, []
+        for r0, rest in row_steps:
+            coeffs, below = signed[r0], below_level[rest]
+            acc = [coeffs[c] * below[j] for c, j in first]
+            for terms in middle:
+                acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
+            level.append([(a + coeffs[c] * below[j]) // d for a, (c, j) in zip(acc, last)])
+        values.extend(itertools.chain.from_iterable(level))
+    ints = [values[p] for p in plan.positions]
+    for i in plan.negated:
+        ints[i] = -ints[i]
     return MinorTable(n, colex, ints, scale)
 
 
-@_shape_cache
-def _echelon_plan(
-    n: int, k: int, pivots: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
-    """Per k-subset I in colex order: (pivot rows not in I, free columns of I, sigma_I < 0).
+class _Ladder(NamedTuple):
+    free: tuple[int, ...]
+    transposed: bool
+    steps: tuple[tuple[tuple, tuple], ...]
+    positions: tuple[int, ...]
+    negated: tuple[int, ...]
 
-    The bookkeeping of ``all_maximal_minors`` for full-rank k x n
-    matrices with these 0-based pivot columns; free columns are 0-based.
-    On small entries it costs about as much as the minors themselves, so
-    it is cached per pivot pattern; that pays off only when one process
-    builds several tables of one shape and one pivot pattern, as with
-    generic k x n matrices, whose pivots are (0, ..., k-1).
+
+@_shape_cache
+def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
+    """The ladder of ``all_maximal_minors`` for k x n tables with these 0-based pivots.
+
+    It runs on the block B = D[:, free], or on B^T when k > n - k, so that
+    block rows are the shorter side.  Level s holds v for the s-subsets X
+    of block rows and Y of block columns (``itertools.combinations``
+    order, X by X).  ``steps[s - 2]`` is level s >= 2: per X, its first
+    row r0 and the place of X - r0 in level s - 1; per t < s, per Y, the
+    term (y_t, place of Y - y_t in level s - 1), y_t shifted by the block
+    width when t is odd to read -B[r0][y_t].  ``positions`` places each
+    colex subset in the levels concatenated; ``negated`` lists those with
+    sigma_I = -1.  Cached: generic matrices share the pivots (0, ..., k-1).
     """
-    pivot_row = {c + 1: r for r, c in enumerate(pivots)}
-    plan = []
-    for members in _colex_members(n, k):
-        free: list[int] = []
-        in_subset = [False] * k
-        parity = 0
-        for pos, j in enumerate(members):
-            r = pivot_row.get(j)
-            if r is None:
-                free.append(j - 1)
-            else:
-                in_subset[r] = True
+    width = n - k
+    transposed = k > width
+    # the block's row and column counts
+    n_rows, n_cols = (width, k) if transposed else (k, width)
+    free = tuple(c for c in range(n) if c not in pivots)
+    row_index = [
+        {rows: i for i, rows in enumerate(itertools.combinations(range(n_rows), s))}
+        for s in range(n_rows + 1)
+    ]
+    col_index = [
+        {cols: i for i, cols in enumerate(itertools.combinations(range(n_cols), s))}
+        for s in range(n_rows + 1)
+    ]
+    steps = []
+    for s in range(2, n_rows + 1):
+        rows_below, cols_below = row_index[s - 1], col_index[s - 1]
+        row_steps = tuple((rows[0], rows_below[rows[1:]]) for rows in row_index[s])
+        col_terms = tuple(
+            tuple(
+                (cols[t] + n_cols * (t % 2), cols_below[cols[:t] + cols[t + 1:]])
+                for cols in col_index[s]
+            )
+            for t in range(s)
+        )
+        steps.append((row_steps, col_terms))
+    # A subset I is keyed by bit r for each pivot column of row r in I and
+    # bit k + f for each free column free[f] in I; ``place`` maps the key
+    # to the position of v(R_I, C_I) in the concatenated levels.
+    def key_parts(subsets, of_pivot_rows):
+        if of_pivot_rows:  # I holds the pivots of the rows not in x
+            return [(1 << k) - 1 ^ sum(1 << r for r in x) for x in subsets]
+        return [sum(1 << (k + f) for f in x) for x in subsets]
+
+    place: dict[int, int] = {}
+    for rows, cols in zip(row_index, col_index):
+        outer, inner = key_parts(rows, not transposed), key_parts(cols, transposed)
+        keys = [a | b for a in outer for b in inner]
+        place.update(zip(keys, range(len(place), len(place) + len(keys))))
+    # per 1-based column: its key bit and the row of its pivot, or -1
+    column: list[tuple[int, int]] = [(0, -1)] * (n + 1)
+    for r, c in enumerate(pivots):
+        column[c + 1] = (1 << r, r)
+    for f, c in enumerate(free):
+        column[c + 1] = (1 << (k + f), -1)
+    positions = []
+    negated = []
+    for i, subset in enumerate(_colex(n, k).subsets):
+        key = parity = 0
+        for pos, j in enumerate(subset.members):
+            bit, r = column[j]
+            key |= bit
+            if r >= 0:
                 parity += r + pos
-        rows = tuple(r for r in range(k) if not in_subset[r])
-        plan.append((rows, tuple(free), parity % 2 == 1))
-    return tuple(plan)
+        positions.append(place[key])
+        if parity % 2:
+            negated.append(i)
+    return _Ladder(free, transposed, tuple(steps), tuple(positions), tuple(negated))
 
 
 def rank(m: RationalMatrix) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .amplituhedron_map import AmplituhedronSetup
 from .errors import (
@@ -43,8 +42,6 @@ from .exact_linalg import (
     all_maximal_minors,
     det,
     invert,
-    minor,
-    outer_product,
     rank,
     rational_to_string,
     solve_for_left_factor,
@@ -61,8 +58,6 @@ __all__ = [
     "FiberConvexityCertificate",
     "SectionWitness",
     "fiber_displacement",
-    "make_fiber_pair",
-    "minor_affine_coeffs",
     "convexity_certificate",
     "section_witness",
     "sample_fiber_partner",
@@ -100,41 +95,6 @@ class FiberPair:
     u: RationalMatrix
     v: RationalMatrix
     x: RowVector
-
-
-def make_fiber_pair(
-    setup: AmplituhedronSetup, u: RationalMatrix, v: RationalMatrix
-) -> FiberPair:
-    """Validate a pair and record its displacement."""
-    x = fiber_displacement(setup, u, v)
-    return FiberPair(setup=setup, u=u, v=v, x=x)
-
-
-def minor_affine_coeffs(
-    u: RationalMatrix,
-    x: Sequence[Fraction],
-    a: Sequence[Fraction],
-    cols: IndexSubset,
-) -> tuple[Fraction, Fraction]:
-    """Coefficients (alpha, beta) with minor(U + lambda x^T a, cols) = alpha + beta*lambda.
-
-    Fitted from lambda = 0 and 1; the value at lambda = 2 is computed
-    independently and must land on the same line, which rules out any
-    higher-degree behavior.
-    """
-    if len(x) != u.rows or len(a) != u.cols:
-        raise DimensionError("displacement and kernel vector sizes must match the matrix")
-    step = outer_product(tuple(x), tuple(a))
-    rows_all = IndexSubset(tuple(range(1, u.rows + 1)))
-    m0 = minor(u, rows_all, cols)
-    m1 = minor(u + step, rows_all, cols)
-    m2 = minor(u + step + step, rows_all, cols)
-    alpha, beta = m0, m1 - m0
-    if m2 != alpha + 2 * beta:
-        raise InternalConsistencyError(
-            f"minor on columns {list(cols.members)} is not affine along the fiber line"
-        )
-    return alpha, beta
 
 
 def segment_in_cell(alpha: Fraction | int, beta: Fraction | int, nonbasis: bool) -> bool:

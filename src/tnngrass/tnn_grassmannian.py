@@ -218,8 +218,11 @@ def zero_columns(point: TNNPoint, cols: IndexSubset) -> RationalMatrix:
     the rank would drop below k.
     """
     cols.check_bounds(point.n)
-    result = point.matrix.with_zeroed_columns(cols)
     dead = set(cols)
+    result = RationalMatrix(
+        tuple(Fraction(0) if j in dead else x for j, x in enumerate(row, 1))
+        for row in point.matrix.row_tuples()
+    )
     minors = point.minors
     survives = any(
         value != 0

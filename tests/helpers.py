@@ -14,8 +14,10 @@ from random import Random
 
 from tnngrass import (
     AmplituhedronSetup,
+    DimensionError,
     EquivalenceCertificate,
     FiberMismatchError,
+    FiberPair,
     InconsistentSystemError,
     IndexSubset,
     InternalConsistencyError,
@@ -28,7 +30,9 @@ from tnngrass import (
     build_setup,
     check_tnn,
     det,
+    fiber_displacement,
     in_closed_cell,
+    minor,
     outer_product,
 )
 
@@ -81,19 +85,57 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return rows, pivots
 
 
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def zeros(rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix([[Fraction(0)] * cols for _ in range(rows)])
+
+
+def stack_below(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
+    """The rows of ``top`` followed by the rows of ``bottom``."""
+    assert top.cols == bottom.cols
+    return RationalMatrix(top.row_tuples() + bottom.row_tuples())
+
+
+def fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Fraction Gaussian elimination with row swaps.
+
+    Divides by each pivot as it goes, unlike the library's fraction-free
+    Bareiss kernel, with which it shares no code.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    value = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            value = -value
+        piv = a[c][c]
+        value *= piv
+        for r in range(c + 1, n):
+            f = a[r][c] / piv
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return value
+
+
 def subset_minor_table(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
     """Every maximal minor as its own determinant, in colexicographic order.
 
-    One ``det`` per column subset, with subsets enumerated here rather
-    than by the library: the per-subset path that the one-elimination
-    table of ``all_maximal_minors`` is compared against.
+    One ``fraction_det`` per column subset, with subsets enumerated here
+    rather than by the library: the per-subset path that the ladder of
+    ``all_maximal_minors`` is compared against.
     """
-    rows_all = IndexSubset(tuple(range(1, m.rows + 1)))
+    rows = m.row_tuples()
     combos = itertools.combinations(range(1, m.cols + 1), m.rows)
     table = {}
     for combo in sorted(combos, key=lambda c: tuple(reversed(c))):
-        subset = IndexSubset(combo)
-        table[subset] = det(m.submatrix(rows_all, subset))
+        table[IndexSubset(combo)] = fraction_det([[row[j - 1] for j in combo] for row in rows])
     return table
 
 
@@ -235,6 +277,40 @@ def fraction_certificate(
     return entries, verdict
 
 
+def make_fiber_pair(
+    setup: AmplituhedronSetup, u: RationalMatrix, v: RationalMatrix
+) -> FiberPair:
+    """Validate a pair and record its displacement."""
+    return FiberPair(setup=setup, u=u, v=v, x=fiber_displacement(setup, u, v))
+
+
+def minor_affine_coeffs(
+    u: RationalMatrix,
+    x: tuple[Fraction, ...],
+    a: tuple[Fraction, ...],
+    cols: IndexSubset,
+) -> tuple[Fraction, Fraction]:
+    """Coefficients (alpha, beta) with minor(U + lambda x^T a, cols) = alpha + beta*lambda.
+
+    One minor at a time, fitted from lambda = 0 and 1; the value at
+    lambda = 2 is computed independently and must land on the same line,
+    which rules out any higher-degree behavior.
+    """
+    if len(x) != u.rows or len(a) != u.cols:
+        raise DimensionError("displacement and kernel vector sizes must match the matrix")
+    step = outer_product(tuple(x), tuple(a))
+    rows_all = IndexSubset(tuple(range(1, u.rows + 1)))
+    m0 = minor(u, rows_all, cols)
+    m1 = minor(u + step, rows_all, cols)
+    m2 = minor(u + step + step, rows_all, cols)
+    alpha, beta = m0, m1 - m0
+    if m2 != alpha + 2 * beta:
+        raise InternalConsistencyError(
+            f"minor on columns {list(cols.members)} is not affine along the fiber line"
+        )
+    return alpha, beta
+
+
 def det2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     """The ad - bc oracle for 2 x 2 blocks."""
     return a * d - b * c
@@ -279,6 +355,26 @@ def draw_nodes(rng: Random, count: int, lo: int = 1, hi: int = 12) -> list[Fract
     while len(picks) < count:
         picks.add(Fraction(rng.randint(4 * lo, 4 * hi), 4))
     return sorted(picks)
+
+
+def power_draw_nodes(rng: Random, count: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The CLI's grid sampler as a set of Fraction nodes, each built per draw.
+
+    The reference that ``tnngrass.cli.draw_nodes`` (distinct grid indices
+    first, one node per index) is compared against.
+    """
+    span = hi - lo
+    picks: set[Fraction] = set()
+    while len(picks) < count:
+        picks.add(lo + span * Fraction(rng.randint(0, 64), 64))
+    return sorted(picks)
+
+
+def power_top_cell_point(rng: Random, k: int, n: int, lo: Fraction, hi: Fraction) -> RationalMatrix:
+    """The CLI's scaled Vandermonde point with every entry s * x**i built by a power."""
+    nodes = power_draw_nodes(rng, n, lo, hi)
+    scales = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
+    return RationalMatrix([[s * (x ** i) for s, x in zip(scales, nodes)] for i in range(k)])
 
 
 def vandermonde_setup(k: int, m: int, nodes: list[Fraction]) -> AmplituhedronSetup:

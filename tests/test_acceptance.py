@@ -24,7 +24,6 @@ from tnngrass import (
     equivalence_transport_check,
     hat_map,
     matroid_of,
-    minor_affine_coeffs,
     outer_product,
     pluecker,
     rank,
@@ -39,6 +38,8 @@ from helpers import (
     Z0_CONFIGS,
     cofactor_det,
     draw_nodes,
+    identity,
+    minor_affine_coeffs,
     random_corank_one_setup,
     random_fraction,
     random_invertible,
@@ -237,7 +238,7 @@ def test_criterion_09_boundary_cases():
 
     # n = k+m with the identity matrix: the map is the identity on
     # representatives
-    setup_id = build_setup(2, 1, RationalMatrix.identity(3))
+    setup_id = build_setup(2, 1, identity(3))
     for _ in range(50):
         matrix = random_matrix(rng, 2, 3)
         assert hat_map(setup_id, matrix).image == matrix

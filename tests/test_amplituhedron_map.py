@@ -25,10 +25,12 @@ from tnngrass import (
 )
 from helpers import (
     draw_nodes,
+    identity,
     random_fraction,
     random_matrix,
     scaled_vandermonde_point,
     vandermonde_setup,
+    zeros,
 )
 
 
@@ -67,7 +69,7 @@ class TestBuildSetup:
             build_setup(1, 1, RationalMatrix([[1, 2, 3], [2, 4, 6]]))
 
     def test_no_kernel_without_corank_one(self):
-        setup = build_setup(1, 1, RationalMatrix.identity(2))
+        setup = build_setup(1, 1, identity(2))
         assert setup.kernel_gen is None
         assert setup.kernel_alternating is None
 
@@ -78,7 +80,7 @@ class TestBuildSetup:
 
 class TestHatMap:
     def test_identity_z_is_identity_on_representatives(self):
-        setup = build_setup(2, 1, RationalMatrix.identity(3))
+        setup = build_setup(2, 1, identity(3))
         v = RationalMatrix([[1, 2, 3], [0, 1, 1]])
         mapped = hat_map(setup, v)
         assert mapped.image == v
@@ -122,7 +124,7 @@ class TestHatMap:
         for _ in range(20):
             x = tuple(random_fraction(rng) for _ in range(2))
             mapped = hat_map(setup, outer_product(x, a))
-            assert mapped.image == RationalMatrix.zeros(2, 3)
+            assert mapped.image == zeros(2, 3)
 
     def test_dimension_mismatch(self):
         setup = build_setup(1, 0, RationalMatrix([[1, 1]]))
@@ -132,8 +134,8 @@ class TestHatMap:
 
 class TestWellDefinedness:
     def test_identity_z(self):
-        setup = build_setup(2, 0, RationalMatrix.identity(2))
-        samples = [TNNPoint.from_matrix(RationalMatrix.identity(2))]
+        setup = build_setup(2, 0, identity(2))
+        samples = [TNNPoint.from_matrix(identity(2))]
         assert check_well_defined_on_samples(setup, samples).ok
 
     def test_positive_z_never_fails(self):

@@ -10,22 +10,25 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tnngrass
-from tnngrass import RationalMatrix, build_setup
+from tnngrass import RationalMatrix, UserInputError, build_setup
 from tnngrass.cli import (
     EXIT_FALSE_VERDICT,
     EXIT_FALSIFIED,
     EXIT_OK,
     EXIT_USAGE,
     canonical_json,
+    draw_nodes,
     main,
+    random_top_cell_point,
 )
-from helpers import vandermonde_setup
+from helpers import identity, power_draw_nodes, power_top_cell_point, vandermonde_setup
 
 
 def run_python(*args):
@@ -60,7 +63,7 @@ def setup_file(tmp_path):
 
 class TestCheckTnn:
     def test_identity_passes(self, tmp_path):
-        path = write(tmp_path / "id.json", RationalMatrix.identity(2).to_json_dict())
+        path = write(tmp_path / "id.json", identity(2).to_json_dict())
         assert main(["check-tnn", path]) == EXIT_OK
 
     def test_negative_minor_fails_with_witness(self, tmp_path, capsys):
@@ -114,13 +117,38 @@ class TestSampleAndMap:
         assert payload["rows"] == 2 and payload["cols"] == 4
 
     def test_map_identity_boundary(self, tmp_path):
-        setup = build_setup(2, 0, RationalMatrix.identity(2))
+        setup = build_setup(2, 0, identity(2))
         setup_path = write(tmp_path / "s.json", setup.to_json_dict())
         v_path = write(tmp_path / "v.json", RationalMatrix([[1, 0], [2, 1]]).to_json_dict())
         out = tmp_path / "image.json"
         assert main(["map", setup_path, v_path, "--out", str(out)]) == EXIT_OK
         image = json.loads(out.read_text())["image"]
         assert RationalMatrix.from_json_dict(image) == RationalMatrix([[1, 0], [2, 1]])
+
+
+class TestGridSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 5),
+        st.integers(0, 6),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+        st.fractions(min_value=Fraction(1, 9), max_value=30, max_denominator=9),
+    )
+    def test_matches_the_node_per_draw_sampler(self, seed, k, extra, lo, span):
+        # same rng calls, same matrix, entry for entry
+        n = k + extra
+        rng, oracle_rng = Random(seed), Random(seed)
+        point = random_top_cell_point(rng, k, n, lo, lo + span)
+        assert point.matrix == power_top_cell_point(oracle_rng, k, n, lo, lo + span)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert draw_nodes(rng, 65, lo, lo + span) == power_draw_nodes(oracle_rng, 65, lo, lo + span)
+
+    @pytest.mark.parametrize("lo, hi", [(Fraction(2), Fraction(2)), (Fraction(3), Fraction(1))])
+    def test_empty_node_range_refused(self, lo, hi):
+        # lo == hi used to loop forever once two distinct nodes were asked for
+        with pytest.raises(UserInputError):
+            draw_nodes(Random(0), 2, lo, hi)
 
 
 class TestFiberCommands:

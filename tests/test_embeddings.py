@@ -20,7 +20,7 @@ from tnngrass import (
     sample_top_cell,
     veronese,
 )
-from helpers import random_invertible, random_matrix, vandermonde_setup
+from helpers import identity, random_invertible, random_matrix, vandermonde_setup
 
 nonzero_vector_st = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=6
@@ -108,7 +108,7 @@ class TestVeronese:
 
 class TestEmbedPoint:
     def test_square_identity_case(self):
-        setup = build_setup(2, 0, RationalMatrix.identity(2))
+        setup = build_setup(2, 0, identity(2))
         out = embed_point(setup, RationalMatrix([[1, 0], [0, 1]]))
         assert out.entries == RationalMatrix([[1]])
 

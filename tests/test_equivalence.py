@@ -30,6 +30,7 @@ from tnngrass import (
 )
 from helpers import (
     four_product_transport,
+    identity,
     random_corank_one_setup,
     random_invertible,
     scaled_vandermonde_point,
@@ -42,7 +43,7 @@ class TestConstructEquivalence:
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
         cert = construct_equivalence(setup, setup)
         assert cert.d_diag == (1, 1, 1, 1)
-        assert cert.c == RationalMatrix.identity(3)
+        assert cert.c == identity(3)
         assert cert.det_c == 1
 
     def test_scaled_setup(self):
@@ -50,7 +51,7 @@ class TestConstructEquivalence:
         doubled = build_setup(1, 2, setup.Z.scale(2))
         cert = construct_equivalence(setup, doubled)
         assert cert.d_diag == (1, 1, 1, 1)
-        assert cert.c == RationalMatrix.identity(3).scale(2)
+        assert cert.c == identity(3).scale(2)
         assert cert.det_c == 8
 
     def test_vandermonde_to_cyclic(self):
@@ -106,13 +107,13 @@ class TestConstructEquivalence:
 
 class TestProjectiveMap:
     def test_identity(self):
-        pm = ProjectiveMap(RationalMatrix.identity(3))
+        pm = ProjectiveMap(identity(3))
         p = RationalMatrix([[1, 2, 3]])
         assert apply_projective_map(pm, p) == p
 
     def test_scalar_action_scales_pluecker_by_power(self):
         c = Fraction(3)
-        pm = ProjectiveMap(RationalMatrix.identity(3).scale(c))
+        pm = ProjectiveMap(identity(3).scale(c))
         p = RationalMatrix([[1, 2, 3], [0, 1, 1]])
         image = apply_projective_map(pm, p)
         assert pluecker(image).coords == tuple(
@@ -133,7 +134,7 @@ class TestProjectiveMap:
             ProjectiveMap(RationalMatrix([[1, 2], [2, 4]]))
 
     def test_rank_deficient_point_rejected(self):
-        pm = ProjectiveMap(RationalMatrix.identity(3))
+        pm = ProjectiveMap(identity(3))
         with pytest.raises(RankError):
             apply_projective_map(pm, RationalMatrix([[1, 2, 3], [2, 4, 6]]))
 
@@ -303,7 +304,7 @@ class TestTransportTable:
     def _exact_certificate(z: RationalMatrix, d: list[Fraction]) -> EquivalenceCertificate:
         # Z' := C Z D with C = I, so the square commutes for any d and the
         # verdict is the total nonnegativity of V D alone
-        c = RationalMatrix.identity(z.rows)
+        c = identity(z.rows)
         return EquivalenceCertificate(
             z=z, z_prime=c @ z.scale_columns(d), d_diag=tuple(d), c=c, det_c=Fraction(1)
         )

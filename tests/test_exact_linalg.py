@@ -33,6 +33,7 @@ from helpers import (
     det2,
     fraction_matmul,
     fraction_rref,
+    identity,
     random_invertible,
     random_matrix,
     rref_inverse,
@@ -40,6 +41,7 @@ from helpers import (
     rref_left_factor,
     subset_minor_table,
     vandermonde_det,
+    zeros,
 )
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -116,7 +118,7 @@ def square_matrix_st(max_size=4):
 
 class TestDet:
     def test_identity(self):
-        assert det(RationalMatrix.identity(3)) == 1
+        assert det(identity(3)) == 1
 
     def test_diagonal(self):
         assert det(RationalMatrix.diagonal([2, 3])) == 6
@@ -220,6 +222,15 @@ class TestAllMaximalMinors:
     def test_rank_deficient_table_is_zero(self):
         m = RationalMatrix([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]])
         assert set(all_maximal_minors(m).values()) == {Fraction(0)}
+        rng = Random(76)
+        for k, n in ((1, 3), (2, 5), (3, 6), (3, 8)):
+            rows = [list(row) for row in random_matrix(rng, k, n).row_tuples()]
+            # the last row is 2 r_0 - r_1, 2 r_0 or, for k = 1, zero
+            coeffs = (2, -1)[: k - 1]
+            rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+            table = all_maximal_minors(RationalMatrix(rows))
+            assert set(table.ints) == {0}
+            assert table == subset_minor_table(RationalMatrix(rows))
 
     def test_wide_vandermonde_against_product_oracle(self):
         nodes = [Fraction(i, 3) for i in range(1, 16)]
@@ -228,15 +239,21 @@ class TestAllMaximalMinors:
             assert value == vandermonde_det([nodes[j - 1] for j in subset.members])
 
     def test_echelon_plan_follows_the_pivot_columns(self):
-        # Same shape, k >= 4, pivots (0, 1, 2, 3) against (1, 2, 3, 4): a plan
-        # keyed on (n, k) alone would read the second table with the first
-        # one's rows, columns and signs.
+        # Same shape, pivots (0, 1, ..., k-1) against a zero column first, in
+        # the middle or last: a ladder plan keyed on (n, k) alone would read
+        # the later tables with the first one's steps, positions and signs.
+        # 5 x 7 runs the ladder on the transposed block.
         rng = Random(77)
-        generic = random_matrix(rng, 4, 8, max_den=3)
-        rows = [[Fraction(0)] + list(row[1:]) for row in random_matrix(rng, 4, 8).row_tuples()]
-        zero_first = RationalMatrix(rows)
-        for m in (generic, zero_first, generic, zero_first):
-            assert list(all_maximal_minors(m).items()) == list(subset_minor_table(m).items())
+        for k, n in ((1, 4), (2, 6), (3, 7), (4, 8), (5, 7)):
+            generic = random_matrix(rng, k, n, max_den=3)
+            tables = [generic]
+            for zero in (0, k // 2, n - 1):
+                rows = [list(row) for row in random_matrix(rng, k, n).row_tuples()]
+                for row in rows:
+                    row[zero] = Fraction(0)
+                tables.append(RationalMatrix(rows))
+            for m in tables + tables:
+                assert list(all_maximal_minors(m).items()) == list(subset_minor_table(m).items())
 
     def test_table_is_an_immutable_mapping_over_a_positive_scale(self):
         m = random_matrix(Random(78), 5, 7, max_den=5)
@@ -296,10 +313,10 @@ class TestAllMaximalMinors:
 
 class TestRank:
     def test_zero(self):
-        assert rank(RationalMatrix.zeros(2, 3)) == 0
+        assert rank(zeros(2, 3)) == 0
 
     def test_identity(self):
-        assert rank(RationalMatrix.identity(3)) == 3
+        assert rank(identity(3)) == 3
 
     def test_dependent_rows(self):
         assert rank(RationalMatrix([[1, 2], [2, 4]])) == 1
@@ -313,7 +330,7 @@ class TestRank:
 
 class TestKernelBasis:
     def test_injective(self):
-        assert kernel_basis(RationalMatrix.identity(3)) == []
+        assert kernel_basis(identity(3)) == []
 
     def test_forced_up_to_scale(self):
         assert kernel_basis(RationalMatrix([[1, 1]])) == [(Fraction(1), Fraction(-1))]
@@ -343,11 +360,11 @@ class TestSolveForLeftFactor:
         w = random_matrix(Random(1), 2, 4)
         while rank(w) < 2:
             w = random_matrix(Random(2), 2, 4)
-        assert solve_for_left_factor(w, w) == RationalMatrix.identity(2)
+        assert solve_for_left_factor(w, w) == identity(2)
 
     def test_scaling_factor(self):
         w = RationalMatrix([[1, 0, 1], [0, 1, 1]])
-        assert solve_for_left_factor(w.scale(2), w) == RationalMatrix.identity(2).scale(2)
+        assert solve_for_left_factor(w.scale(2), w) == identity(2).scale(2)
 
     def test_multiply_then_solve_round_trip(self):
         w = RationalMatrix([[1, 0, 1], [0, 1, 1]])
@@ -435,7 +452,7 @@ class TestCauchyBinet:
     @given(st.integers(0, 10_000))
     def test_identity_holds(self, seed):
         rng = Random(seed)
-        # k >= 4 takes the one-elimination table, k <= 3 the closed forms
+        # every k takes the same ladder; n - k up to 4 reaches ladder level 4
         k = rng.randint(1, 6)
         n = rng.randint(k, k + 4)
         a = random_matrix(rng, k, n, lo=-5, hi=5, max_den=3)
@@ -456,7 +473,7 @@ class TestInvert:
         n = rng.randint(1, 4)
         m = random_invertible(rng, n)
         inv = invert(m)
-        assert m @ inv == RationalMatrix.identity(n)
+        assert m @ inv == identity(n)
         # adjugate oracle: inverse entry (i, j) = cofactor(j, i) / det
         d = det(m)
         rows = [list(m.row(i)) for i in range(n)]

@@ -25,10 +25,8 @@ from tnngrass import (
     convexity_certificate,
     fiber_displacement,
     in_closed_cell,
-    make_fiber_pair,
     matroid_of,
     minor,
-    minor_affine_coeffs,
     outer_product,
     rank,
     sample_fiber_partner,
@@ -40,11 +38,16 @@ from tnngrass.exact_linalg import MinorTable, _colex
 from helpers import (
     fraction_certificate,
     fraction_fiber_partner,
+    identity,
+    make_fiber_pair,
+    minor_affine_coeffs,
     random_corank_one_setup,
     random_fraction,
     random_positive_det,
     scaled_vandermonde_point,
+    stack_below,
     vandermonde_setup,
+    zeros,
 )
 
 
@@ -86,7 +89,7 @@ class TestFiberDisplacement:
             fiber_displacement(setup, u, v)
 
     def test_unsupported_corank(self):
-        setup = build_setup(1, 1, RationalMatrix.identity(2))
+        setup = build_setup(1, 1, identity(2))
         with pytest.raises(UnsupportedParameterError):
             fiber_displacement(setup, RationalMatrix([[1, 0]]), RationalMatrix([[1, 0]]))
 
@@ -307,7 +310,7 @@ class TestSectionWitness:
         k_rep = sample_top_cell(2, 4, [1, 2, 3, 4]).matrix
         w = k_rep @ setup.Z.transpose()
         witness = section_witness(setup, k_rep, w)
-        assert witness.c == RationalMatrix.identity(2)
+        assert witness.c == identity(2)
         assert witness.result == k_rep
         assert witness.det_c == 1
 
@@ -341,7 +344,7 @@ class TestSectionWitness:
         k_rep = scaled_vandermonde_point(rng, 2, 5).matrix
         w = k_rep @ setup.Z.transpose()
         witness = section_witness(setup, k_rep, w)
-        stacked = witness.result.stack_below(k_rep)
+        stacked = stack_below(witness.result, k_rep)
         assert rank(stacked) == 2
 
     def test_round_trip_psi_phi_exact(self):
@@ -365,7 +368,7 @@ class TestSectionWitness:
         setup = vandermonde_setup(2, 1, [Fraction(i) for i in (1, 2, 3, 4)])
         k_rep = sample_top_cell(2, 4, [1, 2, 3, 4]).matrix
         with pytest.raises(RankError):
-            section_witness(setup, k_rep, RationalMatrix.zeros(2, 3))
+            section_witness(setup, k_rep, zeros(2, 3))
 
     def test_degenerate_target_off_span(self):
         # rank 1 and outside span(K Z^T): the rank failure is reported
@@ -373,7 +376,7 @@ class TestSectionWitness:
         k_rep = sample_top_cell(2, 4, [1, 2, 3, 4]).matrix
         w = RationalMatrix([[1, 0, 0], [2, 0, 0]])
         assert rank(w) == 1
-        assert rank((k_rep @ setup.Z.transpose()).stack_below(w)) == 3
+        assert rank(stack_below(k_rep @ setup.Z.transpose(), w)) == 3
         with pytest.raises(RankError):
             section_witness(setup, k_rep, w)
 

@@ -25,12 +25,12 @@ from tnngrass import (
     zero_columns,
 )
 from tnngrass.tnn_grassmannian import capped_comb
-from helpers import draw_nodes, random_positive_det, vandermonde_det
+from helpers import draw_nodes, identity, random_positive_det, vandermonde_det
 
 
 class TestCheckTnn:
     def test_identity(self):
-        assert check_tnn(RationalMatrix.identity(2)).is_tnn
+        assert check_tnn(identity(2)).is_tnn
 
     def test_single_negative_determinant(self):
         report = check_tnn(RationalMatrix([[1, 0], [0, -1]]))
@@ -75,7 +75,7 @@ class TestCheckTotallyPositive:
 
 class TestMatroidOf:
     def test_identity_has_no_nonbases(self):
-        point = TNNPoint.from_matrix(RationalMatrix.identity(2))
+        point = TNNPoint.from_matrix(identity(2))
         assert matroid_of(point).nonbases == frozenset()
 
     def test_vandermonde_has_no_nonbases(self):
