@@ -9,18 +9,14 @@ with exact arithmetic, never floating point.
 from .amplituhedron_map import (
     AmplituhedronSetup,
     MappedPoint,
-    WellDefinednessReport,
     build_setup,
     build_z0,
-    check_well_defined_on_samples,
     hat_map,
     signs_alternate,
 )
 from .embeddings import PlueckerVector, VeroneseMatrix, embed_point, pluecker, veronese
 from .equivalence import (
     EquivalenceCertificate,
-    ProjectiveMap,
-    apply_projective_map,
     construct_equivalence,
     cyclic_polytope_vertices,
     equivalence_transport_check,
@@ -70,7 +66,6 @@ from .tnn_grassmannian import (
     TNNPoint,
     TNNWitnessReport,
     check_tnn,
-    check_totally_positive,
     in_closed_cell,
     matroid_of,
     sample_top_cell,

@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .exact_linalg import (
+    MAX_SUBSETS,
     IndexSubset,
     RationalMatrix,
     RowVector,
@@ -38,16 +39,13 @@ from .exact_linalg import (
     rank,
     rational_to_string,
 )
-from .tnn_grassmannian import TNNPoint, TNNWitnessReport, _scan_minors
 
 __all__ = [
     "AmplituhedronSetup",
     "MappedPoint",
-    "WellDefinednessReport",
     "signs_alternate",
     "build_setup",
     "hat_map",
-    "check_well_defined_on_samples",
     "build_z0",
 ]
 
@@ -77,7 +75,6 @@ class AmplituhedronSetup:
     n: int
     Z: RationalMatrix
     kernel_gen: RowVector | None
-    positivity: TNNWitnessReport
     all_minors_positive: bool
     kernel_alternating: bool | None
 
@@ -95,7 +92,7 @@ class AmplituhedronSetup:
 
 
 def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
-    """Validate Z and cache its positivity report and kernel generator.
+    """Validate Z and cache its positivity flag and kernel generator.
 
     Raises RankError when Z does not have full row rank k+m.
     """
@@ -107,8 +104,7 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
     if n < k + m:
         raise DimensionError(f"Z must have at least {k + m} columns, got {n}")
     minors = all_maximal_minors(Z)
-    positivity = _scan_minors(minors)
-    if not positivity.rank_ok:
+    if not any(minors.ints):
         raise RankError(f"Z has rank below {k + m}")
     all_positive = min(minors.ints) > 0
 
@@ -139,7 +135,6 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
         n=n,
         Z=Z,
         kernel_gen=kernel_gen,
-        positivity=positivity,
         all_minors_positive=all_positive,
         kernel_alternating=alternating,
     )
@@ -161,9 +156,8 @@ class MappedPoint:
         }
 
 
-def hat_map(setup: AmplituhedronSetup, v: RationalMatrix | TNNPoint) -> MappedPoint:
+def hat_map(setup: AmplituhedronSetup, matrix: RationalMatrix) -> MappedPoint:
     """The linear map V -> V Z^T on representatives."""
-    matrix = v.matrix if isinstance(v, TNNPoint) else v
     if matrix.cols != setup.n:
         raise DimensionError(f"representative must have {setup.n} columns, got {matrix.cols}")
     if matrix.rows != setup.k:
@@ -173,43 +167,6 @@ def hat_map(setup: AmplituhedronSetup, v: RationalMatrix | TNNPoint) -> MappedPo
         image=image,
         source_rank=rank(matrix),
         image_rank=rank(image),
-    )
-
-
-@dataclass(frozen=True)
-class WellDefinednessReport:
-    """Sample-based falsification result for the induced map on spans."""
-
-    ok: bool
-    worst_rank: int | None = None
-    witness: TNNPoint | None = None
-
-
-def check_well_defined_on_samples(
-    setup: AmplituhedronSetup, samples: Sequence[TNNPoint]
-) -> WellDefinednessReport:
-    """Check image rank = k on every sample; a falsifier, not a decision.
-
-    For a Z with all maximal minors positive the map is known to be well
-    defined, so any failure there is raised as an internal inconsistency
-    instead of being reported.
-    """
-    worst_rank: int | None = None
-    witness: TNNPoint | None = None
-    for point in samples:
-        mapped = hat_map(setup, point)
-        if worst_rank is None or mapped.image_rank < worst_rank:
-            worst_rank = mapped.image_rank
-            witness = point
-    ok = worst_rank is None or worst_rank == setup.k
-    if not ok and setup.all_minors_positive:
-        raise InternalConsistencyError(
-            f"positive-minor setup dropped image rank to {worst_rank} on a TNN sample"
-        )
-    return WellDefinednessReport(
-        ok=ok,
-        worst_rank=worst_rank,
-        witness=None if ok else witness,
     )
 
 
@@ -267,6 +224,11 @@ def build_z0(k: int, m: int, precision_digits: int = 12) -> AmplituhedronSetup:
             f"precision_digits must be between 8 and {_PRECISION_CEILING}, got {precision_digits}"
         )
     n = k + m + 1
+    # the (k+m) x n matrix outnumbers its n minors; refuse it before any entry is built
+    if (k + m) * n > MAX_SUBSETS:
+        raise UnsupportedParameterError(
+            f"a {k + m}x{n} matrix would exceed the limit of {MAX_SUBSETS} entries"
+        )
     digits = precision_digits
     while digits <= _PRECISION_CEILING:
         rows = _trig_rows(k, m, n, digits)

@@ -37,6 +37,7 @@ from .exact_linalg import (
     as_int,
     as_list,
     as_rational,
+    capped_comb,
     det,
     rational_to_string,
 )
@@ -44,7 +45,6 @@ from .fiber import convexity_certificate, sample_fiber_partner, segment_in_cell
 from .tnn_grassmannian import (
     PositroidCellSpec,
     TNNPoint,
-    capped_comb,
     check_tnn,
     in_closed_cell,
     matroid_of,
@@ -291,7 +291,8 @@ def cmd_cell_member(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    nodes = args.nodes or [Fraction(i) for i in range(1, args.n + 1)]
+    # a range, so an oversized request is refused before any node is built
+    nodes = args.nodes or range(1, args.n + 1)
     point = sample_top_cell(args.k, args.n, nodes)
     report = Report(
         command="sample",

@@ -21,9 +21,7 @@ from .exact_linalg import (
     all_maximal_minors,
     as_rational,
     rank,
-    rational_to_string,
 )
-from .tnn_grassmannian import TNNPoint
 
 __all__ = [
     "PlueckerVector",
@@ -44,9 +42,6 @@ class PlueckerVector:
     def __post_init__(self) -> None:
         if len(self.coords) != self.d:
             raise DomainError(f"expected {self.d} coordinates, got {len(self.coords)}")
-
-    def to_json_list(self) -> list[str]:
-        return [rational_to_string(x) for x in self.coords]
 
 
 def pluecker(matrix: RationalMatrix) -> PlueckerVector:
@@ -98,14 +93,14 @@ def veronese(x: Sequence[int | str | Fraction]) -> VeroneseMatrix:
     return VeroneseMatrix(entries=entries)
 
 
-def embed_point(setup: AmplituhedronSetup, point: TNNPoint | RationalMatrix) -> VeroneseMatrix:
+def embed_point(setup: AmplituhedronSetup, matrix: RationalMatrix) -> VeroneseMatrix:
     """Projection-matrix embedding of the image of a representative.
 
     Independent of the representative: left multiplication by an
     invertible G rescales every minor coordinate by det(G), which the
     projection formula cancels.
     """
-    mapped = hat_map(setup, point)
+    mapped = hat_map(setup, matrix)
     if mapped.image_rank < setup.k:
         raise WellDefinednessError(
             f"image rank dropped to {mapped.image_rank}; the span is not a valid point"

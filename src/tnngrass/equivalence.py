@@ -34,19 +34,16 @@ from .errors import (
 from .exact_linalg import (
     RationalMatrix,
     RowVector,
+    all_maximal_minors,
     det,
-    rank,
     rational_to_string,
     solve_for_left_factor,
-    subsets_colex,
 )
 from .tnn_grassmannian import TNNPoint, _scan_minors
 
 __all__ = [
     "EquivalenceCertificate",
-    "ProjectiveMap",
     "construct_equivalence",
-    "apply_projective_map",
     "equivalence_transport_check",
     "cyclic_polytope_vertices",
 ]
@@ -132,30 +129,6 @@ def construct_equivalence(
     return cert
 
 
-@dataclass(frozen=True)
-class ProjectiveMap:
-    """An invertible ambient matrix acting on image representatives."""
-
-    matrix: RationalMatrix
-
-    def __post_init__(self) -> None:
-        if not self.matrix.is_square:
-            raise DimensionError("projective map needs a square matrix")
-        if det(self.matrix) == 0:
-            raise RankError("projective map must be invertible")
-
-
-def apply_projective_map(pm: ProjectiveMap, p: RationalMatrix) -> RationalMatrix:
-    """Right action P -> P M^T on full-rank image representatives."""
-    if p.cols != pm.matrix.rows:
-        raise DimensionError(
-            f"representative has {p.cols} columns, map acts on {pm.matrix.rows}"
-        )
-    if rank(p) < p.rows:
-        raise RankError("representative must have full row rank")
-    return p @ pm.matrix.transpose()
-
-
 def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -> bool:
     """Exact commutativity of the transport square on one representative.
 
@@ -187,7 +160,9 @@ def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:
     column by its first entry, every (m+1)-subset of points in column
     order must have a strictly positive orientation determinant, up to a
     single global orientation flip.  Columns with vanishing first entry
-    cannot be charted and are rejected.
+    cannot be charted and are rejected.  The determinants are the maximal
+    minors of the (m+1) x n matrix of charted columns, read as integers
+    over the table's positive scale, so each has the sign of its integer.
     """
     if setup.k != 1:
         raise UnsupportedParameterError(f"vertex extraction needs k = 1, got k={setup.k}")
@@ -203,15 +178,13 @@ def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:
             if col[0] == 0:
                 raise ChartError(f"column {j + 1} has first coordinate 0; cannot normalize")
         charted = [tuple(x / col[0] for x in col) for col in columns]
-        signs: set[int] = set()
-        for subset in subsets_colex(n, m + 1):
-            orientation = det(RationalMatrix([charted[j - 1] for j in subset]))
-            if orientation == 0:
+        orientations = all_maximal_minors(RationalMatrix(zip(*charted)))
+        for subset, value in zip(orientations.subsets, orientations.ints):  # colex order
+            if value == 0:
                 raise InternalConsistencyError(
                     f"charted columns {list(subset.members)} are affinely dependent"
                 )
-            signs.add(1 if orientation > 0 else -1)
-        if len(signs) > 1:
+        if len({value > 0 for value in orientations.ints}) > 1:
             raise InternalConsistencyError(
                 "orientation determinants changed sign; vertices are not in convex position"
             )

@@ -91,7 +91,6 @@ def fiber_displacement(
 class FiberPair:
     """Two same-fiber representatives with their displacement vector."""
 
-    setup: AmplituhedronSetup
     u: RationalMatrix
     v: RationalMatrix
     x: RowVector
@@ -302,4 +301,4 @@ def sample_fiber_partner(
     if stats is not None:
         stats["lambda_halvings"] = stats.get("lambda_halvings", 0) + halvings
     x = tuple(lam * entry for entry in d)
-    return FiberPair(setup=setup, u=u, v=u.add_outer(x, a), x=x)
+    return FiberPair(u=u, v=u.add_outer(x, a), x=x)

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DegeneracyError, DimensionError, DomainError
+from .errors import DegeneracyError, DimensionError, DomainError, UnsupportedParameterError
 from .exact_linalg import (
+    MAX_SUBSETS,
     IndexSubset,
     MinorTable,
     RationalMatrix,
@@ -29,9 +30,7 @@ __all__ = [
     "TNNWitnessReport",
     "TNNPoint",
     "PositroidCellSpec",
-    "capped_comb",
     "check_tnn",
-    "check_totally_positive",
     "matroid_of",
     "in_closed_cell",
     "sample_top_cell",
@@ -82,11 +81,6 @@ def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
     single minor sweep decides everything.
     """
     return _scan_minors(all_maximal_minors(matrix))
-
-
-def check_totally_positive(matrix: RationalMatrix) -> bool:
-    """True iff every maximal minor is strictly positive."""
-    return min(all_maximal_minors(matrix).ints) > 0
 
 
 @dataclass(frozen=True)
@@ -199,6 +193,11 @@ def sample_top_cell(
     """
     if k < 1 or n < k:
         raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
+    # refused before any node or entry is built, so nodes may be a lazy range
+    if k * n > MAX_SUBSETS or capped_comb(n, k, MAX_SUBSETS) > MAX_SUBSETS:
+        raise UnsupportedParameterError(
+            f"a {k}x{n} matrix or its C({n}, {k}) minors would exceed the limit of {MAX_SUBSETS}"
+        )
     vals = [as_rational(x) for x in nodes]
     if len(vals) != n:
         raise DimensionError(f"expected {n} nodes, got {len(vals)}")

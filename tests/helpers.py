@@ -281,7 +281,7 @@ def make_fiber_pair(
     setup: AmplituhedronSetup, u: RationalMatrix, v: RationalMatrix
 ) -> FiberPair:
     """Validate a pair and record its displacement."""
-    return FiberPair(setup=setup, u=u, v=v, x=fiber_displacement(setup, u, v))
+    return FiberPair(u=u, v=v, x=fiber_displacement(setup, u, v))
 
 
 def minor_affine_coeffs(

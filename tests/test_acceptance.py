@@ -231,7 +231,7 @@ def test_criterion_09_boundary_cases():
     setup_m0 = vandermonde_setup(2, 0, draw_nodes(rng, 4))
     for _ in range(50):
         point = scaled_vandermonde_point(rng, 2, 4)
-        mapped = hat_map(setup_m0, point)
+        mapped = hat_map(setup_m0, point.matrix)
         assert mapped.image_rank == 2
         vec = pluecker(mapped.image)
         assert vec.d == 1 and vec.coords[0] != 0

@@ -11,11 +11,10 @@ from tnngrass import (
     InternalConsistencyError,
     RankError,
     RationalMatrix,
-    TNNPoint,
     UnsupportedParameterError,
     build_setup,
     build_z0,
-    check_well_defined_on_samples,
+    check_tnn,
     hat_map,
     minor,
     outer_product,
@@ -54,7 +53,7 @@ class TestBuildSetup:
     def test_vandermonde_positive_and_alternating(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
         assert setup.all_minors_positive
-        assert setup.positivity.is_tnn
+        assert check_tnn(setup.Z).is_tnn
         assert signs_alternate(setup.kernel_gen)
 
     def test_repeated_columns_give_zero_kernel_entry(self):
@@ -133,34 +132,29 @@ class TestHatMap:
 
 
 class TestWellDefinedness:
-    def test_identity_z(self):
-        setup = build_setup(2, 0, identity(2))
-        samples = [TNNPoint.from_matrix(identity(2))]
-        assert check_well_defined_on_samples(setup, samples).ok
+    """The map on spans is defined where the image keeps rank k."""
 
     def test_positive_z_never_fails(self):
         rng = Random(43)
         setup = vandermonde_setup(2, 2, draw_nodes(rng, 5))
-        samples = [scaled_vandermonde_point(rng, 2, 5) for _ in range(100)]
-        report = check_well_defined_on_samples(setup, samples)
-        assert report.ok and report.witness is None
+        for _ in range(100):
+            point = scaled_vandermonde_point(rng, 2, 5)
+            assert hat_map(setup, point.matrix).image_rank == 2
 
     def test_adversarial_z_found_by_brute_force(self):
         # columns (1,0), (0,1), (-1,-1): the all-ones TNN row maps to zero
         z = RationalMatrix([[1, 0, -1], [0, 1, -1]])
         setup = build_setup(1, 1, z)
         assert not setup.all_minors_positive
-        samples = [
-            TNNPoint.from_matrix(RationalMatrix([[a, b, c]]))
+        ranks = {
+            (a, b, c): hat_map(setup, RationalMatrix([[a, b, c]])).image_rank
             for a in range(3)
             for b in range(3)
             for c in range(3)
             if (a, b, c) != (0, 0, 0)
-        ]
-        report = check_well_defined_on_samples(setup, samples)
-        assert not report.ok
-        assert report.worst_rank == 0
-        assert report.witness.matrix == RationalMatrix([[1, 1, 1]])
+        }
+        assert min(ranks.values()) == 0
+        assert [row for row, r in ranks.items() if r == 0] == [(1, 1, 1), (2, 2, 2)]
 
 
 class TestBuildZ0:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -31,17 +32,19 @@ from tnngrass.cli import (
 from helpers import identity, power_draw_nodes, power_top_cell_point, vandermonde_setup
 
 
-def run_python(*args):
+def run_python(*args, **run_kwargs):
     """A child Python process that imports this same package."""
     package_root = str(Path(tnngrass.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **run_kwargs
+    )
 
 
-def run_cli(*args):
+def run_cli(*args, **run_kwargs):
     """``python -m tnngrass.cli`` in a child process that imports this same package."""
-    return run_python("-m", "tnngrass.cli", *args)
+    return run_python("-m", "tnngrass.cli", *args, **run_kwargs)
 
 
 def write(path, payload):
@@ -81,18 +84,34 @@ class TestCheckTnn:
         assert main(["check-tnn", "/nonexistent.json"]) == EXIT_USAGE
 
 
-class TestTableSizeLimit:
-    """A few KB of input asking for C(40, 20) or C(41, 20) minors is refused up front."""
+def _cap_address_space():
+    # runs in the child only: an oversized allocation there fails fast
+    # with MemoryError instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    @pytest.mark.parametrize("command", ["check-tnn", "fiber-campaign"])
+
+class TestTableSizeLimit:
+    """A few KB of input asking for C(40, 20) or C(41, 20) minors, or a few
+    bytes asking for a matrix of more entries than that limit, is refused
+    before the matrix is built."""
+
+    REQUESTS = {
+        "fiber-campaign": ["fiber-campaign", "--k", "20", "--m", "20", "--trials", "1"],
+        # 10^8 default nodes; a 3000 x 3001 Vandermonde matrix with only 3001 minors
+        "sample-n": ["sample", "--k", "1", "--n", "100000000"],
+        "sample-k": ["sample", "--k", "3000", "--n", "3001"],
+        "z0": ["z0", "--k", "100000001", "--m", "0"],
+    }
+
+    @pytest.mark.parametrize("command", ["check-tnn", *REQUESTS])
     def test_refused_quickly_without_traceback(self, tmp_path, command):
         if command == "check-tnn":
             rows = [[int(i == j) for j in range(40)] for i in range(20)]
             args = [command, write(tmp_path / "wide.json", RationalMatrix(rows).to_json_dict())]
         else:
-            args = [command, "--k", "20", "--m", "20", "--trials", "1"]
+            args = self.REQUESTS[command]
         start = time.perf_counter()
-        out = run_cli(*args)
+        out = run_cli(*args, preexec_fn=_cap_address_space, timeout=60)
         assert time.perf_counter() - start < 20.0
         assert out.returncode == EXIT_USAGE
         assert "error:" in out.stderr and "exceed" in out.stderr

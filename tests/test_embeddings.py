@@ -116,7 +116,7 @@ class TestEmbedPoint:
         rng = Random(113)
         setup = vandermonde_setup(2, 1, [Fraction(i) for i in (1, 2, 3, 4)])
         v = sample_top_cell(2, 4, [1, 2, 3, 4])
-        base = embed_point(setup, v)
+        base = embed_point(setup, v.matrix)
         for _ in range(10):
             g = random_invertible(rng, 2)
             assert embed_point(setup, g @ v.matrix).entries == base.entries

@@ -3,20 +3,19 @@
 import dataclasses
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
+import tnngrass.equivalence as equivalence_mod
 from tnngrass import (
     DimensionError,
     DomainError,
     InternalConsistencyError,
-    ProjectiveMap,
-    RankError,
     RationalMatrix,
     TNNPoint,
     UnsupportedParameterError,
     EquivalenceCertificate,
-    apply_projective_map,
     build_setup,
     build_z0,
     check_tnn,
@@ -25,14 +24,13 @@ from tnngrass import (
     det,
     equivalence_transport_check,
     hat_map,
-    invert,
     pluecker,
 )
 from helpers import (
     four_product_transport,
+    fraction_det,
     identity,
     random_corank_one_setup,
-    random_invertible,
     scaled_vandermonde_point,
     vandermonde_setup,
 )
@@ -106,37 +104,13 @@ class TestConstructEquivalence:
 
 
 class TestProjectiveMap:
-    def test_identity(self):
-        pm = ProjectiveMap(identity(3))
-        p = RationalMatrix([[1, 2, 3]])
-        assert apply_projective_map(pm, p) == p
-
     def test_scalar_action_scales_pluecker_by_power(self):
         c = Fraction(3)
-        pm = ProjectiveMap(identity(3).scale(c))
         p = RationalMatrix([[1, 2, 3], [0, 1, 1]])
-        image = apply_projective_map(pm, p)
+        image = p @ identity(3).scale(c).transpose()
         assert pluecker(image).coords == tuple(
             c ** 2 * x for x in pluecker(p).coords
         )
-
-    def test_inverse_round_trip(self):
-        rng = Random(137)
-        for _ in range(10):
-            m = random_invertible(rng, 3)
-            pm = ProjectiveMap(m)
-            pm_inv = ProjectiveMap(invert(m))
-            p = RationalMatrix([[1, 2, 3], [0, 1, 1]])
-            assert apply_projective_map(pm_inv, apply_projective_map(pm, p)) == p
-
-    def test_singular_rejected(self):
-        with pytest.raises(RankError):
-            ProjectiveMap(RationalMatrix([[1, 2], [2, 4]]))
-
-    def test_rank_deficient_point_rejected(self):
-        pm = ProjectiveMap(identity(3))
-        with pytest.raises(RankError):
-            apply_projective_map(pm, RationalMatrix([[1, 2, 3], [2, 4, 6]]))
 
 
 class TestTransportCheck:
@@ -175,12 +149,11 @@ class TestTransportCheck:
         a_setup = random_corank_one_setup(rng, 2, 2)
         b_setup = random_corank_one_setup(rng, 2, 2)
         cert = construct_equivalence(a_setup, b_setup)
-        pm = ProjectiveMap(cert.c)
         for _ in range(10):
             point = scaled_vandermonde_point(rng, 2, 5)
-            direct = hat_map(b_setup, point).image
-            transported = apply_projective_map(
-                pm, hat_map(a_setup, point.matrix @ cert.d_matrix).image
+            direct = hat_map(b_setup, point.matrix).image
+            transported = (
+                hat_map(a_setup, point.matrix @ cert.d_matrix).image @ cert.c.transpose()
             )
             assert direct == transported
             assert pluecker(direct).coords == pluecker(transported).coords
@@ -418,6 +391,62 @@ class TestCyclicPolytopeVertices:
         setup = build_setup(1, 1, RationalMatrix([[1, 1, 0], [0, 0, 1]]))
         with pytest.raises(DomainError):
             cyclic_polytope_vertices(setup)
+
+
+class TestVertexTable:
+    """The orientation determinants are one minor table of the charted columns."""
+
+    @staticmethod
+    def _tamper(monkeypatch, changes):
+        """Make the table's integer at each position p read changes[p](integer)."""
+        real = equivalence_mod.all_maximal_minors
+
+        def tampered(m):
+            table = real(m)
+            ints = [changes.get(p, lambda v: v)(v) for p, v in enumerate(table.ints)]
+            return SimpleNamespace(subsets=table.subsets, ints=tuple(ints), scale=table.scale)
+
+        monkeypatch.setattr(equivalence_mod, "all_maximal_minors", tampered)
+
+    def test_zero_orientation_names_the_first_zero_subset(self, monkeypatch):
+        setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4, 5)])
+        # colex 3-subsets of {1..5}: [1,2,3], [1,2,4], [1,3,4], [2,3,4], [1,2,5], ...
+        self._tamper(monkeypatch, {2: lambda v: 0, 4: lambda v: 0})
+        with pytest.raises(InternalConsistencyError, match=r"columns \[1, 3, 4\] are affinely dependent"):
+            cyclic_polytope_vertices(setup)
+
+    def test_flipped_orientation_is_a_sign_change(self, monkeypatch):
+        setup = vandermonde_setup(1, 1, [Fraction(i) for i in (1, 2, 3, 4)])
+        self._tamper(monkeypatch, {3: lambda v: -v})
+        with pytest.raises(InternalConsistencyError, match="changed sign"):
+            cyclic_polytope_vertices(setup)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_signs_match_the_determinant_oracle(self, monkeypatch, m):
+        rng = Random(211 + m)
+        tables = []
+        real = equivalence_mod.all_maximal_minors
+
+        def spy(matrix):
+            tables.append(real(matrix))
+            return tables[-1]
+
+        monkeypatch.setattr(equivalence_mod, "all_maximal_minors", spy)
+        for n in range(m + 1, 9):
+            for flip in (False, True):
+                rows = [list(row) for row in scaled_vandermonde_point(rng, m + 1, n).matrix.row_tuples()]
+                if flip:
+                    # det diag(-1, -1, 1, ...) = 1 keeps every minor positive and
+                    # makes every first coordinate negative
+                    rows[:2] = [[-x for x in row] for row in rows[:2]]
+                setup = build_setup(1, m, RationalMatrix(rows))
+                vertices = cyclic_polytope_vertices(setup)
+                charted = [[x / v[0] for x in v] for v in vertices]
+                table = tables[-1]
+                assert len(table.ints) == len(table.subsets) > 0
+                for subset, value in zip(table.subsets, table.ints):
+                    oracle = fraction_det([charted[j - 1] for j in subset])
+                    assert (value > 0) - (value < 0) == (oracle > 0) - (oracle < 0) != 0
 
 
 class TestCertificateShape:

@@ -18,13 +18,12 @@ from tnngrass import (
     TNNPoint,
     all_maximal_minors,
     check_tnn,
-    check_totally_positive,
     in_closed_cell,
     matroid_of,
     sample_top_cell,
     zero_columns,
 )
-from tnngrass.tnn_grassmannian import capped_comb
+from tnngrass.exact_linalg import capped_comb
 from helpers import draw_nodes, identity, random_positive_det, vandermonde_det
 
 
@@ -60,17 +59,6 @@ class TestCheckTnn:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             check_tnn(RationalMatrix([[1], [2]]))
-
-
-class TestCheckTotallyPositive:
-    def test_vandermonde(self):
-        assert check_totally_positive(RationalMatrix([[1, 1, 1], [1, 2, 3]]))
-
-    def test_zero_minor_present(self):
-        assert not check_totally_positive(RationalMatrix([[1, 0, 0], [0, 1, 0]]))
-
-    def test_single_entry(self):
-        assert check_totally_positive(RationalMatrix([[1]]))
 
 
 class TestMatroidOf:
