@@ -22,7 +22,6 @@ from .equivalence import (
     equivalence_transport_check,
 )
 from .errors import (
-    ChartError,
     ConstructionError,
     DegeneracyError,
     DimensionError,

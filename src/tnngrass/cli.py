@@ -337,10 +337,6 @@ def cmd_fiber_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fiber_campaign(args: argparse.Namespace) -> int:
-    if args.n is not None and args.n != args.k + args.m + 1:
-        raise UserInputError(
-            f"fiber campaigns need n = k+m+1 = {args.k + args.m + 1}, got n={args.n}"
-        )
     config = CampaignConfig(
         seed=args.seed,
         trials=args.trials,
@@ -580,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, help="must equal k+m+1; present for explicitness")
     p.add_argument("--node-lo", type=as_rational, default="1")
     p.add_argument("--node-hi", type=as_rational, default="10")
     p.add_argument("--zero-col", type=int, action="append", help="column to zero (repeatable)")

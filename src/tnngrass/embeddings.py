@@ -51,10 +51,10 @@ def pluecker(matrix: RationalMatrix) -> PlueckerVector:
     """
     if matrix.rows > matrix.cols:
         raise RankError(f"wide matrix required, got {matrix.rows}x{matrix.cols}")
-    minors = all_maximal_minors(matrix)
-    coords = tuple(minors.values())
-    if all(x == 0 for x in coords):
+    table = all_maximal_minors(matrix)
+    if not any(table.ints):
         raise RankError(f"matrix has rank below {matrix.rows}; minor vector is zero")
+    coords = tuple(Fraction(v, table.scale) for v in table.ints)
     return PlueckerVector(d=len(coords), coords=coords)
 
 

@@ -17,13 +17,13 @@ side (D is diagonal, so D^T = D).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .amplituhedron_map import AmplituhedronSetup
 from .errors import (
-    ChartError,
     DimensionError,
     DomainError,
     InconsistentSystemError,
@@ -156,13 +156,19 @@ def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:
     """Vertex representatives for a k = 1 positive setup: the columns of Z.
 
     For m <= 2 the convex position of the vertices is verified exactly in
-    the affine chart where the first coordinate is 1: after dividing each
-    column by its first entry, every (m+1)-subset of points in column
-    order must have a strictly positive orientation determinant, up to a
-    single global orientation flip.  Columns with vanishing first entry
-    cannot be charted and are rejected.  The determinants are the maximal
-    minors of the (m+1) x n matrix of charted columns, read as integers
-    over the table's positive scale, so each has the sign of its integer.
+    the affine chart f = 1 of a linear functional f that is positive on
+    every column: after dividing each column by its value under f, every
+    (m+1)-subset of points in column order must have a strictly positive
+    orientation determinant.  With z_1, ..., z_n the columns,
+
+        m = 1:  f(z) = det(z, z_n) + det(z_1, z),
+        m = 2:  f(z) = det(z, z_{n-1}, z_n) + det(z_1, z, z_n) + det(z_1, z_2, z).
+
+    When every maximal minor is positive, each column makes one term
+    positive and none negative, so f <= 0 on a column is a falsified
+    identity.  The determinants are the maximal minors of the (m+1) x n
+    matrix of charted columns, read as integers over the table's positive
+    scale, so each has the sign of its integer.
     """
     if setup.k != 1:
         raise UnsupportedParameterError(f"vertex extraction needs k = 1, got k={setup.k}")
@@ -174,18 +180,28 @@ def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:
         return columns
 
     if m >= 1:
+        first, last = columns[0], columns[-1]
+        if m == 1:
+            y = (last[1] - first[1], first[0] - last[0])  # f(z) = det(z, z_n - z_1)
+        else:
+            # det(a, b, c) = c . (a x b), so y = z_{n-1} x z_n + z_n x z_1 + z_1 x z_2
+            terms = (_cross(columns[-2], last), _cross(last, first), _cross(first, columns[1]))
+            y = tuple(map(sum, zip(*terms)))
+        charted = []
         for j, col in enumerate(columns):
-            if col[0] == 0:
-                raise ChartError(f"column {j + 1} has first coordinate 0; cannot normalize")
-        charted = [tuple(x / col[0] for x in col) for col in columns]
+            f = sum(map(operator.mul, y, col))
+            if f <= 0:
+                raise InternalConsistencyError(
+                    f"chart functional is {rational_to_string(f)} on column {j + 1}, not positive"
+                )
+            charted.append(tuple(x / f for x in col))
         orientations = all_maximal_minors(RationalMatrix(zip(*charted)))
         for subset, value in zip(orientations.subsets, orientations.ints):  # colex order
-            if value == 0:
-                raise InternalConsistencyError(
-                    f"charted columns {list(subset.members)} are affinely dependent"
-                )
-        if len({value > 0 for value in orientations.ints}) > 1:
-            raise InternalConsistencyError(
-                "orientation determinants changed sign; vertices are not in convex position"
-            )
+            if value <= 0:
+                problem = "are affinely dependent" if value == 0 else "changed sign: not in convex position"
+                raise InternalConsistencyError(f"charted columns {list(subset.members)} {problem}")
     return columns
+
+
+def _cross(a: RowVector, b: RowVector) -> RowVector:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])

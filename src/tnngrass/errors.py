@@ -55,10 +55,6 @@ class UnsupportedParameterError(UserInputError):
     """Parameters outside the supported regime (odd m, wrong corank, ...)."""
 
 
-class ChartError(UserInputError):
-    """A projective point cannot be normalized into the chosen affine chart."""
-
-
 class ConstructionError(TnngrassError):
     """An iterative construction exhausted its precision budget."""
 

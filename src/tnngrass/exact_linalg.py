@@ -23,8 +23,8 @@ computes the table and nothing more.  Its bookkeeping depends only on
 (n, k) and the pivots and is cached as one plan per pivot pattern, which
 generic matrices of one shape share.  The table is a ``MinorTable``:
 integer minors of the row-cleared matrix over one positive scale, so
-sign tests read integers and a ``Fraction`` is built only when a caller
-reads a value.
+sign tests read integers and no ``Fraction`` is built; a caller that
+wants the value of a minor divides its integer by the scale.
 
 Products use the same denominator clearing.  ``A @ B`` writes each row of
 A and each column of B as integers over the lcm of its denominators, so
@@ -46,8 +46,7 @@ import itertools
 import operator
 import re
 from collections import OrderedDict
-from collections.abc import ItemsView, ValuesView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -270,59 +269,32 @@ def _colex(n: int, k: int) -> _Colex:
     return _Colex(subsets, {subset: i for i, subset in enumerate(subsets)})
 
 
-class MinorTable(Mapping[IndexSubset, Fraction]):
+@dataclass(frozen=True, slots=True)
+class MinorTable:
     """All maximal minors of a k x n matrix as integers over one positive scale.
 
     ``ints[i] / scale`` is the minor on ``subsets[i]``, in colexicographic
-    order.  The scale is positive, so the sign of a minor is the sign of
-    its integer and sign tests never build a Fraction.  As a mapping from
-    column subset to ``Fraction`` (lookup, iteration, ``values()``,
-    ``items()``, equality with a dict) it builds each canonical Fraction
-    on access.  Immutable; built by ``all_maximal_minors`` and
-    ``scale_columns`` only.
+    order, and ``index`` maps each subset to its position.  The scale is
+    positive, so the sign of a minor is the sign of its integer and sign
+    tests never build a Fraction.  Built by ``all_maximal_minors`` and
+    ``scale_columns``.
     """
 
-    __slots__ = ("n", "subsets", "ints", "scale", "_index")
+    n: int
+    subsets: tuple[IndexSubset, ...]
+    ints: tuple[int, ...]
+    scale: int
+    index: dict[IndexSubset, int] = field(compare=False, repr=False)
 
-    def __init__(self, n: int, colex: _Colex, ints: Sequence[int], scale: int):
-        if len(ints) != len(colex.subsets):
-            raise DimensionError(f"{len(ints)} minors for {len(colex.subsets)} column subsets")
-        if scale <= 0:
-            raise ValueError(f"minor table scale must be positive, got {scale}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "subsets", colex.subsets)
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_index", colex.index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MinorTable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MinorTable is immutable")
-
-    def __getitem__(self, subset: IndexSubset) -> Fraction:
-        return Fraction(self.ints[self._index[subset]], self.scale)
-
-    def __iter__(self) -> Iterator[IndexSubset]:
-        return iter(self.subsets)
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    def values(self) -> ValuesView[Fraction]:
-        return _MinorValues(self)
-
-    def items(self) -> ItemsView[IndexSubset, Fraction]:
-        return _MinorItems(self)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{list(s.members)}: {rational_to_string(v)}" for s, v in self.items())
-        return f"MinorTable({{{body}}})"
+    def __post_init__(self) -> None:
+        if len(self.ints) != len(self.subsets):
+            raise DimensionError(f"{len(self.ints)} minors for {len(self.subsets)} column subsets")
+        if self.scale <= 0:
+            raise ValueError(f"minor table scale must be positive, got {self.scale}")
 
     def int_at(self, subset: IndexSubset) -> int:
         """The minor on ``subset`` times ``scale``: an integer of the same sign."""
-        return self.ints[self._index[subset]]
+        return self.ints[self.index[subset]]
 
     def scale_columns(self, factors: Sequence[Fraction]) -> "MinorTable":
         """The table of M D for D = diag(factors), when this is M's table.
@@ -337,28 +309,11 @@ class MinorTable(Mapping[IndexSubset, Fraction]):
             raise DimensionError(f"{len(factors)} column factors for {self.n} columns")
         cleared, denominator = _cleared(factors)
         k = len(self.subsets[0])
-        ints = [
+        ints = tuple(
             value * prod(cleared[j - 1] for j in subset.members)
             for subset, value in zip(self.subsets, self.ints)
-        ]
-        colex = _Colex(self.subsets, self._index)
-        return MinorTable(self.n, colex, ints, self.scale * denominator**k)
-
-
-class _MinorValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[Fraction]:
-        table = self._mapping
-        return map(Fraction, table.ints, itertools.repeat(table.scale))
-
-
-class _MinorItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[IndexSubset, Fraction]]:
-        table = self._mapping
-        return zip(table.subsets, table.values())
+        )
+        return MinorTable(self.n, self.subsets, ints, self.scale * denominator**k, self.index)
 
 
 class RationalMatrix:
@@ -677,14 +632,12 @@ def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -
 
 
 def all_maximal_minors(m: RationalMatrix) -> MinorTable:
-    """Every k x k minor of a k x n matrix, keyed by column subset.
+    """Every k x k minor of a k x n matrix, in colexicographic order.
 
     The result is a ``MinorTable``: the integer minors of the row-cleared
     matrix from ``_int_rows_and_scale`` in colexicographic order, over its
-    positive scale.  Read as a mapping it gives the same ``Fraction``
-    values, in the same order, whatever the evaluation strategy.  Tables
-    with more than ``MAX_SUBSETS`` minors raise UnsupportedParameterError
-    before any is computed.
+    positive scale.  Tables with more than ``MAX_SUBSETS`` minors raise
+    UnsupportedParameterError before any is computed.
 
     The integer rows are eliminated once: if the rank is below k every
     minor is 0.  Otherwise, with D = d R the scaled reduced rows from
@@ -716,7 +669,7 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     int_rows, scale = _int_rows_and_scale(m.row_tuples())
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
-        return MinorTable(n, colex, [0] * len(colex.subsets), scale)
+        return MinorTable(n, colex.subsets, (0,) * len(colex.subsets), scale, colex.index)
     reduced, d = _back_substitute(int_rows, pivots)
     plan = _ladder_plan(n, k, tuple(pivots))
     blocks = [[row[c] for c in plan.free] for row in reduced]
@@ -740,7 +693,7 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     ints = [values[p] for p in plan.positions]
     for i in plan.negated:
         ints[i] = -ints[i]
-    return MinorTable(n, colex, ints, scale)
+    return MinorTable(n, colex.subsets, tuple(ints), scale, colex.index)
 
 
 class _Ladder(NamedTuple):

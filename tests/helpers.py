@@ -35,6 +35,7 @@ from tnngrass import (
     minor,
     outer_product,
 )
+from tnngrass.exact_linalg import MinorTable
 
 # (k, m) pairs exercised by the fiber acceptance criteria.
 FIBER_CONFIGS = [(1, 2), (2, 2), (2, 1), (3, 2)]
@@ -124,6 +125,11 @@ def fraction_det(rows: list[list[Fraction]]) -> Fraction:
     return value
 
 
+def minors_of(table: MinorTable) -> dict[IndexSubset, Fraction]:
+    """A minor table as column subset -> ``Fraction``, in colexicographic order."""
+    return {s: Fraction(v, table.scale) for s, v in zip(table.subsets, table.ints)}
+
+
 def subset_minor_table(m: RationalMatrix) -> dict[IndexSubset, Fraction]:
     """Every maximal minor as its own determinant, in colexicographic order.
 
@@ -211,7 +217,7 @@ def fraction_fiber_partner(
     """The sampler on Fractions: (V, x, halvings), lambda found by halving from 1.
 
     Draws d exactly as ``sample_fiber_partner`` does, reads alpha and beta
-    as Fractions through the tables' mappings, and halves lambda while some
+    as Fractions through ``minors_of``, and halves lambda while some
     falling minor alpha + lambda beta is <= 0.  The reference that the
     one-pass integer choice of lambda is compared against.
     """
@@ -223,8 +229,8 @@ def fraction_fiber_partner(
         Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 8 * rng.randint(1, 4))
         for _ in range(setup.k)
     )
-    alpha = point.minors
-    moved = all_maximal_minors(u + outer_product(d, a))
+    alpha = minors_of(point.minors)
+    moved = minors_of(all_maximal_minors(u + outer_product(d, a)))
     beta = {s: moved[s] - value for s, value in alpha.items()}
     lam = Fraction(1)
     if any(beta[s] != 0 for s in cell.nonbases) or any(
@@ -259,8 +265,8 @@ def fraction_certificate(
     x = tuple(delta.entry(i, pivot) / a[pivot] for i in range(u.rows))
     if delta != outer_product(x, a):
         raise FiberMismatchError("U and V have different images under V -> V Z^T")
-    minors0, minors1 = all_maximal_minors(u), all_maximal_minors(v)
-    minors2 = all_maximal_minors(v + outer_product(x, a))
+    minors0, minors1 = minors_of(all_maximal_minors(u)), minors_of(all_maximal_minors(v))
+    minors2 = minors_of(all_maximal_minors(v + outer_product(x, a)))
     entries = []
     for subset in minors0:
         alpha = minors0[subset]

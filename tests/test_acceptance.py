@@ -40,6 +40,7 @@ from helpers import (
     draw_nodes,
     identity,
     minor_affine_coeffs,
+    minors_of,
     random_corank_one_setup,
     random_fraction,
     random_invertible,
@@ -92,7 +93,7 @@ def test_criterion_02_minor_affinity():
             x = tuple(random_fraction(rng) for _ in range(k))
             fresh = u + outer_product(tuple(3 * xi for xi in x), a)
             fresh_minors = all_maximal_minors(fresh)
-            for subset, value3 in fresh_minors.items():
+            for subset, value3 in minors_of(fresh_minors).items():
                 alpha, beta = minor_affine_coeffs(u, x, a, subset)
                 assert value3 == alpha + 3 * beta
                 checks += 1
@@ -272,7 +273,7 @@ def test_criterion_10_oracle_equivalence():
         rows_all = IndexSubset(tuple(range(1, a.rows + 1)))
         rhs = sum(
             value * det(b.submatrix(subset, rows_all))
-            for subset, value in all_maximal_minors(a).items()
+            for subset, value in minors_of(all_maximal_minors(a)).items()
         )
         return det(a @ b) == rhs
 

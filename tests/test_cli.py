@@ -215,9 +215,11 @@ class TestFiberCommands:
                 assert entry["alpha"] == "0" and entry["beta"] == "0"
 
     def test_campaign_wrong_n_is_usage_error(self):
-        assert main(
-            ["fiber-campaign", "--k", "1", "--m", "2", "--n", "5", "--trials", "1"]
-        ) == EXIT_USAGE
+        # n is always k + m + 1, so the command takes no --n
+        for n in ("4", "5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["fiber-campaign", "--k", "1", "--m", "2", "--n", n, "--trials", "1"])
+            assert exc.value.code == EXIT_USAGE
 
     def test_campaign_hundred_trials_all_true(self, capsys):
         assert main(

@@ -31,6 +31,7 @@ from helpers import (
     fraction_det,
     identity,
     random_corank_one_setup,
+    random_positive_det,
     scaled_vandermonde_point,
     vandermonde_setup,
 )
@@ -392,6 +393,41 @@ class TestCyclicPolytopeVertices:
         with pytest.raises(DomainError):
             cyclic_polytope_vertices(setup)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the first row changes sign, so the chart x_0 = 1 flips the last column
+            [[3, 1, -1], [1, 2, 3]],
+            # neither row has one sign
+            [[1, -1, -6, -6], [6, 6, 1, -1]],
+        ],
+    )
+    def test_columns_of_any_sign_are_charted(self, rows):
+        z = RationalMatrix(rows)
+        setup = build_setup(1, 1, z)
+        assert setup.all_minors_positive
+        assert cyclic_polytope_vertices(setup) == [z.column(j) for j in range(z.cols)]
+
+    def test_nonpositive_chart_functional_is_a_falsification(self):
+        # a setup that claims positive minors but has a column on which the
+        # chart functional det(z, z_3 - z_1) vanishes
+        z = RationalMatrix([[1, 0, -1], [0, 1, 0]])
+        setup = SimpleNamespace(k=1, m=1, n=3, Z=z, all_minors_positive=True)
+        with pytest.raises(InternalConsistencyError, match="on column 1, not positive"):
+            cyclic_polytope_vertices(setup)
+
+
+def chart_value(columns, z):
+    """The chart functional of ``cyclic_polytope_vertices``, as a sum of determinants."""
+    first, last = columns[0], columns[-1]
+    if len(z) == 2:
+        return fraction_det([z, last]) + fraction_det([first, z])
+    return (
+        fraction_det([z, columns[-2], last])
+        + fraction_det([first, z, last])
+        + fraction_det([first, columns[1], z])
+    )
+
 
 class TestVertexTable:
     """The orientation determinants are one minor table of the charted columns."""
@@ -421,6 +457,13 @@ class TestVertexTable:
         with pytest.raises(InternalConsistencyError, match="changed sign"):
             cyclic_polytope_vertices(setup)
 
+    def test_every_orientation_flipped_is_a_sign_change(self, monkeypatch):
+        # in a chart positive on every column, every orientation is positive
+        setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
+        self._tamper(monkeypatch, {p: (lambda v: -v) for p in range(4)})
+        with pytest.raises(InternalConsistencyError, match=r"columns \[1, 2, 3\] changed sign"):
+            cyclic_polytope_vertices(setup)
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_signs_match_the_determinant_oracle(self, monkeypatch, m):
         rng = Random(211 + m)
@@ -433,15 +476,20 @@ class TestVertexTable:
 
         monkeypatch.setattr(equivalence_mod, "all_maximal_minors", spy)
         for n in range(m + 1, 9):
-            for flip in (False, True):
+            for flip in (False, True, "mixed"):
                 rows = [list(row) for row in scaled_vandermonde_point(rng, m + 1, n).matrix.row_tuples()]
                 if flip:
                     # det diag(-1, -1, 1, ...) = 1 keeps every minor positive and
                     # makes every first coordinate negative
                     rows[:2] = [[-x for x in row] for row in rows[:2]]
-                setup = build_setup(1, m, RationalMatrix(rows))
+                z = RationalMatrix(rows)
+                if flip == "mixed":
+                    # so does G with det G > 0, which mixes the signs within rows
+                    z = random_positive_det(rng, m + 1) @ z
+                setup = build_setup(1, m, z)
                 vertices = cyclic_polytope_vertices(setup)
-                charted = [[x / v[0] for x in v] for v in vertices]
+                assert vertices == [z.column(j) for j in range(n)]
+                charted = [[x / chart_value(vertices, v) for x in v] for v in vertices]
                 table = tables[-1]
                 assert len(table.ints) == len(table.subsets) > 0
                 for subset, value in zip(table.subsets, table.ints):

@@ -1,5 +1,6 @@
 """Core exact linear algebra: determinants, minors, kernels, solves."""
 
+from collections.abc import Mapping
 from fractions import Fraction
 from random import Random
 
@@ -34,6 +35,7 @@ from helpers import (
     fraction_matmul,
     fraction_rref,
     identity,
+    minors_of,
     random_invertible,
     random_matrix,
     rref_inverse,
@@ -182,11 +184,11 @@ class TestMinor:
 class TestAllMaximalMinors:
     def test_identity(self):
         out = all_maximal_minors(RationalMatrix([[1, 0], [0, 1]]))
-        assert out == {IndexSubset((1, 2)): Fraction(1)}
+        assert minors_of(out) == {IndexSubset((1, 2)): Fraction(1)}
 
     def test_row_vector(self):
         out = all_maximal_minors(RationalMatrix([[1, 1, 1]]))
-        assert {tuple(s.members): v for s, v in out.items()} == {
+        assert {tuple(s.members): v for s, v in minors_of(out).items()} == {
             (1,): 1, (2,): 1, (3,): 1
         }
 
@@ -198,16 +200,17 @@ class TestAllMaximalMinors:
             (1, 3): det2(Fraction(1), Fraction(1), Fraction(1), Fraction(3)),
             (2, 3): det2(Fraction(1), Fraction(1), Fraction(2), Fraction(3)),
         }
-        assert {tuple(s.members): v for s, v in out.items()} == expected
+        assert {tuple(s.members): v for s, v in minors_of(out).items()} == expected
 
     def test_colex_iteration_order(self):
         m = RationalMatrix([[1, 1, 1, 1], [1, 2, 3, 4]])
-        order = [tuple(s.members) for s in all_maximal_minors(m)]
+        order = [tuple(s.members) for s in all_maximal_minors(m).subsets]
         assert order == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
 
     def test_count(self):
         m = random_matrix(Random(5), 3, 6)
-        assert len(all_maximal_minors(m)) == 20
+        table = all_maximal_minors(m)
+        assert len(table.subsets) == len(table.ints) == 20
 
     def test_tall_matrix_rejected(self):
         with pytest.raises(DimensionError):
@@ -219,11 +222,11 @@ class TestAllMaximalMinors:
     @given(minor_table_rows_st())
     def test_matches_per_subset_oracle(self, rows):
         m = RationalMatrix(rows)
-        assert list(all_maximal_minors(m).items()) == list(subset_minor_table(m).items())
+        assert list(minors_of(all_maximal_minors(m)).items()) == list(subset_minor_table(m).items())
 
     def test_rank_deficient_table_is_zero(self):
         m = RationalMatrix([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]])
-        assert set(all_maximal_minors(m).values()) == {Fraction(0)}
+        assert set(minors_of(all_maximal_minors(m)).values()) == {Fraction(0)}
         rng = Random(76)
         for k, n in ((1, 3), (2, 5), (3, 6), (3, 8)):
             rows = [list(row) for row in random_matrix(rng, k, n).row_tuples()]
@@ -232,12 +235,12 @@ class TestAllMaximalMinors:
             rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
             table = all_maximal_minors(RationalMatrix(rows))
             assert set(table.ints) == {0}
-            assert table == subset_minor_table(RationalMatrix(rows))
+            assert minors_of(table) == subset_minor_table(RationalMatrix(rows))
 
     def test_wide_vandermonde_against_product_oracle(self):
         nodes = [Fraction(i, 3) for i in range(1, 16)]
         m = RationalMatrix([[x ** i for x in nodes] for i in range(12)])
-        for subset, value in all_maximal_minors(m).items():
+        for subset, value in minors_of(all_maximal_minors(m)).items():
             assert value == vandermonde_det([nodes[j - 1] for j in subset.members])
 
     def test_echelon_plan_follows_the_pivot_columns(self):
@@ -255,27 +258,41 @@ class TestAllMaximalMinors:
                     row[zero] = Fraction(0)
                 tables.append(RationalMatrix(rows))
             for m in tables + tables:
-                assert list(all_maximal_minors(m).items()) == list(subset_minor_table(m).items())
+                assert list(minors_of(all_maximal_minors(m)).items()) == list(subset_minor_table(m).items())
 
     def test_table_is_an_immutable_mapping_over_a_positive_scale(self):
         m = random_matrix(Random(78), 5, 7, max_den=5)
         table = all_maximal_minors(m)
         oracle = subset_minor_table(m)
-        assert isinstance(table, MinorTable)
-        assert table == oracle and oracle == table
+        assert isinstance(table, MinorTable) and not isinstance(table, Mapping)
+        assert list(minors_of(table).items()) == list(oracle.items())
         assert table.scale > 0
         assert [Fraction(v, table.scale) for v in table.ints] == list(oracle.values())
-        assert all(type(v) is Fraction for v in table.values())
+        assert [table.int_at(s) for s in table.subsets] == list(table.ints)
         first = table.subsets[0]
         with pytest.raises(TypeError):
             table[first] = Fraction(0)
-        for name in ("ints", "scale", "subsets"):
+        with pytest.raises(TypeError):
+            table.ints[0] = 0
+        for name in ("ints", "scale", "subsets", "n", "index"):
             with pytest.raises(AttributeError):
                 setattr(table, name, None)
             with pytest.raises(AttributeError):
                 delattr(table, name)
         with pytest.raises(KeyError):
-            table[IndexSubset((1, 2))]
+            table.int_at(IndexSubset((1, 2)))
+
+    def test_construction_checks_lengths_and_a_positive_scale(self):
+        table = all_maximal_minors(RationalMatrix([[1, 1, 1], [1, 2, 3]]))
+        assert MinorTable(table.n, table.subsets, table.ints, table.scale, table.index) == table
+        for ints in (table.ints[:-1], table.ints + (1,), ()):
+            with pytest.raises(DimensionError):
+                MinorTable(table.n, table.subsets, ints, table.scale, table.index)
+        for scale in (0, -1, -table.scale):
+            with pytest.raises(ValueError) as exc:
+                MinorTable(table.n, table.subsets, table.ints, scale, table.index)
+            # DimensionError is a ValueError too; the scale check raises the plain one
+            assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("k, n", [(2, 3), (4, 6), (5, 7)])
     def test_scale_columns_matches_the_scaled_matrix(self, k, n):
@@ -287,7 +304,7 @@ class TestAllMaximalMinors:
             [Fraction(0)] + [Fraction(-1)] * (n - 1),
         ):
             scaled = all_maximal_minors(m).scale_columns(factors)
-            assert scaled == all_maximal_minors(m.scale_columns(factors))
+            assert minors_of(scaled) == minors_of(all_maximal_minors(m.scale_columns(factors)))
             assert scaled.scale > 0
         with pytest.raises(DimensionError):
             all_maximal_minors(m).scale_columns([Fraction(1)] * (n + 1))
@@ -462,7 +479,7 @@ class TestCauchyBinet:
         rows_all = IndexSubset(tuple(range(1, k + 1)))
         rhs = sum(
             value * det(b.submatrix(subset, rows_all))
-            for subset, value in all_maximal_minors(a).items()
+            for subset, value in minors_of(all_maximal_minors(a)).items()
         )
         assert det(a @ b) == rhs
 

@@ -1,5 +1,6 @@
 """Fiber displacement, convexity certificates, and the section witness."""
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -34,13 +35,13 @@ from tnngrass import (
     section_witness,
     zero_columns,
 )
-from tnngrass.exact_linalg import MinorTable, _colex
 from helpers import (
     fraction_certificate,
     fraction_fiber_partner,
     identity,
     make_fiber_pair,
     minor_affine_coeffs,
+    minors_of,
     random_corank_one_setup,
     random_fraction,
     random_positive_det,
@@ -287,7 +288,7 @@ class TestConvexityCertificate:
             # the third table is the independent one at lambda = 2
             ints = list(table.ints)
             ints[position] += delta
-            return MinorTable(table.n, _colex(table.n, matrix.rows), ints, table.scale)
+            return dataclasses.replace(table, ints=tuple(ints))
 
         monkeypatch.setattr(fiber_mod, "all_maximal_minors", tampered)
         with pytest.raises(InternalConsistencyError, match="not affine"):
@@ -519,8 +520,8 @@ class TestFiberPairSampling:
         pair = sample_fiber_partner(setup, cell, point, rng)
         assert pair.u == point.matrix
         assert make_fiber_pair(setup, pair.u, pair.v).x == pair.x
-        after = all_maximal_minors(pair.v)
-        for subset, value in point.minors.items():
+        after = minors_of(all_maximal_minors(pair.v))
+        for subset, value in minors_of(point.minors).items():
             if value > 0:
                 assert after[subset] > 0
         for subset in cell.nonbases:
