@@ -118,10 +118,10 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
             )
         kernel_gen = basis[0]
         # with the dimension above, the kernel is exactly span(a), as fiber needs;
-        # each row of Z and a are integers over positive denominators, so
+        # Z's rows and a are integers over positive denominators, so
         # Z a^T = 0 iff every integer dot product vanishes
         a, _ = _cleared(kernel_gen)
-        if any(sum(map(operator.mul, _cleared(row)[0], a)) for row in Z.row_tuples()):
+        if any(sum(map(operator.mul, ints, a)) for ints, _ in Z.int_rows):
             raise InternalConsistencyError("kernel generator is not annihilated by Z")
         alternating = signs_alternate(kernel_gen)
         if all_positive and not alternating:

@@ -14,10 +14,12 @@ import hashlib
 import itertools
 import json
 import logging
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
@@ -180,12 +182,13 @@ def load_setup(path: str) -> AmplituhedronSetup:
         setup = build_setup(as_int(obj["k"]), as_int(obj["m"]), z)
         stored_kernel = obj.get("kernel")
         stated = None if stored_kernel is None else tuple(map(as_rational, as_list(stored_kernel)))
+        positive = _flag(obj["allMinorsPositive"]) if "allMinorsPositive" in obj else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"{path}: not a valid setup file: {exc}") from exc
     if stated is not None:
         if setup.kernel_gen is None or stated != setup.kernel_gen:
             raise UserInputError(f"{path}: stored kernel does not match the matrix")
-    if "allMinorsPositive" in obj and bool(obj["allMinorsPositive"]) != setup.all_minors_positive:
+    if positive is not None and positive != setup.all_minors_positive:
         raise UserInputError(f"{path}: stored positivity flag does not match the matrix")
     return setup
 
@@ -199,6 +202,12 @@ def trial_rng(seed: int, trial: int) -> Random:
 
 def draw_nodes(rng: Random, count: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
     """Distinct increasing rationals in [lo, hi] on a fixed 64-step grid, drawn as indices."""
+    step = (hi - lo) / 64
+    return [lo + step * j for j in _grid_indices(rng, count, lo, hi)]
+
+
+def _grid_indices(rng: Random, count: int, lo: Fraction, hi: Fraction) -> list[int]:
+    """Distinct increasing j in 0..64, for the grid nodes lo + j (hi - lo) / 64."""
     if count > 65:
         raise UserInputError(f"cannot draw {count} distinct nodes from a 65-point grid")
     if hi <= lo:
@@ -206,8 +215,7 @@ def draw_nodes(rng: Random, count: int, lo: Fraction, hi: Fraction) -> list[Frac
     picks: set[int] = set()
     while len(picks) < count:
         picks.add(rng.randint(0, 64))
-    step = (hi - lo) / 64
-    return [lo + step * j for j in sorted(picks)]
+    return sorted(picks)
 
 
 def random_positive_setup(
@@ -226,17 +234,22 @@ def random_top_cell_point(
 
     Positive column scales keep every maximal minor strictly positive,
     so the point stays in the top cell while varying more than the nodes
-    alone allow (for k = 1 the bare Vandermonde row is constant).
+    alone allow (for k = 1 the bare Vandermonde row is constant).  On
+    integers: with lo = a / L, hi = b / L, grid node j is t / (64 L) for
+    t = 64 a + j (b - a), and scale p / q is (p Q / q) / Q, Q the scales' lcm.
     """
-    nodes = draw_nodes(rng, n, lo, hi)
-    scales = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
-    columns = []
-    for s, x in zip(scales, nodes):
-        column = [s]
-        for _ in range(k - 1):
-            column.append(column[-1] * x)
-        columns.append(column)
-    return TNNPoint.from_matrix(RationalMatrix(zip(*columns)))
+    indices = _grid_indices(rng, n, lo, hi)
+    scales = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
+    base = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (base // lo.denominator), hi.numerator * (base // hi.denominator)
+    nodes = [64 * a + j * (b - a) for j in indices]
+    den = lcm(*(q for _, q in scales))
+    ints = [p * (den // q) for p, q in scales]
+    rows = []
+    for _ in range(k):
+        rows.append((ints, den))
+        ints, den = list(map(operator.mul, ints, nodes)), den * 64 * base
+    return TNNPoint.from_matrix(RationalMatrix.from_int_rows(rows))
 
 
 # -- subcommands --------------------------------------------------------------

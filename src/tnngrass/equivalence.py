@@ -149,7 +149,7 @@ def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -
 
 
 def _is_zero(m: RationalMatrix) -> bool:
-    return not any(any(row) for row in m.row_tuples())
+    return not any(any(ints) for ints, _ in m.int_rows)
 
 
 def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:

@@ -1,15 +1,22 @@
 """Exact rational linear algebra: matrices, determinants, minors, kernels.
 
-Everything here is computed over ``fractions.Fraction`` with no rounding
-anywhere.  Elimination clears denominators row by row and runs one
-integer routine, ``_bareiss``: column-skipping fraction-free elimination
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968).  Every intermediate entry is a minor
-of the scaled matrix, so entries never blow up the way naive cross
-multiplication of fractions does.  Rank, determinants (its last pivot)
-and, after an integer back-substitution, the reduced row echelon form
-behind kernels, solves, inverses and minor tables all come from its
-output.
+Nothing here rounds.  A ``RationalMatrix`` stores each row as integers
+over one positive denominator, primitive (their gcd with it is 1), so
+the storage is canonical and ``==`` and ``hash`` compare integers.  The
+kernels work on those integers and reduce each output row with one gcd:
+``A @ B`` takes integer dot products with the columns of B over B's
+common denominator, and transposes, sums, column scalings and the
+rank-one update ``U.add_outer(x, a)`` = U + x^T a do the same.
+``Fraction`` entries are built only on request (``entry``, ``row``,
+``column``, ``row_tuples``).
+
+Elimination runs one integer routine on the stored rows, ``_bareiss``:
+column-skipping fraction-free elimination (Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968), whose intermediate entries are all minors, so they never blow up.
+Rank, determinants (its last pivot) and, after an integer
+back-substitution, the reduced row echelon form behind kernels, solves,
+inverses and minor tables all come from its output.
 
 A table of all maximal minors of a k x n matrix comes from one
 elimination and one Laplace ladder over the reduced form R.  Each minor
@@ -22,17 +29,8 @@ the levels hold C(k, s) C(n - k, s) minors each, C(n, k) in all, so it
 computes the table and nothing more.  Its bookkeeping depends only on
 (n, k) and the pivots and is cached as one plan per pivot pattern, which
 generic matrices of one shape share.  The table is a ``MinorTable``:
-integer minors of the row-cleared matrix over one positive scale, so
-sign tests read integers and no ``Fraction`` is built; a caller that
-wants the value of a minor divides its integer by the scale.
-
-Products use the same denominator clearing.  ``A @ B`` writes each row of
-A and each column of B as integers over the lcm of its denominators, so
-entry (i, j) is one integer dot product over d_i e_j, reduced once into a
-canonical ``Fraction``.  The result is the same matrix the term-by-term
-``Fraction`` sum gives, at one gcd per entry instead of one per term.
-The rank-one update ``U.add_outer(x, a)`` = U + x^T a, the step along a
-fiber line, clears the same way.
+integer minors over one positive scale, the product of the row
+denominators, so sign tests read integers.
 
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
@@ -48,7 +46,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -59,6 +57,7 @@ from .errors import (
 )
 
 RowVector = tuple[Fraction, ...]
+IntRow = tuple[tuple[int, ...], int]
 
 __all__ = [
     "RowVector",
@@ -87,29 +86,34 @@ __all__ = [
 _RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce to an exact rational.  Floats are rejected, not rounded.
+def _parse(value: int | str | Fraction) -> tuple[int, int]:
+    """A scalar as integers (p, q), q > 0, for ``as_rational`` and the matrix constructor.
 
-    Strings must read ``p`` or ``p/q`` with decimal digits, an optional
-    sign and a nonzero denominator; anything else raises ValueError.
+    Floats are rejected, not rounded.  Strings must read ``p`` or ``p/q``
+    with decimal digits, an optional sign and a nonzero denominator;
+    anything else raises ValueError.
     """
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational scalar")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL_STRING.fullmatch(value)
         if match is None:
             raise ValueError(f"not an integer or p/q rational: {value[:40]!r}")
         numerator, denominator = match.groups()
-        if denominator is None:
-            return Fraction(int(numerator))
-        if int(denominator) == 0:
+        q = 1 if denominator is None else int(denominator)
+        if q == 0:
             raise ValueError(f"zero denominator in {value[:40]!r}")
-        return Fraction(int(numerator), int(denominator))
+        return int(numerator), q
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational scalar")
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
+
+
+def as_rational(value: int | str | Fraction) -> Fraction:
+    """Coerce to an exact rational, as ``_parse`` reads it."""
+    return value if isinstance(value, Fraction) else Fraction(*_parse(value))
 
 
 def as_int(value: object) -> int:
@@ -128,9 +132,7 @@ def as_list(value: object) -> list:
 
 def rational_to_string(q: Fraction) -> str:
     """Render as ``p/q``, or just ``p`` for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_string(q.numerator, q.denominator)
 
 
 @dataclass(frozen=True, order=False)
@@ -197,11 +199,9 @@ def capped_comb(n: int, k: int, cap: int) -> int:
 
 
 def subsets_colex(n: int, k: int) -> list[IndexSubset]:
-    """All k-subsets of {1..n} in colexicographic order.
+    """All k-subsets of {1..n} in colexicographic order, as a fresh list.
 
-    Each call returns a fresh list of immutable subsets, shared through
-    the ``_colex`` cache.  More than ``MAX_SUBSETS`` of them raise
-    UnsupportedParameterError.
+    More than ``MAX_SUBSETS`` of them raise UnsupportedParameterError.
     """
     if k < 0 or n < 0:
         raise DimensionError("subset parameters must be nonnegative")
@@ -316,26 +316,55 @@ class MinorTable:
         return MinorTable(self.n, self.subsets, ints, self.scale * denominator**k, self.index)
 
 
+class _IntRows(tuple):
+    """Primitive (integers, denominator) rows: the kernels' results, stored by ``__init__`` as they are."""
+
+
+def _primitive(ints: Sequence[int], den: int) -> IntRow:
+    """The row ints / den as primitive integers over a positive denominator, one gcd."""
+    g = -gcd(*ints, den) if den < 0 else gcd(*ints, den)
+    return (tuple(ints), den) if g == 1 else (tuple(x // g for x in ints), den // g)
+
+
+def _parse_row(row: Iterable[int | str | Fraction]) -> IntRow:
+    pairs = [_parse(x) for x in row]
+    den = lcm(*(q for _, q in pairs))
+    return _primitive([p * (den // q) for p, q in pairs], den)
+
+
+def _over_common(rows: Sequence[IntRow]) -> tuple[list[Sequence[int]], int]:
+    """The integers of every row over one common denominator, the lcm of theirs."""
+    common = lcm(*(den for _, den in rows))
+    return [ints if den == common else [x * (common // den) for x in ints] for ints, den in rows], common
+
+
+def _ratio_string(p: int, q: int) -> str:
+    """p / q for q > 0 in lowest terms, as ``p/q`` or just ``p``."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 class RationalMatrix:
     """Immutable dense matrix of exact rationals.
 
-    Equality is entrywise exact equality.  All arithmetic returns new
+    ``int_rows[i]`` is row i as (integers, denominator), primitive over a
+    positive denominator, so equal matrices have equal storage and
+    equality is entrywise exact equality.  All arithmetic returns new
     matrices; instances are safe to share between threads.
     """
 
-    __slots__ = ("_data", "_hash")
+    __slots__ = ("int_rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
-        data = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise DimensionError("ragged rows")
-            if width == 0:
-                raise DimensionError("rows must be nonempty")
-        else:
+        data = rows if type(rows) is _IntRows else _IntRows(map(_parse_row, rows))
+        if not data:
             raise DimensionError("matrix must have at least one row")
-        object.__setattr__(self, "_data", data)
+        width = len(data[0][0])
+        if any(len(r) != width for r, _ in data):
+            raise DimensionError("ragged rows")
+        if width == 0:
+            raise DimensionError("rows must be nonempty")
+        object.__setattr__(self, "int_rows", data)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -345,11 +374,11 @@ class RationalMatrix:
 
     @property
     def rows(self) -> int:
-        return len(self._data)
+        return len(self.int_rows)
 
     @property
     def cols(self) -> int:
-        return len(self._data[0])
+        return len(self.int_rows[0][0])
 
     @property
     def is_square(self) -> bool:
@@ -357,61 +386,75 @@ class RationalMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j (0-based)."""
-        return self._data[i][j]
+        ints, den = self.int_rows[i]
+        return Fraction(ints[j], den)
 
     def row(self, i: int) -> RowVector:
-        return self._data[i]
+        ints, den = self.int_rows[i]
+        return tuple(Fraction(x, den) for x in ints)
 
     def column(self, j: int) -> RowVector:
-        return tuple(r[j] for r in self._data)
+        return tuple(Fraction(ints[j], den) for ints, den in self.int_rows)
 
     def row_tuples(self) -> tuple[RowVector, ...]:
-        return self._data
+        return tuple(tuple(Fraction(x, den) for x in ints) for ints, den in self.int_rows)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def diagonal(cls, entries: Sequence[int | str | Fraction]) -> "RationalMatrix":
-        vals = [as_rational(x) for x in entries]
-        n = len(vals)
-        return cls([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        n = len(entries)
+        return cls([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+
+    @classmethod
+    def from_int_rows(cls, rows: Iterable[tuple[Sequence[int], int]]) -> "RationalMatrix":
+        """The matrix whose rows are ints / den, for pairs (ints, den) with den nonzero."""
+        return cls(_IntRows(_primitive(ints, den) for ints, den in rows))
 
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self._data))
+        scaled, common = _over_common(self.int_rows)
+        return RationalMatrix(_IntRows(_primitive(col, common) for col in zip(*scaled)))
+
+    def _combine(self, other: "RationalMatrix", op) -> "RationalMatrix":
+        """Rows a / d and b / e combined over lcm(d, e) = d f, f = e / gcd(d, e), by ``op``."""
+        self._require_same_shape(other)
+        rows = []
+        for (a, d), (b, e) in zip(self.int_rows, other.int_rows):
+            g = gcd(d, e)
+            f, h = e // g, d // g
+            rows.append(_primitive([op(x * f, y * h) for x, y in zip(a, b)], d * f))
+        return RationalMatrix(_IntRows(rows))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return RationalMatrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._data, other._data)
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return RationalMatrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._data, other._data)
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(-a for a in row) for row in self._data)
+        return RationalMatrix(_IntRows((tuple(-x for x in ints), den) for ints, den in self.int_rows))
 
     def scale(self, c: int | str | Fraction) -> "RationalMatrix":
-        cq = as_rational(c)
-        return RationalMatrix(tuple(cq * a for a in row) for row in self._data)
+        p, q = _parse(c)
+        rows = self.int_rows
+        return RationalMatrix(_IntRows(_primitive([p * x for x in ints], den * q) for ints, den in rows))
 
     def scale_columns(self, factors: Sequence[Fraction]) -> "RationalMatrix":
         """M D for D = diag(factors), without forming D."""
         if len(factors) != self.cols:
             raise DimensionError(f"{len(factors)} column factors for {self.cols} columns")
-        return RationalMatrix(tuple(map(operator.mul, row, factors)) for row in self._data)
+        e_ints, e = _cleared(factors)
+        return RationalMatrix(_IntRows(
+            _primitive(list(map(operator.mul, ints, e_ints)), den * e) for ints, den in self.int_rows
+        ))
 
     def add_outer(self, col: Sequence[Fraction], row: Sequence[Fraction]) -> "RationalMatrix":
-        """self + col^T row, the rank-one update, one reduction per entry.
+        """self + col^T row, the rank-one update, on integers.
 
-        With row i of self as u_i / d, ``row`` as a / e and col[i] = p / q,
-        entry (i, j) is Fraction(e q u_ij + p d a_j, d e q): the same matrix
-        as ``self + outer_product(col, row)`` without the Fraction per term.
+        With row i of self as u / d, ``row`` as a / e and col[i] = p / q,
+        row i of the result is (e q u + p d a) / (d e q), reduced by one gcd.
         """
         if len(col) != self.rows or len(row) != self.cols:
             raise DimensionError(
@@ -419,50 +462,40 @@ class RationalMatrix:
             )
         a, e = _cleared(row)
         rows = []
-        for data_row, c in zip(self._data, col):
+        for (u, d), c in zip(self.int_rows, col):
             p, q = c.numerator, c.denominator
-            if p == 0:
-                rows.append(data_row)
-                continue
-            u, d = _cleared(data_row)
-            u_factor, a_factor, denominator = e * q, p * d, d * e * q
-            rows.append(
-                tuple(Fraction(u_factor * x + a_factor * y, denominator) for x, y in zip(u, a))
-            )
-        return RationalMatrix(rows)
+            u_factor, a_factor = e * q, p * d
+            rows.append(_primitive([u_factor * x + a_factor * y for x, y in zip(u, a)], d * e * q))
+        return RationalMatrix(_IntRows(rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Integer dot products: entry (i, j) is Fraction(a_i . b_j, d_i e_j).
+        """Integer dot products, one gcd per output row.
 
-        Row i of self is a_i / d_i and column j of other is b_j / e_j, each
-        over the lcm of its denominators, so every entry costs one integer
-        dot product and one reduction instead of a Fraction per term.
+        Row i of self is a_i / d_i and column j of other b_j / e, e the common
+        denominator of other's rows, so entry (i, j) is a_i . b_j / (d_i e).
         """
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        left = [_cleared(row) for row in self._data]
-        right = [_cleared(col) for col in zip(*other._data)]
-        return RationalMatrix(
-            tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for b, e in right)
-            for a, d in left
-        )
+        scaled, e = _over_common(other.int_rows)
+        right = list(zip(*scaled))
+        return RationalMatrix(_IntRows(
+            _primitive([sum(map(operator.mul, a, b)) for b in right], d * e) for a, d in self.int_rows
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._data == other._data
+        return self.int_rows == other.int_rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._data))
+            object.__setattr__(self, "_hash", hash(self.int_rows))
         return self._hash
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(rational_to_string(x) for x in row) for row in self._data
-        )
+        body = "; ".join(" ".join(_ratio_string(x, den) for x in ints) for ints, den in self.int_rows)
         return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
 
     # -- slicing -----------------------------------------------------------
@@ -471,8 +504,9 @@ class RationalMatrix:
         """Submatrix on 1-based row and column subsets."""
         row_subset.check_bounds(self.rows)
         col_subset.check_bounds(self.cols)
+        picked = (self.int_rows[i - 1] for i in row_subset)
         return RationalMatrix(
-            tuple(self._data[i - 1][j - 1] for j in col_subset) for i in row_subset
+            _IntRows(_primitive([ints[j - 1] for j in col_subset], den) for ints, den in picked)
         )
 
     # -- serialization -----------------------------------------------------
@@ -481,7 +515,7 @@ class RationalMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[rational_to_string(x) for x in row] for row in self._data],
+            "entries": [[_ratio_string(x, den) for x in ints] for ints, den in self.int_rows],
         }
 
     @classmethod
@@ -514,22 +548,13 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _int_rows_and_scale(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row.
+def _int_rows_and_scale(m: RationalMatrix) -> tuple[list[list[int]], int]:
+    """m's integer rows as fresh lists, and the product of its row denominators.
 
-    Returns integer rows plus the product of the per-row multipliers;
-    every maximal minor of the original equals the integer minor
-    divided by that product (each row contributes its factor exactly
-    once to any maximal minor).  Scaling rows changes neither the rank
-    nor the reduced row echelon form.
+    Every maximal minor of m is the integer minor over that product.
+    Scaling rows changes neither the rank nor the reduced echelon form.
     """
-    int_rows: list[list[int]] = []
-    scale = 1
-    for row in rows:
-        ints, mult = _cleared(row)
-        scale *= mult
-        int_rows.append(ints)
-    return int_rows, scale
+    return [list(ints) for ints, _ in m.int_rows], prod(den for _, den in m.int_rows)
 
 
 def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
@@ -611,13 +636,12 @@ def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
 
 
 def det(m: RationalMatrix) -> Fraction:
-    """Exact determinant: the last Bareiss pivot of the row-cleared matrix."""
+    """Exact determinant: the last Bareiss pivot of the stored integer rows."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    int_rows, scale = _int_rows_and_scale(m.row_tuples())
+    int_rows, scale = _int_rows_and_scale(m)
     pivots, sign = _bareiss(int_rows)
-    n = m.rows
-    return Fraction(sign * int_rows[-1][-1] if len(pivots) == n else 0, scale)
+    return Fraction(sign * int_rows[-1][-1] if len(pivots) == m.rows else 0, scale)
 
 
 def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -> Fraction:
@@ -634,9 +658,9 @@ def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -
 def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     """Every k x k minor of a k x n matrix, in colexicographic order.
 
-    The result is a ``MinorTable``: the integer minors of the row-cleared
-    matrix from ``_int_rows_and_scale`` in colexicographic order, over its
-    positive scale.  Tables with more than ``MAX_SUBSETS`` minors raise
+    The result is a ``MinorTable``: the integer minors of the stored
+    integer rows in colexicographic order, over the product of the row
+    denominators.  Tables with more than ``MAX_SUBSETS`` minors raise
     UnsupportedParameterError before any is computed.
 
     The integer rows are eliminated once: if the rank is below k every
@@ -666,7 +690,7 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
     colex = _colex(n, k)
-    int_rows, scale = _int_rows_and_scale(m.row_tuples())
+    int_rows, scale = _int_rows_and_scale(m)
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
         return MinorTable(n, colex.subsets, (0,) * len(colex.subsets), scale, colex.index)
@@ -779,7 +803,7 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals."""
-    int_rows, _ = _int_rows_and_scale(m.row_tuples())
+    int_rows, _ = _int_rows_and_scale(m)
     pivots, _ = _bareiss(int_rows)
     return len(pivots)
 
@@ -791,7 +815,7 @@ def kernel_basis(m: RationalMatrix) -> list[RowVector]:
     scaled so the first nonzero entry is +1.  Its length is always
     cols - rank.
     """
-    int_rows, _ = _int_rows_and_scale(m.row_tuples())
+    int_rows, _ = _int_rows_and_scale(m)
     pivots, reduced, d = _rref(int_rows)
     n = m.cols
     pivot_set = set(pivots)
@@ -818,10 +842,8 @@ def solve_for_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> Rationa
     if k_image.rows != w.rows or k_image.cols != w.cols:
         raise DimensionError("left-factor solve needs equally shaped matrices")
     r = w.rows
-    # Solve W^T C^T = K^T by row reducing the augmented matrix [W^T | K^T].
-    wt = w.transpose().row_tuples()
-    kt = k_image.transpose().row_tuples()
-    aug, _ = _int_rows_and_scale(a + b for a, b in zip(wt, kt))
+    # Solve W^T C^T = K^T by row reducing [W^T | K^T], the transpose of W over K.
+    aug, _ = _int_rows_and_scale(RationalMatrix(_IntRows(w.int_rows + k_image.int_rows)).transpose())
     pivots, reduced, d = _rref(aug)
     if pivots[:r] != list(range(r)):
         raise RankError(f"target has row rank < {r}; left factor is not determined")
@@ -829,7 +851,8 @@ def solve_for_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> Rationa
         # A pivot inside the right block means some row of k_image is not
         # a combination of w's rows.
         raise InconsistentSystemError("no exact left factor exists")
-    return RationalMatrix([Fraction(x, d) for x in row[r:]] for row in reduced).transpose()
+    # C's rows are the columns of C^T = reduced[:, r:] / d
+    return RationalMatrix(_IntRows(_primitive(col, d) for col in zip(*(row[r:] for row in reduced))))
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
@@ -837,11 +860,9 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     if not m.is_square:
         raise DimensionError("inverse needs a square matrix")
     n = m.rows
-    aug, _ = _int_rows_and_scale(
-        row + tuple(Fraction(int(i == j)) for j in range(n))
-        for i, row in enumerate(m.row_tuples())
-    )
+    # row i of [M | I] times its denominator
+    aug = [list(ints) + [den * (i == j) for j in range(n)] for i, (ints, den) in enumerate(m.int_rows)]
     pivots, reduced, d = _rref(aug)
     if pivots != list(range(n)):
         raise RankError("matrix is singular")
-    return RationalMatrix([Fraction(x, d) for x in row[n:]] for row in reduced)
+    return RationalMatrix(_IntRows(_primitive(row[n:], d) for row in reduced))

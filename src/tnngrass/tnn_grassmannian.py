@@ -218,10 +218,7 @@ def zero_columns(point: TNNPoint, cols: IndexSubset) -> RationalMatrix:
     """
     cols.check_bounds(point.n)
     dead = set(cols)
-    result = RationalMatrix(
-        tuple(Fraction(0) if j in dead else x for j, x in enumerate(row, 1))
-        for row in point.matrix.row_tuples()
-    )
+    result = point.matrix.scale_columns([int(j not in dead) for j in range(1, point.n + 1)])
     minors = point.minors
     survives = any(
         value != 0

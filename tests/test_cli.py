@@ -609,6 +609,18 @@ class TestStrictIntegers:
         assert main(["map", bad, v]) == EXIT_USAGE
 
 
+class TestStrictFlags:
+    @pytest.mark.parametrize("flag", ["false", 0, [], None])
+    def test_setup_positivity_flag_must_be_a_boolean(self, tmp_path, setup_file, flag):
+        # "false" on a positive Z used to read as true and pass
+        payload = json.loads(Path(setup_file).read_text())
+        payload["allMinorsPositive"] = flag
+        bad = write(tmp_path / "bad_setup.json", payload)
+        out = run_cli("equivalence", bad, setup_file)
+        assert out.returncode == EXIT_USAGE
+        assert "true or false expected" in out.stderr and "Traceback" not in out.stderr
+
+
 class TestStrictLists:
     """List fields must be JSON arrays: no string or object is iterated in place of one."""
 

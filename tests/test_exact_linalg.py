@@ -2,6 +2,7 @@
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -28,6 +29,7 @@ from tnngrass import (
     subsets_colex,
 )
 from tnngrass import exact_linalg
+from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
     cofactor_det,
@@ -45,6 +47,8 @@ from helpers import (
     vandermonde_det,
     zeros,
 )
+
+REJECTED_STRINGS = ["0.5", "1e3", "1e400", " 1", "2.5", "1/0", "1/-2", "", "1/", "/2", "1 / 2", "٣"]
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -619,6 +623,85 @@ class TestScaleColumns:
             RationalMatrix([[1, 2, 3]]).scale_columns([Fraction(1)] * count)
 
 
+def assert_canonical(m: RationalMatrix) -> None:
+    """Every stored row is primitive over a positive denominator."""
+    for ints, den in m.int_rows:
+        assert den > 0 and gcd(*ints, den) == 1
+
+
+@st.composite
+def every_operation_st(draw):
+    """Operands for every operation that returns a matrix, around an r x c matrix."""
+    r, c, t = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return {
+        "a": draw(product_grid_st(r, c)),
+        "b": draw(product_grid_st(r, c)),
+        "right": draw(product_grid_st(c, t)),
+        "square": draw(product_grid_st(r, r)),
+        "scalar": draw(product_entry_st),
+        "factors": draw(st.lists(product_entry_st, min_size=c, max_size=c)),
+        "col": draw(st.lists(product_entry_st, min_size=r, max_size=r)),
+        "row": draw(st.lists(product_entry_st, min_size=c, max_size=c)),
+    }
+
+
+class TestCanonicalStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(every_operation_st())
+    def test_every_operation_against_fraction_oracles(self, ops):
+        a, b, right, square = ops["a"], ops["b"], ops["right"], ops["square"]
+        m = RationalMatrix(a)
+        factors, col, row, scalar = ops["factors"], ops["col"], ops["row"], ops["scalar"]
+        results = [
+            (m @ RationalMatrix(right), fraction_matmul(a, right)),
+            (m.transpose(), [list(c) for c in zip(*a)]),
+            (m + RationalMatrix(b), [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+            (m - RationalMatrix(b), [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+            (-m, [[-x for x in p] for p in a]),
+            (m.scale(scalar), [[scalar * x for x in p] for p in a]),
+            (m.scale_columns(factors), [[x * f for x, f in zip(p, factors)] for p in a]),
+            (m.add_outer(col, row), [[x + c * y for x, y in zip(p, row)] for p, c in zip(a, col)]),
+        ]
+        inverse = rref_inverse([list(p) for p in square])
+        if inverse is not None:
+            results.append((invert(RationalMatrix(square)), inverse))
+            # K = S M has a left factor S over M whenever M has full row rank
+            k_rows = fraction_matmul(square, a)
+            expected = rref_left_factor(k_rows, a)
+            if not isinstance(expected, type):
+                results.append((solve_for_left_factor(RationalMatrix(k_rows), m), expected))
+        for result, expected in results:
+            assert [list(p) for p in result.row_tuples()] == expected
+            assert result == RationalMatrix(expected)
+            assert hash(result) == hash(RationalMatrix(expected))
+            assert_canonical(result)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1]], [[0, 1], [1, 0]], [[1, 2], [3, 4]], [[Fraction(-1, 2), 3], [5, Fraction(7, 3)]]],
+    )
+    def test_inverse_with_a_negative_elimination_scale(self, rows):
+        m = RationalMatrix(rows)
+        inverse = invert(m)
+        assert_canonical(inverse)
+        assert inverse == RationalMatrix(rref_inverse([[Fraction(x) for x in r] for r in rows]))
+        assert m @ inverse == identity(len(rows)) == inverse @ m
+
+    def test_negative_scale_cases_reach_a_negative_d(self):
+        # invert and solve divide by the last Bareiss pivot d, which is negative here
+        assert exact_linalg._rref([[-1, 1]])[2] < 0
+        assert exact_linalg._rref([[1, 2, 1, 0], [3, 4, 0, 1]])[2] < 0
+        assert exact_linalg._rref([[1, 3, 0, 0], [2, 4, 0, 0], [0, 1, 0, 0]])[2] < 0
+
+    def test_left_factor_with_a_negative_pivot_block(self):
+        # W^T = [[1, 3], [2, 4], [0, 1]]: its leading block has determinant -2
+        w = RationalMatrix([[1, 2, 0], [3, 4, 1]])
+        c = RationalMatrix([[2, Fraction(-1, 3)], [1, 1]])
+        solved = solve_for_left_factor(c @ w, w)
+        assert solved == c
+        assert_canonical(solved)
+
+
 class TestConcurrency:
     def test_observational_determinism_under_threads(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -673,9 +756,32 @@ class TestSubsetsAndSerialization:
     def test_p_over_q_strings_parse(self, text):
         assert as_rational(text) == Fraction(text)
 
-    @pytest.mark.parametrize(
-        "text", ["0.5", "1e3", "1e400", " 1", "2.5", "1/0", "1/-2", "", "1/", "/2", "1 / 2", "٣"]
-    )
+    @pytest.mark.parametrize("text", REJECTED_STRINGS)
     def test_other_strings_rejected(self, text):
         with pytest.raises(ValueError):
             as_rational(text)
+
+    @pytest.mark.parametrize("value", [*REJECTED_STRINGS, True, 0.5])
+    def test_matrix_parsers_reject_as_as_rational_does(self, value):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            as_rational(value)
+        builders = [
+            lambda: RationalMatrix([[value]]),
+            lambda: RationalMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [[value]]}),
+        ]
+        for build in builders:
+            with pytest.raises((TypeError, ValueError)) as got:
+                build()
+            assert type(got.value) is type(expected.value)
+
+    @pytest.mark.parametrize(
+        "spelled, reduced",
+        [("2/4", "1/2"), ("-6/8", "-3/4"), ("+7", "7"), ("0/5", "0"), (Fraction(2, 4), Fraction(1, 2))],
+    )
+    def test_unreduced_spellings_give_the_reduced_matrix(self, spelled, reduced):
+        a = RationalMatrix([[spelled, "1/3"], ["-4/6", spelled]])
+        b = RationalMatrix([[reduced, "1/3"], ["-2/3", reduced]])
+        assert a == b and hash(a) == hash(b)
+        assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
+        assert a.int_rows == b.int_rows
+        assert_canonical(a)
