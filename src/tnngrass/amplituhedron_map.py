@@ -29,13 +29,11 @@ from .errors import (
 )
 from .exact_linalg import (
     MAX_SUBSETS,
-    IndexSubset,
     RationalMatrix,
     RowVector,
     _cleared,
     all_maximal_minors,
     kernel_basis,
-    minor,
     rank,
     rational_to_string,
 )
@@ -235,12 +233,9 @@ def build_z0(k: int, m: int, precision_digits: int = 12) -> AmplituhedronSetup:
         candidate = RationalMatrix(rows)
         # Any row basis of the eigenspace has uniformly signed maximal
         # minors; flip one row if the leading minor says we built the
-        # negatively oriented basis.
-        lead = minor(
-            candidate,
-            IndexSubset(tuple(range(1, k + m + 1))),
-            IndexSubset(tuple(range(1, k + m + 1))),
-        )
+        # negatively oriented basis: the first minor of the table, on columns
+        # 1..k+m, which build_setup reuses when no row is flipped.
+        lead = all_maximal_minors(candidate).ints[0]
         if lead < 0:
             flipped = [[-x for x in rows[0]]] + rows[1:]
             candidate = RationalMatrix(flipped)

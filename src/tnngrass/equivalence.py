@@ -137,9 +137,8 @@ def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -
     product with the residual the certificate forms once.  Also checks
     that V D is still totally nonnegative (positive column scaling
     preserves the sign of every maximal minor).  V D's table comes from
-    the point's own table, each minor times the product of its columns'
-    factors, so no minor is recomputed; the verdict is only as good as
-    ``point.minors``, which ``TNNPoint.from_matrix`` computes from V.
+    V's own table, each minor times the product of its columns' factors,
+    so no minor is recomputed.
     """
     v = point.matrix
     if v.cols != len(cert.d_diag):

@@ -30,7 +30,7 @@ computes the table and nothing more.  Its bookkeeping depends only on
 (n, k) and the pivots and is cached as one plan per pivot pattern, which
 generic matrices of one shape share.  The table is a ``MinorTable``:
 integer minors over one positive scale, the product of the row
-denominators, so sign tests read integers.
+denominators, so sign tests read integers; a matrix computes it once.
 
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
@@ -327,6 +327,9 @@ def _primitive(ints: Sequence[int], den: int) -> IntRow:
 
 
 def _parse_row(row: Iterable[int | str | Fraction]) -> IntRow:
+    # refused, not iterated: a string of rows is also a sequence of strings
+    if isinstance(row, str):
+        raise TypeError(f"a row of entries expected, got the string {row[:40]!r}")
     pairs = [_parse(x) for x in row]
     den = lcm(*(q for _, q in pairs))
     return _primitive([p * (den // q) for p, q in pairs], den)
@@ -350,10 +353,11 @@ class RationalMatrix:
     ``int_rows[i]`` is row i as (integers, denominator), primitive over a
     positive denominator, so equal matrices have equal storage and
     equality is entrywise exact equality.  All arithmetic returns new
-    matrices; instances are safe to share between threads.
+    matrices; instances are safe to share between threads.  The slot
+    ``_minors`` is unset until ``all_maximal_minors`` keeps the table there.
     """
 
-    __slots__ = ("int_rows", "_hash")
+    __slots__ = ("int_rows", "_hash", "_minors")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
         data = rows if type(rows) is _IntRows else _IntRows(map(_parse_row, rows))
@@ -661,7 +665,20 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
     The result is a ``MinorTable``: the integer minors of the stored
     integer rows in colexicographic order, over the product of the row
     denominators.  Tables with more than ``MAX_SUBSETS`` minors raise
-    UnsupportedParameterError before any is computed.
+    UnsupportedParameterError before any is computed.  ``_minor_table``
+    computes it once per matrix, into the matrix's ``_minors`` slot; two
+    threads may both compute it, and store equal tables.
+    """
+    try:
+        return m._minors
+    except AttributeError:
+        table = _minor_table(m)
+        object.__setattr__(m, "_minors", table)
+        return table
+
+
+def _minor_table(m: RationalMatrix) -> MinorTable:
+    """The table ``all_maximal_minors`` returns, computed.
 
     The integer rows are eliminated once: if the rank is below k every
     minor is 0.  Otherwise, with D = d R the scaled reduced rows from

@@ -158,22 +158,17 @@ def convexity_certificate(
         raise DimensionError(
             f"cell is for {cell.k}x{cell.n}, setup is {setup.k}x{setup.n}"
         )
-    tables = []
     for name, mat in (("U", u), ("V", v)):
-        # in_closed_cell scans the whole table itself, so the unvalidated
-        # point only carries the table on to alpha and beta below
-        point = TNNPoint(matrix=mat, minors=all_maximal_minors(mat))
-        if not in_closed_cell(point, cell):
+        if not in_closed_cell(mat, cell):
             raise NotInCellError(f"{name} is not in the closed cell")
-        tables.append(point.minors)
     x = fiber_displacement(setup, u, v)
 
-    # fiber_displacement checked V = U + x^T a exactly, so V's table gives
-    # the minors at lambda = 1; lambda = 2 is computed independently as the
-    # affinity check.  With m_l / s_l the minor at lambda = l, alpha = m_0 / s_0
-    # and beta = m_1 / s_1 - m_0 / s_0; both the check and the verdict are
-    # read on integers, cleared by the positive scales.
-    minors0, minors1 = tables
+    # in_closed_cell left both tables on their matrices; fiber_displacement
+    # checked V = U + x^T a exactly, so V's gives the minors at lambda = 1.
+    # lambda = 2 is computed independently as the affinity check.  With m_l / s_l
+    # the minor at lambda = l, alpha = m_0 / s_0 and beta = m_1 / s_1 - m_0 / s_0;
+    # both the check and the verdict are read on integers over positive scales.
+    minors0, minors1 = all_maximal_minors(u), all_maximal_minors(v)
     minors2 = all_maximal_minors(v.add_outer(x, a))
     s0, s1, s2 = minors0.scale, minors1.scale, minors2.scale
     s01, s02, s12 = s0 * s1, s0 * s2, s1 * s2
@@ -263,7 +258,7 @@ def sample_fiber_partner(
     """
     a = _require_corank_one(setup)
     u = point.matrix
-    if not in_closed_cell(point, cell):
+    if not in_closed_cell(u, cell):
         raise NotInCellError("sample point is not in the closed cell")
     if stats is not None:
         stats["accepted"] = stats.get("accepted", 0) + 1
@@ -271,7 +266,7 @@ def sample_fiber_partner(
         Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 8 * rng.randint(1, 4))
         for _ in range(setup.k)
     )
-    alpha = point.minors
+    alpha = all_maximal_minors(u)
     moved = all_maximal_minors(u.add_outer(d, a))
     s_alpha, s_moved = alpha.scale, moved.scale
     stuck = any(moved.int_at(s) * s_alpha != alpha.int_at(s) * s_moved for s in cell.nonbases)
@@ -301,4 +296,4 @@ def sample_fiber_partner(
     if stats is not None:
         stats["lambda_halvings"] = stats.get("lambda_halvings", 0) + halvings
     x = tuple(lam * entry for entry in d)
-    return FiberPair(u=u, v=u.add_outer(x, a), x=x)
+    return FiberPair(u=u, v=u.add_outer(x, a) if lam else u, x=x)

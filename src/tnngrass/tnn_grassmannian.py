@@ -8,7 +8,7 @@ are specified by the k-subsets whose minors are required to vanish
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -43,18 +43,16 @@ class TNNWitnessReport:
     """Outcome of a total-nonnegativity check, with a witness on failure.
 
     ``first_violation`` is the colexicographically least column subset
-    whose minor is negative, together with that minor.  ``is_tnn`` holds
-    exactly when the rank is full and no violation exists.
+    whose minor is negative, together with that minor.
     """
 
-    is_tnn: bool
     rank_ok: bool
     first_violation: tuple[IndexSubset, Fraction] | None = None
 
-    def __post_init__(self) -> None:
-        expected = self.rank_ok and self.first_violation is None
-        if self.is_tnn != expected:
-            raise DomainError("inconsistent witness report")
+    @property
+    def is_tnn(self) -> bool:
+        """Full rank and no violation."""
+        return self.rank_ok and self.first_violation is None
 
     def to_json_dict(self) -> dict:
         violation = None
@@ -69,9 +67,8 @@ def _scan_minors(minors: MinorTable) -> TNNWitnessReport:
     for subset, value in zip(minors.subsets, minors.ints):  # colexicographic order
         if value < 0:
             violation = (subset, Fraction(value, minors.scale))
-            return TNNWitnessReport(is_tnn=False, rank_ok=True, first_violation=violation)
-    rank_ok = any(minors.ints)
-    return TNNWitnessReport(is_tnn=rank_ok, rank_ok=rank_ok)
+            return TNNWitnessReport(rank_ok=True, first_violation=violation)
+    return TNNWitnessReport(rank_ok=any(minors.ints))
 
 
 def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
@@ -87,20 +84,14 @@ def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
 class TNNPoint:
     """A validated representative of a totally nonnegative point.
 
-    Carries the full maximal-minor table computed during validation, so
-    downstream cell and matroid queries never recompute determinants.
-    ``minors`` must be ``all_maximal_minors(matrix)``: cell queries and
-    ``equivalence_transport_check`` read it in place of the matrix and do
-    not check it.  ``from_matrix`` builds it so.
+    ``minors`` is the table ``from_matrix`` validated, kept by the matrix.
     """
 
     matrix: RationalMatrix
-    minors: MinorTable = field(compare=False, repr=False, hash=False)
 
     @classmethod
     def from_matrix(cls, matrix: RationalMatrix) -> "TNNPoint":
-        minors = all_maximal_minors(matrix)
-        report = _scan_minors(minors)
+        report = check_tnn(matrix)
         if not report.rank_ok:
             raise DegeneracyError(f"matrix has rank below {matrix.rows}")
         if report.first_violation is not None:
@@ -108,7 +99,11 @@ class TNNPoint:
             raise DomainError(
                 f"minor on columns {list(subset.members)} is negative: {rational_to_string(value)}"
             )
-        return cls(matrix=matrix, minors=minors)
+        return cls(matrix=matrix)
+
+    @property
+    def minors(self) -> MinorTable:
+        return all_maximal_minors(self.matrix)
 
     @property
     def k(self) -> int:
@@ -166,18 +161,16 @@ def matroid_of(point: TNNPoint) -> PositroidCellSpec:
     return PositroidCellSpec(k=point.k, n=point.n, nonbases=nonbases)
 
 
-def in_closed_cell(matrix: RationalMatrix | TNNPoint, cell: PositroidCellSpec) -> bool:
+def in_closed_cell(matrix: RationalMatrix, cell: PositroidCellSpec) -> bool:
     """Membership of a representative in the closed cell.
 
     True iff the matrix is totally nonnegative of full rank and every
     declared nonbasis minor vanishes exactly.
     """
-    mat = matrix.matrix if isinstance(matrix, TNNPoint) else matrix
-    if (mat.rows, mat.cols) != (cell.k, cell.n):
-        raise DimensionError(f"matrix is {mat.rows}x{mat.cols} but cell expects {cell.k}x{cell.n}")
-    minors = matrix.minors if isinstance(matrix, TNNPoint) else all_maximal_minors(mat)
-    report = _scan_minors(minors)
-    if not report.is_tnn:
+    if (matrix.rows, matrix.cols) != (cell.k, cell.n):
+        raise DimensionError(f"matrix is {matrix.rows}x{matrix.cols} but cell expects {cell.k}x{cell.n}")
+    minors = all_maximal_minors(matrix)
+    if not _scan_minors(minors).is_tnn:
         return False
     return all(minors.int_at(s) == 0 for s in cell.nonbases)
 

@@ -35,11 +35,30 @@ from tnngrass import (
     minor,
     outer_product,
 )
+from tnngrass import exact_linalg
 from tnngrass.exact_linalg import MinorTable
 
 # (k, m) pairs exercised by the fiber acceptance criteria.
 FIBER_CONFIGS = [(1, 2), (2, 2), (2, 1), (3, 2)]
 Z0_CONFIGS = [(1, 2), (2, 2), (3, 2), (2, 4)]
+
+
+def count_computed_tables(monkeypatch) -> list[RationalMatrix]:
+    """Record each matrix whose minor table is computed, not read from its memo.
+
+    Patches the computing step inside ``exact_linalg``, which every
+    ``all_maximal_minors`` call reaches on a matrix without a table, under
+    whatever name a module imported the function.
+    """
+    computed = []
+    compute = exact_linalg._minor_table
+
+    def counted(matrix):
+        computed.append(matrix)
+        return compute(matrix)
+
+    monkeypatch.setattr(exact_linalg, "_minor_table", counted)
+    return computed
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -223,7 +242,7 @@ def fraction_fiber_partner(
     """
     a = setup.kernel_gen
     u = point.matrix
-    if not in_closed_cell(point, cell):
+    if not in_closed_cell(u, cell):
         raise NotInCellError("sample point is not in the closed cell")
     d = tuple(
         Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 8 * rng.randint(1, 4))

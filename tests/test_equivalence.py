@@ -25,8 +25,10 @@ from tnngrass import (
     equivalence_transport_check,
     hat_map,
     pluecker,
+    all_maximal_minors,
 )
 from helpers import (
+    count_computed_tables,
     four_product_transport,
     fraction_det,
     identity,
@@ -309,21 +311,12 @@ class TestTransportTable:
         assert True in verdicts and False in verdicts
 
     def test_transport_builds_no_minor_table(self, monkeypatch):
-        import tnngrass.tnn_grassmannian as tnn_mod
-
         rng = Random(191)
         cert = construct_equivalence(
             random_corank_one_setup(rng, 2, 2), random_corank_one_setup(rng, 2, 2)
         )
         points = [scaled_vandermonde_point(rng, 2, 5) for _ in range(5)]
-        tables = []
-        original = tnn_mod.all_maximal_minors
-
-        def counted(matrix):
-            tables.append(matrix)
-            return original(matrix)
-
-        monkeypatch.setattr(tnn_mod, "all_maximal_minors", counted)
+        tables = count_computed_tables(monkeypatch)
         assert all(equivalence_transport_check(cert, point) for point in points)
         assert tables == []
 
@@ -443,6 +436,25 @@ class TestVertexTable:
             return SimpleNamespace(subsets=table.subsets, ints=tuple(ints), scale=table.scale)
 
         monkeypatch.setattr(equivalence_mod, "all_maximal_minors", tampered)
+
+    def test_a_tampered_table_is_not_kept(self, monkeypatch):
+        setup = vandermonde_setup(1, 1, [Fraction(i) for i in (1, 2, 3, 4)])
+        self._tamper(monkeypatch, {3: lambda v: -v})
+        tampered, charted = equivalence_mod.all_maximal_minors, []
+
+        def recorded(matrix):
+            charted.append(matrix)
+            return tampered(matrix)
+
+        monkeypatch.setattr(equivalence_mod, "all_maximal_minors", recorded)
+        with pytest.raises(InternalConsistencyError, match="changed sign"):
+            cyclic_polytope_vertices(setup)
+        monkeypatch.undo()
+        # the charted matrix keeps the genuine table, every orientation positive
+        (matrix,) = charted
+        kept = all_maximal_minors(matrix)
+        assert kept == all_maximal_minors(RationalMatrix(matrix.row_tuples()))
+        assert min(kept.ints) > 0
 
     def test_zero_orientation_names_the_first_zero_subset(self, monkeypatch):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4, 5)])

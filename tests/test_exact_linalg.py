@@ -1,5 +1,6 @@
 """Core exact linear algebra: determinants, minors, kernels, solves."""
 
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
@@ -33,6 +34,7 @@ from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
     cofactor_det,
+    count_computed_tables,
     det2,
     fraction_matmul,
     fraction_rref,
@@ -332,6 +334,43 @@ class TestAllMaximalMinors:
         # C(5, 2) = 10 fills the budget, C(4, 2) = 6 pushes it out, and
         # C(6, 3) = 20 is never kept.
         assert builds == [(5, 2), (4, 2), (5, 2), (6, 3), (6, 3)]
+
+
+class TestMinorTableMemo:
+    def test_a_matrix_keeps_its_table(self):
+        m = RationalMatrix([[1, 2, 3, 4], [0, 1, 5, Fraction(1, 2)]])
+        assert all_maximal_minors(m) is all_maximal_minors(m)
+
+    def test_computed_once_per_matrix(self, monkeypatch):
+        tables = count_computed_tables(monkeypatch)
+        m, copy = RationalMatrix([[1, 2, 3]]), RationalMatrix([[1, 2, 3]])
+        for _ in range(3):
+            all_maximal_minors(m)
+        assert tables == [m]
+        all_maximal_minors(copy)
+        assert tables == [m, copy] and tables[0] is m and tables[1] is copy
+
+    def test_the_table_takes_no_part_in_equality_or_hash(self):
+        rows = [[1, Fraction(2, 3), 5], [Fraction(-1, 4), 0, 7]]
+        with_table, without = RationalMatrix(rows), RationalMatrix(rows)
+        all_maximal_minors(with_table)
+        assert with_table == without and hash(with_table) == hash(without)
+        assert {with_table: 1}[without] == 1
+        assert with_table != RationalMatrix([[1, 2, 5], [0, 0, 7]])
+
+    def test_the_slot_cannot_be_assigned(self):
+        m = RationalMatrix([[1, 2]])
+        with pytest.raises(AttributeError):
+            m._minors = all_maximal_minors(RationalMatrix([[3, 4]]))
+        assert minors_of(all_maximal_minors(m)) == {IndexSubset((1,)): 1, IndexSubset((2,)): 2}
+
+    def test_refused_tables_are_not_kept(self, monkeypatch):
+        tables = count_computed_tables(monkeypatch)
+        tall = RationalMatrix([[1], [2]])
+        for _ in range(2):
+            with pytest.raises(DimensionError):
+                all_maximal_minors(tall)
+        assert tables == [tall, tall]
 
 
 class TestRank:
@@ -710,10 +749,19 @@ class TestConcurrency:
         matrices = [random_matrix(rng, 3, 6) for _ in range(4)]
         matrices += [random_matrix(rng, 5, 8) for _ in range(4)]
         sequential = [all_maximal_minors(m) for m in matrices]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(4):
-                threaded = list(pool.map(all_maximal_minors, matrices))
-                assert threaded == sequential
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(4):
+                    # fresh copies without a table, each listed twice, so threads
+                    # compute tables and may race to keep one on the same matrix
+                    fresh = [RationalMatrix(m.row_tuples()) for m in matrices] * 2
+                    threaded = list(pool.map(all_maximal_minors, fresh, timeout=120))
+                    assert threaded == sequential * 2
+                    assert [all_maximal_minors(m) for m in fresh] == sequential * 2
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSubsetsAndSerialization:
@@ -751,6 +799,16 @@ class TestSubsetsAndSerialization:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
             RationalMatrix([[0.5]])
+
+    @pytest.mark.parametrize("rows", ["12", ["12"], [[1, 2], "34"]])
+    def test_strings_as_rows_rejected(self, rows):
+        # a string would otherwise be iterated as rows, or as a row of digits
+        with pytest.raises(TypeError, match="string"):
+            RationalMatrix(rows)
+
+    def test_a_string_entry_is_one_entry(self):
+        assert RationalMatrix([["12"]]) == RationalMatrix([[12]])
+        assert RationalMatrix([["12", "3/4"]]).row(0) == (12, Fraction(3, 4))
 
     @pytest.mark.parametrize("text", ["7", "-7", "+7", "3/4", "-6/8", "0/5"])
     def test_p_over_q_strings_parse(self, text):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnngrass.fiber as fiber_mod
-import tnngrass.tnn_grassmannian as tnn_mod
 from tnngrass import (
     FiberMismatchError,
     IndexSubset,
@@ -36,6 +35,7 @@ from tnngrass import (
     zero_columns,
 )
 from helpers import (
+    count_computed_tables,
     fraction_certificate,
     fraction_fiber_partner,
     identity,
@@ -278,10 +278,11 @@ class TestConvexityCertificate:
         setup = random_corank_one_setup(rng, 3, 2)
         cell = PositroidCellSpec.top_cell(3, 6)
         pair = sample_fiber_partner(setup, cell, scaled_vandermonde_point(rng, 3, 6), rng)
-        tables = []
+        matrices, tables = [], []
 
         def tampered(matrix):
             table = all_maximal_minors(matrix)
+            matrices.append(matrix)
             tables.append(table)
             if len(tables) < 3:
                 return table
@@ -294,6 +295,12 @@ class TestConvexityCertificate:
         with pytest.raises(InternalConsistencyError, match="not affine"):
             convexity_certificate(setup, cell, pair.u, pair.v)
         assert len(tables) == 3
+        # the tampered copy was returned, never kept: each matrix holds its own table
+        for matrix, table in zip(matrices, tables):
+            assert all_maximal_minors(matrix) is table
+            assert table == all_maximal_minors(RationalMatrix(matrix.row_tuples()))
+        monkeypatch.undo()
+        assert convexity_certificate(setup, cell, pair.u, pair.v).verdict
 
     def test_json_shape(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
@@ -438,19 +445,29 @@ class TestFiberPairSampling:
         if zeroed:
             point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((4,))))
         cell = matroid_of(point)
-        tables = []
-
-        def counted(matrix):
-            tables.append(matrix)
-            return all_maximal_minors(matrix)
-
-        # membership tests build their tables through tnn_grassmannian
-        monkeypatch.setattr(fiber_mod, "all_maximal_minors", counted)
-        monkeypatch.setattr(tnn_mod, "all_maximal_minors", counted)
+        # the point's own table is already computed; only U + d^T a's is new
+        tables = count_computed_tables(monkeypatch)
         for _ in range(5):
             tables.clear()
             sample_fiber_partner(setup, cell, point, rng)
             assert len(tables) == 1
+
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["top-cell", "zeroed-column"])
+    def test_certificate_reuses_the_sampled_tables(self, monkeypatch, zeroed):
+        rng = Random(127)
+        setup = random_corank_one_setup(rng, 3, 2)
+        point = scaled_vandermonde_point(rng, 3, 6)
+        if zeroed:
+            point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((4,))))
+        cell = matroid_of(point)
+        tables = count_computed_tables(monkeypatch)
+        pair = sample_fiber_partner(setup, cell, point, rng)
+        assert len(tables) == 1  # U + d^T a
+        assert pair.u is point.matrix and (pair.v is pair.u) == zeroed
+        convexity_certificate(setup, cell, pair.u, pair.v)
+        # V, unless it is U, and the independent table at lambda = 2
+        assert len(tables) == (2 if zeroed else 3)
+        assert tables[-1] == pair.v.add_outer(pair.x, setup.kernel_gen)
 
     def test_partner_stops_short_of_a_vanishing_minor(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])

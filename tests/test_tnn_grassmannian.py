@@ -1,5 +1,6 @@
 """Positivity tests, matroid extraction, cell membership, sampling."""
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -23,8 +24,16 @@ from tnngrass import (
     sample_top_cell,
     zero_columns,
 )
+from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import capped_comb
-from helpers import draw_nodes, identity, minors_of, random_positive_det, vandermonde_det
+from helpers import (
+    count_computed_tables,
+    draw_nodes,
+    identity,
+    minors_of,
+    random_positive_det,
+    vandermonde_det,
+)
 
 
 class TestCheckTnn:
@@ -56,9 +65,36 @@ class TestCheckTnn:
         report = check_tnn(m)
         assert tuple(report.first_violation[0].members) == (1, 2)
 
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[1, 2]], '{"firstViolation":null,"isTNN":true,"rankOK":true}'),
+            ([[1, -2]], '{"firstViolation":{"cols":[2],"minor":"-2"},"isTNN":false,"rankOK":true}'),
+            ([[0, 0]], '{"firstViolation":null,"isTNN":false,"rankOK":false}'),
+        ],
+    )
+    def test_is_tnn_is_full_rank_without_violation(self, rows, expected):
+        report = check_tnn(RationalMatrix(rows))
+        assert report.is_tnn == (report.rank_ok and report.first_violation is None)
+        assert canonical_json(report.to_json_dict()).strip() == expected
+
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             check_tnn(RationalMatrix([[1], [2]]))
+
+
+class TestTnnPoint:
+    def test_the_matrix_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(TNNPoint)] == ["matrix"]
+
+    def test_minors_are_the_table_the_matrix_keeps(self, monkeypatch):
+        tables = count_computed_tables(monkeypatch)
+        point = TNNPoint.from_matrix(RationalMatrix([[1, 1, 0], [1, 2, 0]]))
+        assert point.minors is all_maximal_minors(point.matrix)
+        matroid_of(point)
+        zero_columns(point, IndexSubset((3,)))
+        assert in_closed_cell(point.matrix, matroid_of(point))
+        assert tables == [point.matrix]
 
 
 class TestMatroidOf:
@@ -106,7 +142,7 @@ class TestInClosedCell:
             point = sample_top_cell(2, 4, draw_nodes(rng, 4))
             zeroed = TNNPoint.from_matrix(zero_columns(point, IndexSubset((2,))))
             for p in (point, zeroed):
-                assert in_closed_cell(p, matroid_of(p))
+                assert in_closed_cell(p.matrix, matroid_of(p))
 
 
 class TestCellSpec:
