@@ -44,7 +44,6 @@ from .exact_linalg import (
     det,
     invert,
     kernel_basis,
-    minor,
     outer_product,
     rank,
     rational_to_string,

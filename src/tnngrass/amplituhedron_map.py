@@ -3,7 +3,9 @@
 A setup bundles counts (k, m, n) with a full-rank (k+m) x n matrix Z.
 Representatives V map to V Z^T; when n = k+m+1 the kernel of v -> v Z^T
 is one-dimensional and its canonical generator is cached, since the
-fiber and equivalence machinery is built on it.
+fiber and equivalence machinery is built on it.  The generator is read
+off Z's minor table, a_j = (-1)^j p_{[n]-j}(Z) (Cramer's rule), so the
+setup eliminates Z once.
 
 The cyclically symmetric matrix is constructed from the closed-form
 trigonometric eigenbasis of S + S^T, where S is the cyclic shift that
@@ -29,11 +31,11 @@ from .errors import (
 )
 from .exact_linalg import (
     MAX_SUBSETS,
+    MinorTable,
     RationalMatrix,
     RowVector,
     _cleared,
     all_maximal_minors,
-    kernel_basis,
     rank,
     rational_to_string,
 )
@@ -89,10 +91,28 @@ class AmplituhedronSetup:
         }
 
 
+def _kernel_from_table(minors: MinorTable) -> RowVector:
+    """The kernel generator of a full-rank (n-1) x n matrix from its minor table.
+
+    a_j = (-1)^j p_{[n]-j}, scaled so the first nonzero entry is +1: each
+    entry of Z a^T is the Laplace expansion of a determinant with a
+    repeated row.  Colex entry i omits column n - i, so column j's
+    complement is entry n - j; the table's scale cancels.
+    """
+    n = minors.n
+    signed = [(-1) ** j * minors.ints[n - j] for j in range(1, n + 1)]
+    lead = next(x for x in signed if x)
+    return tuple(Fraction(x, lead) for x in signed)
+
+
 def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
     """Validate Z and cache its positivity flag and kernel generator.
 
-    Raises RankError when Z does not have full row rank k+m.
+    Both come from Z's one minor table.  For n = k+m+1 the generator is
+    read off it by ``_kernel_from_table``; full rank makes the kernel
+    one-dimensional, and Z a^T = 0 and the sign alternation are still
+    checked exactly.  Raises RankError when Z does not have full row
+    rank k+m.
     """
     if k < 1 or m < 0:
         raise UnsupportedParameterError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
@@ -109,13 +129,8 @@ def build_setup(k: int, m: int, Z: RationalMatrix) -> AmplituhedronSetup:
     kernel_gen: RowVector | None = None
     alternating: bool | None = None
     if n == k + m + 1:
-        basis = kernel_basis(Z)
-        if len(basis) != 1:
-            raise InternalConsistencyError(
-                f"corank-one setup produced a {len(basis)}-dimensional kernel"
-            )
-        kernel_gen = basis[0]
-        # with the dimension above, the kernel is exactly span(a), as fiber needs;
+        kernel_gen = _kernel_from_table(minors)
+        # with full rank, the kernel is exactly span(a), as fiber needs;
         # Z's rows and a are integers over positive denominators, so
         # Z a^T = 0 iff every integer dot product vanishes
         a, _ = _cleared(kernel_gen)

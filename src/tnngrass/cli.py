@@ -454,7 +454,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
         verdicts=[
             ("certificate_exact", cert.exact),
             ("det_C_positive", cert.det_c > 0),
-            ("D_diagonal_positive", all(x > 0 for x in cert.d_diag)),
+            ("D_diagonal_positive", cert.d_positive),
             ("transport_spot_checks", transports_ok),
         ],
         counters={"spotChecks": args.spot_checks},

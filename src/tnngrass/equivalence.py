@@ -8,11 +8,17 @@ kernel and hence their row span, and the unique C with Z' = C Z D has
 positive determinant.  The triple (C, D, det C) is an exact certificate
 that the two image bodies are projectively equivalent.
 
-Every identity of a certificate is read off one matrix, its residual
-R = C (Z D) - Z', formed once: Z D by scaling columns, then one product.
-The certificate is exact iff R = 0, and a transport spot check on V
-tests V R^T = 0, which is the square (V D) Z^T C^T = V Z'^T moved to one
-side (D is diagonal, so D^T = D).
+Every identity is decided once per certificate or once per setup.  The
+residual R = C (Z D) - Z' is formed once, from Z D by scaling columns
+and one product; the certificate is exact iff R = 0.  det C is then read
+off the two setups' memoized minor tables: C (Z D)_S = Z'_S on the first
+k+m columns S, so det C = p_S(Z') / (p_S(Z) prod_{j in S} d_j).  A
+transport spot check on V tests V R^T = 0, the square
+(V D) Z^T C^T = V Z'^T moved to one side (D is diagonal, so D^T = D);
+an exact certificate passes it for every V without a product.  V D is
+totally nonnegative iff V is when every d_j > 0, since each minor of V D
+is V's minor times a positive product, so the check is one sign scan of
+V's own table.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .amplituhedron_map import AmplituhedronSetup
 from .errors import (
@@ -35,7 +42,6 @@ from .exact_linalg import (
     RationalMatrix,
     RowVector,
     all_maximal_minors,
-    det,
     rational_to_string,
     solve_for_left_factor,
 )
@@ -68,10 +74,20 @@ class EquivalenceCertificate:
         """C Z D - Z', computed on first use and kept; zero iff the identity holds."""
         return self.c @ self.z.scale_columns(self.d_diag) - self.z_prime
 
-    @property
+    @cached_property
     def exact(self) -> bool:
-        """Whether Z' = C Z D holds entrywise."""
+        """Whether Z' = C Z D holds entrywise, decided once."""
         return _is_zero(self.residual)
+
+    @cached_property
+    def residual_transpose(self) -> RationalMatrix:
+        """R^T, formed once; only a certificate that is not exact needs it."""
+        return self.residual.transpose()
+
+    @cached_property
+    def d_positive(self) -> bool:
+        """Whether every d_j > 0, so that V D has the minor signs of V."""
+        return all(x > 0 for x in self.d_diag)
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,7 +106,10 @@ def construct_equivalence(
 
     Both setups must have n = k+m+1 and strictly positive maximal
     minors, which makes the kernel generators sign-alternating with no
-    zero entries.
+    zero entries.  The identity Z' = C Z D is decided once, as R = 0;
+    det C is then read off the setups' memoized tables as
+    p_S(Z') / (p_S(Z) prod_{j in S} d_j) for S = {1..k+m}, with no
+    second elimination.
     """
     if (setup_a.k, setup_a.m) != (setup_b.k, setup_b.m):
         raise DimensionError(
@@ -118,14 +137,20 @@ def construct_equivalence(
         raise InternalConsistencyError(
             f"no exact left factor although kernels agree: {exc}"
         ) from exc
-    det_c = det(c)
-    if det_c <= 0:
-        raise InternalConsistencyError(f"det(C) = {rational_to_string(det_c)} is not positive")
+    # Once Z' = C Z D holds, C (Z D)_S = Z'_S on the first k+m columns S,
+    # the first colex entry of both memoized tables, so det C is a ratio
+    # of leading minors and C needs no elimination of its own.
+    r = setup_a.Z.rows
+    lead_a, lead_b = all_maximal_minors(setup_a.Z), all_maximal_minors(setup_b.Z)
+    p_a = Fraction(lead_a.ints[0], lead_a.scale)
+    det_c = Fraction(lead_b.ints[0], lead_b.scale) / (p_a * prod(d_diag[:r]))
     cert = EquivalenceCertificate(
         z=setup_a.Z, z_prime=setup_b.Z, d_diag=d_diag, c=c, det_c=det_c
     )
     if not cert.exact:
         raise InternalConsistencyError("certificate identity Z' = C Z D failed entrywise")
+    if det_c <= 0:
+        raise InternalConsistencyError(f"det(C) = {rational_to_string(det_c)} is not positive")
     return cert
 
 
@@ -133,18 +158,25 @@ def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -
     """Exact commutativity of the transport square on one representative.
 
     The square (V D) Z^T C^T = V Z'^T holds entrywise iff V R^T = 0 for
-    the certificate's residual R = C Z D - Z', so each point costs one
-    product with the residual the certificate forms once.  Also checks
-    that V D is still totally nonnegative (positive column scaling
-    preserves the sign of every maximal minor).  V D's table comes from
-    V's own table, each minor times the product of its columns' factors,
-    so no minor is recomputed.
+    the certificate's residual R = C Z D - Z'.  An exact certificate
+    (R = 0) passes it for every V, so only a certificate that is not
+    exact makes a product, with the R^T it forms once.  Also checks that
+    V D is still totally nonnegative: when every d_j > 0 each minor of
+    V D is V's minor times a positive product, so this is one sign scan
+    of V's memoized table.  A D with a zero or negative entry scales V's
+    table, each minor times the product of its columns' factors; no
+    minor is recomputed either way.
     """
     v = point.matrix
-    if v.cols != len(cert.d_diag):
-        raise DimensionError(f"representative must have {len(cert.d_diag)} columns")
-    commutes = _is_zero(v @ cert.residual.transpose())
-    return commutes and _scan_minors(point.minors.scale_columns(cert.d_diag)).is_tnn
+    n = len(cert.d_diag)
+    if v.cols != n:
+        raise DimensionError(f"representative must have {n} columns")
+    if cert.z.cols != n:
+        raise DimensionError(f"{n} diagonal entries for the {cert.z.cols} columns of Z")
+    if not (cert.exact or _is_zero(v @ cert.residual_transpose)):
+        return False
+    minors = point.minors if cert.d_positive else point.minors.scale_columns(cert.d_diag)
+    return _scan_minors(minors).is_tnn
 
 
 def _is_zero(m: RationalMatrix) -> bool:

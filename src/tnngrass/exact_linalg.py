@@ -72,7 +72,6 @@ __all__ = [
     "rational_to_string",
     "subsets_colex",
     "det",
-    "minor",
     "all_maximal_minors",
     "rank",
     "kernel_basis",
@@ -459,11 +458,14 @@ class RationalMatrix:
 
         With row i of self as u / d, ``row`` as a / e and col[i] = p / q,
         row i of the result is (e q u + p d a) / (d e q), reduced by one gcd.
+        A zero ``col`` returns self, so its memoized minor table is reused.
         """
         if len(col) != self.rows or len(row) != self.cols:
             raise DimensionError(
                 f"cannot add a {len(col)}x{len(row)} outer product to a {self.rows}x{self.cols} matrix"
             )
+        if not any(col):
+            return self
         a, e = _cleared(row)
         rows = []
         for (u, d), c in zip(self.int_rows, col):
@@ -646,17 +648,6 @@ def det(m: RationalMatrix) -> Fraction:
     int_rows, scale = _int_rows_and_scale(m)
     pivots, sign = _bareiss(int_rows)
     return Fraction(sign * int_rows[-1][-1] if len(pivots) == m.rows else 0, scale)
-
-
-def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -> Fraction:
-    """Determinant of the submatrix selected by 1-based index subsets."""
-    if len(row_subset) != len(col_subset):
-        raise DimensionError(
-            f"subset sizes differ: {len(row_subset)} rows vs {len(col_subset)} cols"
-        )
-    if len(row_subset) == 0:
-        return Fraction(1)
-    return det(m.submatrix(row_subset, col_subset))
 
 
 def all_maximal_minors(m: RationalMatrix) -> MinorTable:

@@ -32,7 +32,6 @@ from tnngrass import (
     det,
     fiber_displacement,
     in_closed_cell,
-    minor,
     outer_product,
 )
 from tnngrass import exact_linalg
@@ -59,6 +58,23 @@ def count_computed_tables(monkeypatch) -> list[RationalMatrix]:
 
     monkeypatch.setattr(exact_linalg, "_minor_table", counted)
     return computed
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """Record the row count of each integer elimination, whatever called it.
+
+    Patches ``exact_linalg._bareiss``, which ``det``, ``rank``, kernels,
+    solves, inverses and minor tables all reach.
+    """
+    rows = []
+    bareiss = exact_linalg._bareiss
+
+    def counted(a):
+        rows.append(len(a))
+        return bareiss(a)
+
+    monkeypatch.setattr(exact_linalg, "_bareiss", counted)
+    return rows
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -142,6 +158,17 @@ def fraction_det(rows: list[list[Fraction]]) -> Fraction:
             if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return value
+
+
+def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -> Fraction:
+    """Determinant of the submatrix selected by 1-based index subsets, one at a time."""
+    if len(row_subset) != len(col_subset):
+        raise DimensionError(
+            f"subset sizes differ: {len(row_subset)} rows vs {len(col_subset)} cols"
+        )
+    if len(row_subset) == 0:
+        return Fraction(1)
+    return det(m.submatrix(row_subset, col_subset))
 
 
 def minors_of(table: MinorTable) -> dict[IndexSubset, Fraction]:

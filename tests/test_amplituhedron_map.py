@@ -16,16 +16,19 @@ from tnngrass import (
     build_z0,
     check_tnn,
     hat_map,
-    minor,
+    kernel_basis,
     outer_product,
     rank,
     signs_alternate,
     IndexSubset,
 )
 from helpers import (
+    count_eliminations,
     draw_nodes,
     identity,
+    minor,
     random_fraction,
+    random_corank_one_setup,
     random_matrix,
     scaled_vandermonde_point,
     vandermonde_setup,
@@ -45,7 +48,7 @@ class TestBuildSetup:
         z = RationalMatrix([[1, 1, 1], [1, 2, 3]])
         assert build_setup(1, 1, z).kernel_gen == (Fraction(1), Fraction(-2), Fraction(1))
         monkeypatch.setattr(
-            map_mod, "kernel_basis", lambda m: [(Fraction(1), Fraction(-1), Fraction(1))]
+            map_mod, "_kernel_from_table", lambda minors: (Fraction(1), Fraction(-1), Fraction(1))
         )
         with pytest.raises(InternalConsistencyError, match="not annihilated"):
             build_setup(1, 1, z)
@@ -75,6 +78,51 @@ class TestBuildSetup:
     def test_kernel_canonical_leading_sign(self):
         setup = vandermonde_setup(2, 1, [Fraction(i) for i in (1, 2, 3, 5)])
         assert setup.kernel_gen[0] > 0
+
+
+class TestKernelFromTable:
+    """The generator read off Z's table against an elimination of Z."""
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4), (3, 2)])
+    def test_matches_kernel_basis(self, k, m):
+        rng = Random(211 + 10 * k + m)
+        checked = 0
+        while checked < 10:
+            # entries in [-2, 2] leave some matrices with zero or repeated columns
+            z = random_matrix(rng, k + m, k + m + 1, lo=-2, hi=2, max_den=2)
+            if rank(z) < k + m:
+                continue
+            setup = build_setup(k, m, z)
+            assert setup.kernel_gen == kernel_basis(z)[0]
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[1, 1, 0], [0, 0, 1]], (1, -1, 0)),
+            ([[1, 0, 2], [3, 0, 4]], (0, 1, 0)),
+            ([[0, 1, 0], [0, 0, 1]], (1, 0, 0)),
+            ([[1, 2, 3], [-1, 0, 5]], (1, Fraction(-4, 5), Fraction(1, 5))),
+        ],
+    )
+    def test_non_positive_setups(self, rows, expected):
+        z = RationalMatrix(rows)
+        setup = build_setup(1, 1, z)
+        assert setup.kernel_gen == kernel_basis(z)[0] == tuple(map(Fraction, expected))
+
+    def test_positive_setups(self):
+        rng = Random(223)
+        for k, m in [(1, 2), (2, 2), (2, 4), (3, 2)]:
+            for setup in (random_corank_one_setup(rng, k, m), build_z0(k, m)):
+                assert setup.kernel_gen == kernel_basis(setup.Z)[0]
+
+    def test_build_setup_makes_no_kernel_elimination(self, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        z = RationalMatrix([[1, 1, 1, 1], [1, 2, 3, 4], [1, 4, 9, 16]])
+        setup = build_setup(1, 2, z)
+        # the minor table's elimination is the only one
+        assert eliminations == [3]
+        assert setup.kernel_gen == (1, -3, 3, -1)
 
 
 class TestHatMap:

@@ -29,7 +29,7 @@ from tnngrass.cli import (
     main,
     random_top_cell_point,
 )
-from helpers import identity, power_draw_nodes, power_top_cell_point, vandermonde_setup
+from helpers import count_computed_tables, identity, power_draw_nodes, power_top_cell_point, vandermonde_setup
 
 
 def run_python(*args, **run_kwargs):
@@ -214,6 +214,17 @@ class TestFiberCommands:
             if entry["cols"] in cert["cell"]["nonbases"]:
                 assert entry["alpha"] == "0" and entry["beta"] == "0"
 
+    def test_campaign_computes_each_table_once(self, tmp_path, monkeypatch):
+        args = ["fiber-campaign", "--k", "3", "--m", "4", "--trials", "200", "--seed", "1",
+                "--zero-col", "3", "--out-dir", str(tmp_path)]
+        tables = count_computed_tables(monkeypatch)
+        assert main(args) == EXIT_OK
+        counters = json.loads((tmp_path / "report.json").read_text())["counters"]
+        # the setup, then per trial the point, its zeroed copy and U + d^T a, and the
+        # lambda = 2 table unless x = 0, where it is V's own table again
+        assert counters["degenerate_pairs"] == 200
+        assert len(tables) == 1 + 3 * 200 == len(set(tables))
+
     def test_campaign_wrong_n_is_usage_error(self):
         # n is always k + m + 1, so the command takes no --n
         for n in ("4", "5"):
@@ -348,8 +359,8 @@ class TestReport:
         monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
         args = ["equivalence", setup_file, setup_file, "--spot-checks", "3"]
         assert main([*args, "--out", str(tmp_path / "eq.json")]) == EXIT_OK
-        # C (Z D) once for the certificate, then V R^T per spot check
-        assert len(calls) == 1 + 3
+        # C (Z D) once for the certificate; it is exact, so no spot check makes a product
+        assert len(calls) == 1
 
     def test_setup_file_with_wrong_kernel_rejected(self, tmp_path):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])

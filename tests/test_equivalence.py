@@ -29,6 +29,7 @@ from tnngrass import (
 )
 from helpers import (
     count_computed_tables,
+    count_eliminations,
     four_product_transport,
     fraction_det,
     identity,
@@ -181,26 +182,51 @@ def _tampered(cert, rng: Random):
     return dataclasses.replace(cert, **{target: moved})
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the shapes of every ``RationalMatrix.<name>`` call."""
+    calls = []
+    original = getattr(RationalMatrix, name)
+
+    def counted(a, *rest):
+        calls.append((a.rows, a.cols))
+        return original(a, *rest)
+
+    monkeypatch.setattr(RationalMatrix, name, counted)
+    return calls
+
+
 class TestResidual:
     def test_construct_makes_one_product(self, monkeypatch):
         rng = Random(157)
         a_setup = random_corank_one_setup(rng, 2, 2)
         b_setup = random_corank_one_setup(rng, 2, 2)
-        calls = []
-        original = RationalMatrix.__matmul__
-
-        def counted(a, b):
-            calls.append((a.rows, a.cols, b.cols))
-            return original(a, b)
-
-        monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+        points = [scaled_vandermonde_point(rng, 2, 5) for _ in range(5)]
+        calls = _count_calls(monkeypatch, "__matmul__")
+        tables = count_computed_tables(monkeypatch)
         cert = construct_equivalence(a_setup, b_setup)
         assert len(calls) == 1
-        for _ in range(5):
-            assert equivalence_transport_check(cert, scaled_vandermonde_point(rng, 2, 5))
+        for point in points:
+            assert equivalence_transport_check(cert, point)
         assert cert.exact
-        # one product per spot check; neither D nor C Z D is formed again
-        assert len(calls) == 6
+        # C (Z D) once; R = 0, so no spot check makes a product or a table
+        assert len(calls) == 1
+        assert tables == []
+
+    def test_tampered_certificate_makes_one_product_per_check(self, monkeypatch):
+        rng = Random(159)
+        cert = construct_equivalence(
+            random_corank_one_setup(rng, 2, 2), random_corank_one_setup(rng, 2, 2)
+        )
+        bad = dataclasses.replace(cert, c=_bump_entry(cert.c, 1, 2, Fraction(1, 3)))
+        points = [scaled_vandermonde_point(rng, 2, 5) for _ in range(5)]
+        products = _count_calls(monkeypatch, "__matmul__")
+        transposes = _count_calls(monkeypatch, "transpose")
+        verdicts = [equivalence_transport_check(bad, point) for point in points]
+        assert verdicts == [four_product_transport(bad, point) for point in points]
+        assert not any(verdicts)
+        # C (Z D) for the residual, then V R^T per spot check, with R^T formed once
+        assert len(products) == 1 + len(points)
+        assert len(transposes) == 1
 
     def test_genuine_residual_is_zero(self):
         rng = Random(163)
@@ -235,10 +261,44 @@ class TestResidual:
             construct_equivalence(setup, target)
 
 
+class TestDeterminantFromTables:
+    """det C read off the setups' tables agrees with an elimination of C."""
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4), (3, 2)])
+    def test_matches_det_of_c(self, k, m):
+        rng = Random(193 + 10 * k + m)
+        for _ in range(4):
+            cert = construct_equivalence(
+                random_corank_one_setup(rng, k, m), random_corank_one_setup(rng, k, m)
+            )
+            assert cert.det_c == det(cert.c) == fraction_det(
+                [list(row) for row in cert.c.row_tuples()]
+            )
+
+    def test_z0_targets_match(self):
+        for k, m in [(1, 2), (2, 2), (2, 4)]:
+            setup = vandermonde_setup(k, m, [Fraction(i) for i in range(1, k + m + 2)])
+            target = build_z0(k, m)
+            for a, b in [(setup, target), (target, setup), (target, target)]:
+                cert = construct_equivalence(a, b)
+                assert cert.det_c == det(cert.c)
+
+    def test_construct_eliminates_once(self, monkeypatch):
+        rng = Random(197)
+        a_setup, b_setup = random_corank_one_setup(rng, 2, 2), random_corank_one_setup(rng, 2, 2)
+        eliminations = count_eliminations(monkeypatch)
+        tables = count_computed_tables(monkeypatch)
+        cert = construct_equivalence(a_setup, b_setup)
+        # the left-factor solve is the one elimination; both setups' tables
+        # were computed by build_setup and are only read here
+        assert eliminations == [5] and tables == []
+        assert cert.det_c == det(cert.c)
+
+
 class TestAgainstFourProducts:
     """``equivalence_transport_check`` gives the verdicts of the four-product check."""
 
-    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4)])
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4), (3, 2)])
     def test_genuine_and_tampered_certificates(self, k, m):
         rng = Random(173 + 10 * k + m)
         verdicts = []
@@ -251,7 +311,14 @@ class TestAgainstFourProducts:
             flipped = dataclasses.replace(
                 cert, c=-cert.c, d_diag=tuple(-x for x in cert.d_diag)
             )
-            for candidate in [cert, flipped, *tampered]:
+            # a zero in D: once with Z' left as it was, once with Z' := C Z D kept exact
+            zero_d = (Fraction(0),) + cert.d_diag[1:]
+            zeroed = dataclasses.replace(cert, d_diag=zero_d)
+            zeroed_exact = dataclasses.replace(
+                zeroed, z_prime=cert.c @ cert.z.scale_columns(zero_d)
+            )
+            assert cert.exact and flipped.exact and zeroed_exact.exact and not zeroed.exact
+            for candidate in [cert, flipped, zeroed, zeroed_exact, *tampered]:
                 for _ in range(2):
                     point = scaled_vandermonde_point(rng, k, k + m + 1)
                     verdict = equivalence_transport_check(candidate, point)

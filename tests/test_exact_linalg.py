@@ -22,7 +22,6 @@ from tnngrass import (
     det,
     invert,
     kernel_basis,
-    minor,
     outer_product,
     rank,
     rational_to_string,
@@ -39,6 +38,7 @@ from helpers import (
     fraction_matmul,
     fraction_rref,
     identity,
+    minor,
     minors_of,
     random_invertible,
     random_matrix,
@@ -646,6 +646,19 @@ class TestAddOuter:
     def test_length_mismatch(self, col, row):
         with pytest.raises(DimensionError):
             RationalMatrix([[1, 2, 3]]).add_outer([Fraction(1)] * col, [Fraction(1)] * row)
+
+    def test_zero_column_returns_the_matrix_and_its_table(self, monkeypatch):
+        m = RationalMatrix([[1, 2, 3], [Fraction(1, 2), 0, -1]])
+        table = all_maximal_minors(m)
+        tables = count_computed_tables(monkeypatch)
+        result = m.add_outer((Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(-2), Fraction(5)))
+        assert result is m
+        assert all_maximal_minors(result) is table
+        assert tables == []
+        # the shapes are still checked first
+        for col, row in [(1, 3), (3, 3), (2, 2), (2, 4)]:
+            with pytest.raises(DimensionError):
+                m.add_outer([Fraction(0)] * col, [Fraction(1)] * row)
 
 
 class TestScaleColumns:

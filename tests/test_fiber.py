@@ -26,7 +26,6 @@ from tnngrass import (
     fiber_displacement,
     in_closed_cell,
     matroid_of,
-    minor,
     outer_product,
     rank,
     sample_fiber_partner,
@@ -40,6 +39,7 @@ from helpers import (
     fraction_fiber_partner,
     identity,
     make_fiber_pair,
+    minor,
     minor_affine_coeffs,
     minors_of,
     random_corank_one_setup,
@@ -465,9 +465,14 @@ class TestFiberPairSampling:
         assert len(tables) == 1  # U + d^T a
         assert pair.u is point.matrix and (pair.v is pair.u) == zeroed
         convexity_certificate(setup, cell, pair.u, pair.v)
-        # V, unless it is U, and the independent table at lambda = 2
-        assert len(tables) == (2 if zeroed else 3)
-        assert tables[-1] == pair.v.add_outer(pair.x, setup.kernel_gen)
+        if zeroed:
+            # x = 0: V + x^T a is V itself, whose table is memoized
+            assert not any(pair.x)
+            assert len(tables) == 1
+        else:
+            # V and the independent table at lambda = 2
+            assert len(tables) == 3
+            assert tables[-1] == pair.v.add_outer(pair.x, setup.kernel_gen)
 
     def test_partner_stops_short_of_a_vanishing_minor(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
