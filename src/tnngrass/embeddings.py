@@ -36,12 +36,11 @@ __all__ = [
 class PlueckerVector:
     """All k x k minors of a k x (k+m) matrix, in colexicographic order."""
 
-    d: int
     coords: RowVector
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.d:
-            raise DomainError(f"expected {self.d} coordinates, got {len(self.coords)}")
+    @property
+    def d(self) -> int:
+        return len(self.coords)
 
 
 def pluecker(matrix: RationalMatrix) -> PlueckerVector:
@@ -55,7 +54,7 @@ def pluecker(matrix: RationalMatrix) -> PlueckerVector:
     if not any(table.ints):
         raise RankError(f"matrix has rank below {matrix.rows}; minor vector is zero")
     coords = tuple(Fraction(v, table.scale) for v in table.ints)
-    return PlueckerVector(d=len(coords), coords=coords)
+    return PlueckerVector(coords)
 
 
 @dataclass(frozen=True)

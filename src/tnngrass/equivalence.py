@@ -18,7 +18,8 @@ transport spot check on V tests V R^T = 0, the square
 an exact certificate passes it for every V without a product.  V D is
 totally nonnegative iff V is when every d_j > 0, since each minor of V D
 is V's minor times a positive product, so the check is one sign scan of
-V's own table.
+V's own memoized table; only a D with a zero or negative entry, which
+no constructed certificate has, computes the table of V D.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .exact_linalg import (
     rational_to_string,
     solve_for_left_factor,
 )
-from .tnn_grassmannian import TNNPoint, _scan_minors
+from .tnn_grassmannian import TNNPoint, check_tnn
 
 __all__ = [
     "EquivalenceCertificate",
@@ -163,9 +164,8 @@ def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -
     exact makes a product, with the R^T it forms once.  Also checks that
     V D is still totally nonnegative: when every d_j > 0 each minor of
     V D is V's minor times a positive product, so this is one sign scan
-    of V's memoized table.  A D with a zero or negative entry scales V's
-    table, each minor times the product of its columns' factors; no
-    minor is recomputed either way.
+    of V's memoized table.  A D with a zero or negative entry, as only a
+    hand-built certificate has, scans the table of V D instead.
     """
     v = point.matrix
     n = len(cert.d_diag)
@@ -175,8 +175,7 @@ def equivalence_transport_check(cert: EquivalenceCertificate, point: TNNPoint) -
         raise DimensionError(f"{n} diagonal entries for the {cert.z.cols} columns of Z")
     if not (cert.exact or _is_zero(v @ cert.residual_transpose)):
         return False
-    minors = point.minors if cert.d_positive else point.minors.scale_columns(cert.d_diag)
-    return _scan_minors(minors).is_tnn
+    return check_tnn(v if cert.d_positive else v.scale_columns(cert.d_diag)).is_tnn
 
 
 def _is_zero(m: RationalMatrix) -> bool:

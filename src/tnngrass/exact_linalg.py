@@ -7,8 +7,8 @@ kernels work on those integers and reduce each output row with one gcd:
 ``A @ B`` takes integer dot products with the columns of B over B's
 common denominator, and transposes, sums, column scalings and the
 rank-one update ``U.add_outer(x, a)`` = U + x^T a do the same.
-``Fraction`` entries are built only on request (``entry``, ``row``,
-``column``, ``row_tuples``).
+``Fraction`` entries are built only on request (``entry``, ``column``,
+``row_tuples``).
 
 Elimination runs one integer routine on the stored rows, ``_bareiss``:
 column-skipping fraction-free elimination (Bareiss, "Sylvester's identity
@@ -275,8 +275,8 @@ class MinorTable:
     ``ints[i] / scale`` is the minor on ``subsets[i]``, in colexicographic
     order, and ``index`` maps each subset to its position.  The scale is
     positive, so the sign of a minor is the sign of its integer and sign
-    tests never build a Fraction.  Built by ``all_maximal_minors`` and
-    ``scale_columns``.
+    tests never build a Fraction.  Built only by ``all_maximal_minors``,
+    once per matrix, and kept on it.
     """
 
     n: int
@@ -294,25 +294,6 @@ class MinorTable:
     def int_at(self, subset: IndexSubset) -> int:
         """The minor on ``subset`` times ``scale``: an integer of the same sign."""
         return self.ints[self.index[subset]]
-
-    def scale_columns(self, factors: Sequence[Fraction]) -> "MinorTable":
-        """The table of M D for D = diag(factors), when this is M's table.
-
-        Each maximal minor is multilinear in the columns, so the minor of
-        M D on I is the minor of M on I times the product of the factors
-        over I, for factors of any sign.  Clearing the factors to e_j / e
-        keeps it integral: the new integers are ints[I] times the product
-        of e_j over I, over scale * e^k.
-        """
-        if len(factors) != self.n:
-            raise DimensionError(f"{len(factors)} column factors for {self.n} columns")
-        cleared, denominator = _cleared(factors)
-        k = len(self.subsets[0])
-        ints = tuple(
-            value * prod(cleared[j - 1] for j in subset.members)
-            for subset, value in zip(self.subsets, self.ints)
-        )
-        return MinorTable(self.n, self.subsets, ints, self.scale * denominator**k, self.index)
 
 
 class _IntRows(tuple):
@@ -391,10 +372,6 @@ class RationalMatrix:
         """Entry in row i, column j (0-based)."""
         ints, den = self.int_rows[i]
         return Fraction(ints[j], den)
-
-    def row(self, i: int) -> RowVector:
-        ints, den = self.int_rows[i]
-        return tuple(Fraction(x, den) for x in ints)
 
     def column(self, j: int) -> RowVector:
         return tuple(Fraction(ints[j], den) for ints, den in self.int_rows)

@@ -4,13 +4,14 @@ With n = k+m+1 the kernel of v -> v Z^T is exactly span(a) for a single
 vector a (``build_setup`` checks Z a^T = 0), so V lies in U's fiber iff
 V - U = x^T a for a row vector x, the one same-fiber test.  Along that
 segment U + lambda x^T a every maximal minor is affine in lambda; a
-certificate stores the per-minor coefficients (fitted at lambda = 0, 1
-and independently confirmed at lambda = 2), from which ``segment_in_cell``
-proves that every convex combination stays inside the closed cell.  The
-same affinity lets the sampler decide a point's admissible partners
-exactly, from its own table and one more.  Every decision along the line
-is a sign test, read on the integer minors of the tables over their
-positive scales; Fractions are built only for the stored coefficients.
+certificate keeps the minor tables of U and V, the coefficients at
+lambda = 0 and 1 (independently confirmed at lambda = 2), from which
+``segment_in_cell`` proves that every convex combination stays inside
+the closed cell.  The same affinity lets the sampler decide a point's
+admissible partners exactly, from its own table and one more.  Every
+decision along the line is a sign test, read on the integer minors of
+the tables over their positive scales, and the certificate writes its
+coefficients from those integers; no Fraction is built unless asked for.
 
 The section witness realizes the inverse direction: given a spanning
 representative K of a fiber point and the target image W, the unique C
@@ -37,12 +38,14 @@ from .errors import (
 )
 from .exact_linalg import (
     IndexSubset,
+    MinorTable,
     RationalMatrix,
     RowVector,
     all_maximal_minors,
     det,
     invert,
     rank,
+    _ratio_string,
     rational_to_string,
     solve_for_left_factor,
 )
@@ -111,32 +114,37 @@ def segment_in_cell(alpha: Fraction | int, beta: Fraction | int, nonbasis: bool)
 
 @dataclass(frozen=True)
 class FiberConvexityCertificate:
-    """Per-minor affine coefficients proving a fiber segment stays in a cell.
+    """The minor tables of a fiber segment's ends, proving it stays in a cell.
 
-    The verdict is true iff ``segment_in_cell`` holds for every minor; by
+    With u / s and v / t a minor of U and of V, its affine coefficients
+    are alpha = u / s and beta = v / t - u / s = (v s - u t) / (s t).  The
+    verdict is true iff ``segment_in_cell`` holds for every minor; by
     affineness in lambda this covers all convex combinations at once.
     """
 
     cell: PositroidCellSpec
-    per_minor: tuple[tuple[IndexSubset, Fraction, Fraction], ...]
+    u_minors: MinorTable
+    v_minors: MinorTable
     verdict: bool
 
     def coefficients(self, cols: IndexSubset) -> tuple[Fraction, Fraction]:
-        for subset, alpha, beta in self.per_minor:
-            if subset == cols:
-                return alpha, beta
-        raise KeyError(f"no coefficients for columns {list(cols.members)}")
+        """(alpha, beta) of the minor on ``cols``; KeyError for a subset not in the tables."""
+        i = self.u_minors.index[cols]
+        alpha = Fraction(self.u_minors.ints[i], self.u_minors.scale)
+        return alpha, Fraction(self.v_minors.ints[i], self.v_minors.scale) - alpha
 
     def to_json_dict(self) -> dict:
+        u, v = self.u_minors, self.v_minors
+        s, t = u.scale, v.scale
         return {
             "cell": self.cell.to_json_dict(),
             "minors": [
                 {
                     "cols": list(subset.members),
-                    "alpha": rational_to_string(alpha),
-                    "beta": rational_to_string(beta),
+                    "alpha": _ratio_string(m_u, s),
+                    "beta": _ratio_string(m_v * s - m_u * t, s * t),
                 }
-                for subset, alpha, beta in self.per_minor
+                for subset, m_u, m_v in zip(u.subsets, u.ints, v.ints)
             ],
             "verdict": self.verdict,
         }
@@ -173,7 +181,6 @@ def convexity_certificate(
     s0, s1, s2 = minors0.scale, minors1.scale, minors2.scale
     s01, s02, s12 = s0 * s1, s0 * s2, s1 * s2
     nonbases = cell.nonbases
-    entries: list[tuple[IndexSubset, Fraction, Fraction]] = []
     verdict = True
     for subset, m0, m1, m2 in zip(minors0.subsets, minors0.ints, minors1.ints, minors2.ints):
         if m2 * s01 != 2 * m1 * s02 - m0 * s12:
@@ -181,10 +188,8 @@ def convexity_certificate(
                 f"minor on columns {list(subset.members)} is not affine along the fiber line"
             )
         # alpha and beta times s0 s1
-        alpha, beta = m0 * s1, m1 * s0 - m0 * s1
-        verdict = verdict and segment_in_cell(alpha, beta, subset in nonbases)
-        entries.append((subset, Fraction(m0, s0), Fraction(beta, s01)))
-    return FiberConvexityCertificate(cell=cell, per_minor=tuple(entries), verdict=verdict)
+        verdict = verdict and segment_in_cell(m0 * s1, m1 * s0 - m0 * s1, subset in nonbases)
+    return FiberConvexityCertificate(cell=cell, u_minors=minors0, v_minors=minors1, verdict=verdict)
 
 
 @dataclass(frozen=True)

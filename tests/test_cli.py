@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tnngrass
-from tnngrass import RationalMatrix, UserInputError, build_setup
+from tnngrass import RationalMatrix, UserInputError, all_maximal_minors, build_setup
 from tnngrass.cli import (
     EXIT_FALSE_VERDICT,
     EXIT_FALSIFIED,
@@ -245,7 +245,9 @@ class TestFiberCommands:
         from tnngrass.fiber import FiberConvexityCertificate
 
         def fake_certificate(setup, cell, u, v):
-            return FiberConvexityCertificate(cell=cell, per_minor=(), verdict=False)
+            return FiberConvexityCertificate(
+                cell=cell, u_minors=all_maximal_minors(u), v_minors=all_maximal_minors(v), verdict=False
+            )
 
         monkeypatch.setattr(cli_mod, "convexity_certificate", fake_certificate)
         u = write(tmp_path / "u.json", RationalMatrix([[1, 1, 1, 1]]).to_json_dict())

@@ -341,7 +341,7 @@ class TestAgainstFourProducts:
 
 
 class TestTransportTable:
-    """V D's table comes from the point's own table, with check_tnn(V D) as the oracle."""
+    """V D's verdict: V's own table for positive D, else V D's, with check_tnn(V D) as the oracle."""
 
     @staticmethod
     def _exact_certificate(z: RationalMatrix, d: list[Fraction]) -> EquivalenceCertificate:

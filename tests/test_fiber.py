@@ -28,6 +28,7 @@ from tnngrass import (
     matroid_of,
     outer_product,
     rank,
+    rational_to_string,
     sample_fiber_partner,
     sample_top_cell,
     section_witness,
@@ -50,6 +51,15 @@ from helpers import (
     vandermonde_setup,
     zeros,
 )
+
+
+def assert_certificate_matches(cert, per_minor):
+    """Coefficients and written minors of ``cert`` against the oracle's (subset, alpha, beta)."""
+    assert [(s, *cert.coefficients(s)) for s in cert.u_minors.subsets] == per_minor
+    assert cert.to_json_dict()["minors"] == [
+        {"cols": list(s.members), "alpha": rational_to_string(alpha), "beta": rational_to_string(beta)}
+        for s, alpha, beta in per_minor
+    ]
 
 
 def minor_at_lambda(u, x, a, lam, cols):
@@ -172,7 +182,7 @@ class TestConvexityCertificate:
         u = RationalMatrix([[1, 1, 1, 1]])
         cert = convexity_certificate(setup, cell, u, u)
         assert cert.verdict
-        assert all(beta == 0 for _, _, beta in cert.per_minor)
+        assert all(cert.coefficients(s)[1] == 0 for s in cert.u_minors.subsets)
 
     def test_top_cell_random_pairs_with_grid_spot_check(self):
         rng = Random(71)
@@ -581,17 +591,18 @@ class TestIntegerFiberLine:
         assert (pair.v, pair.x, stats["lambda_halvings"]) == (v, x, halvings)
         cert = convexity_certificate(setup, cell, pair.u, pair.v)
         per_minor, verdict = fraction_certificate(setup, cell, pair.u, pair.v)
-        assert list(cert.per_minor) == per_minor
+        assert_certificate_matches(cert, per_minor)
         assert cert.verdict is verdict is True
 
         # a same-fiber partner with large denominators, in the cell or not
         x2 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 10**12)) for _ in range(k))
         v2 = pair.u + outer_product(x2, setup.kernel_gen)
         try:
-            expected = fraction_certificate(setup, cell, pair.u, v2)
+            per_minor2, verdict2 = fraction_certificate(setup, cell, pair.u, v2)
         except NotInCellError:
             with pytest.raises(NotInCellError):
                 convexity_certificate(setup, cell, pair.u, v2)
         else:
             cert2 = convexity_certificate(setup, cell, pair.u, v2)
-            assert (list(cert2.per_minor), cert2.verdict) == expected
+            assert_certificate_matches(cert2, per_minor2)
+            assert cert2.verdict is verdict2
