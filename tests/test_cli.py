@@ -298,12 +298,19 @@ class TestEmbedAndEquivalence:
         payload = json.loads(out.read_text())
         assert Fraction(payload["detC"]) > 0
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_spot_checks_below_one_is_usage_error(self, tmp_path, setup_file, count, capsys):
+    def test_report_lists_three_verdicts(self, tmp_path, setup_file, capsys):
         out = tmp_path / "eq.json"
-        args = ["equivalence", setup_file, setup_file, "--spot-checks", count, "--out", str(out)]
-        assert main(args) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["equivalence", setup_file, setup_file, "--out", str(out)]) == EXIT_OK
+        lines = [line.split()[-1] for line in capsys.readouterr().out.splitlines() if "[PASS]" in line]
+        assert lines == ["certificate_exact", "det_C_positive", "D_diagonal_positive"]
+
+    @pytest.mark.parametrize("option", [["--spot-checks", "3"], ["--seed", "1"]])
+    def test_spot_check_options_are_gone(self, tmp_path, setup_file, option, capsys):
+        out = tmp_path / "eq.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["equivalence", setup_file, setup_file, *option, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_kernel_precondition_report(self, tmp_path):
@@ -323,6 +330,21 @@ class TestReport:
         eq_path = tmp_path / "eq.json"
         main(["equivalence", setup_file, str(z0_path), "--out", str(eq_path)])
         assert main(["report", str(eq_path)]) == EXIT_OK
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 2), m=st.integers(1, 2), data=st.data())
+    def test_written_certificates_pass(self, k, m, data):
+        nodes_st = st.lists(st.integers(1, 40), min_size=k + m + 1, max_size=k + m + 1, unique=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b, eq = (str(Path(tmp) / name) for name in ("a.json", "b.json", "eq.json"))
+            for path in (a, b):
+                nodes = sorted(Fraction(x, 4) for x in data.draw(nodes_st))
+                write(Path(path), vandermonde_setup(k, m, nodes).to_json_dict())
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                assert main(["equivalence", a, b, "--out", eq]) == EXIT_OK
+                assert main(["report", eq]) == EXIT_OK
+        assert "[PASS] setups_positive_corank_one" in sink.getvalue()
 
     def test_tampered_certificate_fails(self, tmp_path, setup_file):
         z0_path = tmp_path / "z0.json"
@@ -359,10 +381,28 @@ class TestReport:
             return original(a, b)
 
         monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
-        args = ["equivalence", setup_file, setup_file, "--spot-checks", "3"]
-        assert main([*args, "--out", str(tmp_path / "eq.json")]) == EXIT_OK
-        # C (Z D) once for the certificate; it is exact, so no spot check makes a product
+        args = ["equivalence", setup_file, setup_file, "--out", str(tmp_path / "eq.json")]
+        assert main(args) == EXIT_OK
+        # C (Z D) once for the certificate
         assert len(calls) == 1
+
+    def test_certificate_of_nonpositive_setups_fails(self, tmp_path, capsys):
+        # Z' = C Z D holds, but the minor of Z on columns {1, 3} is 0
+        z = RationalMatrix([[1, 0, -5], [0, 1, 0]]).to_json_dict()
+        cert = {"Z": z, "Zprime": z, "C": identity(2).to_json_dict(), "D_diag": ["1", "1", "1"],
+                "detC": "1"}
+        assert main(["report", write(tmp_path / "eq.json", cert)]) == EXIT_FALSE_VERDICT
+        out = capsys.readouterr().out
+        assert "[FAIL] setups_positive_corank_one" in out
+        assert out.count("[PASS]") == 4
+
+    def test_certificate_of_corank_two_setups_fails(self, tmp_path, capsys):
+        # Z' = C Z D holds and every minor is positive, but Z is 1 x 3, not r x (r + 1)
+        z = RationalMatrix([[1, 2, 3]]).to_json_dict()
+        cert = {"Z": z, "Zprime": z, "C": identity(1).to_json_dict(), "D_diag": ["1", "1", "1"],
+                "detC": "1"}
+        assert main(["report", write(tmp_path / "eq.json", cert)]) == EXIT_FALSE_VERDICT
+        assert "[FAIL] setups_positive_corank_one" in capsys.readouterr().out
 
     def test_setup_file_with_wrong_kernel_rejected(self, tmp_path):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
@@ -444,6 +484,77 @@ class TestReportFiberCertificates:
         assert main(["report", write(tmp_path / "r.json", report)]) == EXIT_USAGE
 
 
+class TestReportArtifacts:
+    """A report file passes only if every artifact it lists is there and passes."""
+
+    @pytest.fixture
+    def campaign(self, tmp_path):
+        out_dir = tmp_path / "fc"
+        args = ["fiber-campaign", "--k", "2", "--m", "1", "--trials", "3", "--out-dir", str(out_dir)]
+        assert main(args) == EXIT_OK
+        return out_dir
+
+    def test_campaign_report_rechecks_each_certificate(self, campaign, capsys):
+        capsys.readouterr()
+        assert main(["report", str(campaign / "report.json")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        for t in range(3):
+            assert f"{campaign / f'certificate_{t:05d}.json'}: [PASS] verdict" in out
+
+    def test_missing_certificate_fails(self, campaign, capsys):
+        (campaign / "certificate_00001.json").unlink()
+        capsys.readouterr()
+        assert main(["report", str(campaign / "report.json")]) == EXIT_FALSE_VERDICT
+        assert f"{campaign / 'certificate_00001.json'}: [FAIL] artifact_exists" in capsys.readouterr().out
+
+    def test_edited_certificate_fails(self, campaign, capsys):
+        path = campaign / "certificate_00002.json"
+        cert = json.loads(path.read_text())
+        cert["minors"][0]["alpha"] = "-1"
+        write(path, cert)
+        assert main(["report", str(campaign / "report.json")]) == EXIT_FALSE_VERDICT
+        assert "[FAIL] coefficients_support_verdict" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("listed", ["report.json", "other.json"])
+    def test_listed_report_fails_without_recursing(self, campaign, listed, capsys):
+        report = json.loads((campaign / "report.json").read_text())
+        report["artifacts"].append(listed)
+        write(campaign / "report.json", report)
+        write(campaign / "other.json", report)
+        capsys.readouterr()
+        assert main(["report", str(campaign / "report.json")]) == EXIT_FALSE_VERDICT
+        assert f"{campaign / listed}: [FAIL] artifact_is_certificate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("artifacts", [[3], "certificate_00000.json", {"a": 1}])
+    def test_mistyped_artifacts_are_usage_error(self, campaign, artifacts, capsys):
+        report = json.loads((campaign / "report.json").read_text())
+        report["artifacts"] = artifacts
+        assert main(["report", write(campaign / "report.json", report)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check-tnn", "{matrix}"],
+            ["cell-member", "{matrix}", "{cell}"],
+            ["fiber-campaign", "--k", "1", "--m", "2", "--trials", "2"],
+        ],
+        ids=["check-tnn", "cell-member", "fiber-campaign"],
+    )
+    def test_written_reports_pass(self, tmp_path, matrix_file, command):
+        cell = write(tmp_path / "cell.json", {"k": 2, "n": 3, "nonbases": []})
+        args = [arg.format(matrix=matrix_file, cell=cell) for arg in command]
+        if command[0] == "fiber-campaign":
+            args += ["--out-dir", str(tmp_path / "fc")]
+            report = tmp_path / "fc" / "report.json"
+        else:
+            report = tmp_path / "report.json"
+            args += ["--out", str(report)]
+        assert main(args) == EXIT_OK
+        assert main(["report", str(report)]) == EXIT_OK
+
+
 json_scalar_st = st.one_of(
     st.none(),
     st.booleans(),
@@ -489,7 +600,10 @@ equivalence_cert_st = st.fixed_dictionaries(
 )
 stored_report_st = st.fixed_dictionaries(
     {"verdicts": maybe(st.lists(maybe(st.fixed_dictionaries(
-        {"name": maybe(st.text(max_size=5)), "ok": maybe(st.booleans())})), max_size=3))}
+        {"name": maybe(st.text(max_size=5)), "ok": maybe(st.booleans())})), max_size=3))},
+    # the fuzzed file is c.json, so listing it makes the report list itself
+    optional={"artifacts": maybe(st.lists(
+        maybe(st.sampled_from(["c.json", "missing.json", "", ".", "/"])), max_size=3))},
 )
 
 
