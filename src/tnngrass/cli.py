@@ -4,7 +4,8 @@ Exit codes: 0 when every verdict in the report is true, 1 when a verdict
 is false, 2 for usage and input errors, 3 when an exactly-checked
 invariant was falsified.  Certificate and report files are canonical
 JSON, so identical inputs (including the seed) produce byte-identical
-output files.  Set AMP_LOG=INFO or DEBUG for progress logging.
+output files.  Set AMP_LOG=INFO or DEBUG for progress logging; a level
+other than DEBUG, INFO, WARNING, ERROR or CRITICAL is a usage error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .amplituhedron_map import (
 from .embeddings import embed_point
 # equivalence_transport_check is unused here; perfbench's image workload calls it on this module
 from .equivalence import construct_equivalence, equivalence_transport_check
-from .errors import InternalConsistencyError, UserInputError
+from .errors import ConstructionError, InternalConsistencyError, UserInputError
 from .exact_linalg import (
     IndexSubset,
     RationalMatrix,
@@ -63,6 +64,9 @@ EXIT_OK = 0
 EXIT_FALSE_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_FALSIFIED = 3
+
+# the levels AMP_LOG may name, in any case; any other is a usage error
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 @dataclass(frozen=True)
@@ -655,15 +659,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("AMP_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("AMP_LOG", "WARNING")
+    if level.upper() not in _LOG_LEVELS:
+        print(f"error: AMP_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level[:40]!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UserInputError as exc:
+    except (UserInputError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as exc:

@@ -4,7 +4,8 @@ Two families matter downstream:
 
 * ``UserInputError`` covers everything a caller can fix (bad shapes, rank
   violations, points outside a cell, ...).  The CLI maps these to exit
-  code 2.
+  code 2, and also ``ConstructionError``: a construction that ran out of
+  its precision budget built nothing to give a verdict on.
 * ``InternalConsistencyError`` means an exactly-verified identity that is
   mathematically guaranteed came out false.  It never indicates bad input;
   it indicates a falsified invariant and is mapped to exit code 3.

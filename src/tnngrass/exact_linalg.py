@@ -14,9 +14,10 @@ Elimination runs one integer routine on the stored rows, ``_bareiss``:
 column-skipping fraction-free elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
 1968), whose intermediate entries are all minors, so they never blow up.
-Rank, determinants (its last pivot) and, after an integer
-back-substitution, the reduced row echelon form behind kernels, solves,
-inverses and minor tables all come from its output.
+Rank and determinants (its last pivot) come from its output; kernels,
+solves, inverses and minor tables from the reduced row echelon form R,
+after a back-substitution that returns only the non-pivot columns of
+d R: the pivot columns are d e_i and are never built.
 
 A table of all maximal minors of a k x n matrix comes from one
 elimination and one Laplace ladder over the reduced form R.  Each minor
@@ -583,23 +584,26 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
 def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[int]], int]:
     """Reduced rows of a ``_bareiss`` echelon form, all times one integer d.
 
-    Returns the nonzero rows of the reduced row echelon form multiplied
-    by d, and d itself.  d is the last Bareiss pivot, the determinant of
-    the pivot block, so by Cramer's rule the scaled rows are integral and
-    back-substitution from the bottom divides exactly.
+    Returns the nonzero rows of d R on the non-pivot columns, in column
+    order (the pivot columns, d e_i, are never built), and d itself.  d
+    is the last Bareiss pivot, the determinant of the pivot block, so by
+    Cramer's rule the scaled rows are integral and back-substitution
+    from the bottom divides exactly.
     """
     if not pivots:
         return [], 1
     r = len(pivots)
     d = a[r - 1][pivots[-1]]
+    free = [c for c in range(len(a[0])) if c not in pivots]
     reduced: list[list[int]] = [[]] * r
     for i in reversed(range(r)):
-        acc = [d * x for x in a[i]]
+        row = a[i]
+        acc = [d * row[c] for c in free]
         for j in range(i + 1, r):
-            f = a[i][pivots[j]]
+            f = row[pivots[j]]
             if f != 0:
                 acc = [x - f * y for x, y in zip(acc, reduced[j])]
-        piv = a[i][pivots[i]]
+        piv = row[pivots[i]]
         reduced[i] = [x // piv for x in acc]
     return reduced, d
 
@@ -607,8 +611,9 @@ def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[i
 def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
     """Reduced row echelon form of an integer matrix (destroys ``a``).
 
-    Returns the pivot columns, the nonzero reduced rows multiplied by a
-    common integer d, and d itself (see ``_back_substitute``).
+    Returns the pivot columns, the nonzero reduced rows on the non-pivot
+    columns multiplied by a common integer d, and d itself (see
+    ``_back_substitute``); the pivot columns, d e_i, are never built.
     """
     pivots, _ = _bareiss(a)
     reduced, d = _back_substitute(a, pivots)
@@ -649,10 +654,10 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     """The table ``all_maximal_minors`` returns, computed.
 
     The integer rows are eliminated once: if the rank is below k every
-    minor is 0.  Otherwise, with D = d R the scaled reduced rows from
-    ``_back_substitute``, R_I the pivot rows whose pivot column is not in
-    I and C_I = I - pivots = (c_0 < c_1 < ...), s = |C_I|, the Laplace
-    expansion along the unit columns of R gives
+    minor is 0.  Otherwise, let D = d R be the scaled reduced rows, whose
+    free columns ``_back_substitute`` returns, R_I the pivot rows whose
+    pivot column is not in I, C_I = I - pivots = (c_0 < c_1 < ...) and
+    s = |C_I|.  The Laplace expansion along the unit columns of R gives
 
         p_I = sign * sigma_I * v(R_I, C_I),  v(S, F) = det(D[S, F]) / d^(s-1),
 
@@ -681,9 +686,7 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
         return MinorTable(n, colex.subsets, (0,) * len(colex.subsets), scale, colex.index)
     reduced, d = _back_substitute(int_rows, pivots)
     plan = _ladder_plan(n, k, tuple(pivots))
-    blocks = [[row[c] for c in plan.free] for row in reduced]
-    if plan.transposed:
-        blocks = [list(col) for col in zip(*blocks)]
+    blocks = [list(col) for col in zip(*reduced)] if plan.transposed else reduced
     # the row-swap sign rides on v from level 0 up; the ladder's own
     # coefficients are D, read with the term sign from ``signed``
     level = blocks if sign > 0 else [[-x for x in row] for row in blocks]
@@ -706,7 +709,6 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
 
 
 class _Ladder(NamedTuple):
-    free: tuple[int, ...]
     transposed: bool
     steps: tuple[tuple[tuple, tuple], ...]
     positions: tuple[int, ...]
@@ -783,7 +785,7 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
         positions.append(place[key])
         if parity % 2:
             negated.append(i)
-    return _Ladder(free, transposed, tuple(steps), tuple(positions), tuple(negated))
+    return _Ladder(transposed, tuple(steps), tuple(positions), tuple(negated))
 
 
 def rank(m: RationalMatrix) -> int:
@@ -803,16 +805,13 @@ def kernel_basis(m: RationalMatrix) -> list[RowVector]:
     int_rows, _ = _int_rows_and_scale(m)
     pivots, reduced, d = _rref(int_rows)
     n = m.cols
-    pivot_set = set(pivots)
     basis: list[RowVector] = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    for f, free in enumerate(c for c in range(n) if c not in pivots):
         # d times the vector with a 1 in the free column
         v = [0] * n
         v[free] = d
         for row, p_col in zip(reduced, pivots):
-            v[p_col] = -row[free]
+            v[p_col] = -row[f]
         lead = next(x for x in v if x != 0)
         basis.append(tuple(Fraction(x, lead) for x in v))
     return basis
@@ -836,8 +835,8 @@ def solve_for_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> Rationa
         # A pivot inside the right block means some row of k_image is not
         # a combination of w's rows.
         raise InconsistentSystemError("no exact left factor exists")
-    # C's rows are the columns of C^T = reduced[:, r:] / d
-    return RationalMatrix(_IntRows(_primitive(col, d) for col in zip(*(row[r:] for row in reduced))))
+    # the free columns are r.., so C's rows are the columns of C^T = reduced / d
+    return RationalMatrix(_IntRows(_primitive(col, d) for col in zip(*reduced)))
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
@@ -850,4 +849,5 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     pivots, reduced, d = _rref(aug)
     if pivots != list(range(n)):
         raise RankError("matrix is singular")
-    return RationalMatrix(_IntRows(_primitive(row[n:], d) for row in reduced))
+    # the free columns are those of I, so reduced / d is the inverse
+    return RationalMatrix(_IntRows(_primitive(row, d) for row in reduced))

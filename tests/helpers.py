@@ -121,6 +121,33 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return rows, pivots
 
 
+def full_back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[int]], int]:
+    """Reduced rows of a ``_bareiss`` echelon form, all times one integer d.
+
+    Returns the nonzero rows of the reduced row echelon form multiplied
+    by d, and d itself.  d is the last Bareiss pivot, the determinant of
+    the pivot block, so by Cramer's rule the scaled rows are integral and
+    back-substitution from the bottom divides exactly.
+
+    The oracle for ``exact_linalg._back_substitute``, which builds only
+    the non-pivot columns: this one builds every column, pivots included.
+    """
+    if not pivots:
+        return [], 1
+    r = len(pivots)
+    d = a[r - 1][pivots[-1]]
+    reduced: list[list[int]] = [[]] * r
+    for i in reversed(range(r)):
+        acc = [d * x for x in a[i]]
+        for j in range(i + 1, r):
+            f = a[i][pivots[j]]
+            if f != 0:
+                acc = [x - f * y for x, y in zip(acc, reduced[j])]
+        piv = a[i][pivots[i]]
+        reduced[i] = [x // piv for x in acc]
+    return reduced, d
+
+
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tnngrass
+from tnngrass import amplituhedron_map
 from tnngrass import RationalMatrix, UserInputError, all_maximal_minors, build_setup
 from tnngrass.cli import (
     EXIT_FALSE_VERDICT,
@@ -273,6 +274,35 @@ class TestZ0Command:
         out = tmp_path / "z0.json"
         assert main(["z0", "--k", "2", "--m", "2", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["allMinorsPositive"] is True
+
+    def test_exhausted_precision_budget_usage_error(self, tmp_path, monkeypatch, capsys):
+        # rows of zeros never pass: every precision up to the ceiling fails, then ConstructionError
+        def zero_rows(k, m, n, digits):
+            return [[Fraction(0)] * n for _ in range(k + m)]
+
+        monkeypatch.setattr(amplituhedron_map, "_trig_rows", zero_rows)
+        out = tmp_path / "z0.json"
+        assert main(["z0", "--k", "1", "--m", "2", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "640 digits" in err
+        assert not out.exists()
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("level", ["bogus", "", "10"])
+    def test_unknown_level_is_usage_error(self, monkeypatch, level):
+        monkeypatch.setenv("AMP_LOG", level)
+        result = run_cli("sample", "--k", "1", "--n", "3")
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("error: AMP_LOG must be one of")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_known_level_in_any_case(self, monkeypatch):
+        monkeypatch.setenv("AMP_LOG", "debug")
+        result = run_cli("sample", "--k", "1", "--n", "3")
+        assert result.returncode == EXIT_OK
+        assert "Traceback" not in result.stderr
 
 
 class TestEmbedAndEquivalence:

@@ -7,7 +7,7 @@ from math import gcd, prod
 from random import Random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from tnngrass import (
@@ -37,6 +37,7 @@ from helpers import (
     det2,
     fraction_matmul,
     fraction_rref,
+    full_back_substitute,
     identity,
     minor,
     minors_of,
@@ -513,6 +514,29 @@ class TestAgainstFractionRref:
         else:
             got = solve_for_left_factor(RationalMatrix(k_rows), RationalMatrix(w_rows))
             assert got == RationalMatrix(expected)
+
+
+class TestBackSubstitution:
+    """The non-pivot block agrees with the full-row oracle, whose pivot columns are d e_i."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(deficient_rows_st(), minor_table_rows_st()))
+    @example([[-1, 1]])  # a negative last pivot
+    @example([[0, 0, 0], [0, 0, 0]])  # no pivot at all
+    @example([[0, 1, 2, 3], [0, 2, 4, 5]])  # a zero column, a skipped column, a negative d
+    @example([[1, 2], [2, 4], [3, 6]])  # tall and rank deficient
+    @example([[1, 0], [0, 1]])  # no free column
+    def test_free_block_of_the_full_rows(self, rows):
+        a, _ = exact_linalg._int_rows_and_scale(RationalMatrix(rows))
+        pivots, _ = exact_linalg._bareiss(a)
+        block, d = exact_linalg._back_substitute(a, pivots)
+        full, full_d = full_back_substitute(a, pivots)
+        free = [c for c in range(len(a[0])) if c not in pivots]
+        assert d == full_d
+        assert block == [[row[c] for c in free] for row in full]
+        # the columns that are not built: d times the unit vectors
+        r = len(pivots)
+        assert [[row[c] for c in pivots] for row in full] == [[d * (i == j) for j in range(r)] for i in range(r)]
 
 
 class TestCauchyBinet:
