@@ -82,6 +82,8 @@ class CampaignConfig:
     zero_cols: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.k < 1 or self.m < 0:
+            raise UserInputError(f"need k >= 1 and m >= 0, got k={self.k}, m={self.m}")
         if self.trials < 1:
             raise UserInputError("trials must be >= 1")
         if self.node_lo <= 0 or self.node_hi <= self.node_lo:

@@ -5,8 +5,9 @@ the kernels of Z and Z' are spanned by sign-alternating vectors a and b
 normalized to the same leading sign.  The diagonal matrix
 D = diag(a_i / b_i) then has positive diagonal, Z D and Z' share their
 kernel and hence their row span, and the unique C with Z' = C Z D has
-positive determinant.  The triple (C, D, det C) is an exact certificate
-that the two image bodies are projectively equivalent.
+positive determinant.  C is solved from C Z = Z' D^-1, so the elimination
+pivots on Z's own integer rows.  The triple (C, D, det C) is an exact
+certificate that the two image bodies are projectively equivalent.
 
 Every identity is decided once per certificate or once per setup.  The
 residual R = C (Z D) - Z' is formed once, from Z D by scaling columns
@@ -107,8 +108,9 @@ def construct_equivalence(
 
     Both setups must have n = k+m+1 and strictly positive maximal
     minors, which makes the kernel generators sign-alternating with no
-    zero entries.  The identity Z' = C Z D is decided once, as R = 0;
-    det C is then read off the setups' memoized tables as
+    zero entries.  C is solved from C Z = Z' D^-1, with Z's own rows as
+    the pivot block; the identity Z' = C Z D is then decided once, as
+    R = 0, and det C read off the setups' memoized tables as
     p_S(Z') / (p_S(Z) prod_{j in S} d_j) for S = {1..k+m}, with no
     second elimination.
     """
@@ -132,7 +134,7 @@ def construct_equivalence(
     if any(x <= 0 for x in d_diag):
         raise InternalConsistencyError("diagonal ratio of aligned alternating kernels is not positive")
     try:
-        c = solve_for_left_factor(setup_b.Z, setup_a.Z.scale_columns(d_diag))
+        c = solve_for_left_factor(setup_b.Z.scale_columns([1 / x for x in d_diag]), setup_a.Z)
     except (RankError, InconsistentSystemError) as exc:
         # Equal kernels force equal row spans, so the solve cannot fail.
         raise InternalConsistencyError(

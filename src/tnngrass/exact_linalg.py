@@ -385,7 +385,8 @@ class RationalMatrix:
     @classmethod
     def diagonal(cls, entries: Sequence[int | str | Fraction]) -> "RationalMatrix":
         n = len(entries)
-        return cls([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+        pairs = enumerate(map(_parse, entries))
+        return cls(_IntRows(_primitive([p if i == j else 0 for j in range(n)], q) for i, (p, q) in pairs))
 
     @classmethod
     def from_int_rows(cls, rows: Iterable[tuple[Sequence[int], int]]) -> "RationalMatrix":
@@ -820,14 +821,17 @@ def kernel_basis(m: RationalMatrix) -> list[RowVector]:
 def solve_for_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> RationalMatrix:
     """The unique square C with ``k_image = C @ w`` for full-row-rank w.
 
-    Raises RankError when w has deficient row rank and
-    InconsistentSystemError when no exact solution exists.
+    Reduces [W_int^T | K_int^T], each block's own integer rows, with no
+    common denominator: for W = diag(1/e) W_int and K = diag(1/f) K_int,
+    row i of C is column i of the reduced block times e, over d f_i.
+    Column scaling moves no pivot, so RankError (w of deficient row rank)
+    and InconsistentSystemError (no exact C) fire as on [W^T | K^T].
     """
     if k_image.rows != w.rows or k_image.cols != w.cols:
         raise DimensionError("left-factor solve needs equally shaped matrices")
     r = w.rows
-    # Solve W^T C^T = K^T by row reducing [W^T | K^T], the transpose of W over K.
-    aug, _ = _int_rows_and_scale(RationalMatrix(_IntRows(w.int_rows + k_image.int_rows)).transpose())
+    # C' = diag(f) C diag(1/e) solves C' W_int = K_int: row reduce [W_int^T | K_int^T]
+    aug = [list(col) for col in zip(*(ints for ints, _ in w.int_rows + k_image.int_rows))]
     pivots, reduced, d = _rref(aug)
     if pivots[:r] != list(range(r)):
         raise RankError(f"target has row rank < {r}; left factor is not determined")
@@ -835,8 +839,9 @@ def solve_for_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> Rationa
         # A pivot inside the right block means some row of k_image is not
         # a combination of w's rows.
         raise InconsistentSystemError("no exact left factor exists")
-    # the free columns are r.., so C's rows are the columns of C^T = reduced / d
-    return RationalMatrix(_IntRows(_primitive(col, d) for col in zip(*reduced)))
+    # the free columns are r.., so C'^T = reduced / d, and C = diag(1/f) C' diag(e)
+    scaled = ([x * e for x, (_, e) in zip(col, w.int_rows)] for col in zip(*reduced))
+    return RationalMatrix(_IntRows(_primitive(ints, d * f) for ints, (_, f) in zip(scaled, k_image.int_rows)))
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:

@@ -255,6 +255,28 @@ def rref_left_factor(k_rows: list[list[Fraction]], w_rows: list[list[Fraction]])
     return [list(col) for col in zip(*(row[r:] for row in reduced[:r]))]
 
 
+def common_denominator_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> RationalMatrix:
+    """C with K = C W from the integer rows of [W^T | K^T] over one common denominator.
+
+    Every row of W and K is lifted to the lcm of all their denominators
+    before the transpose is reduced, so C^T is the reduced block over d
+    with no rescaling.  The oracle for ``solve_for_left_factor``, which
+    reduces each block's own integer rows and rescales C afterwards;
+    raises the library's RankError and InconsistentSystemError.
+    """
+    if k_image.rows != w.rows or k_image.cols != w.cols:
+        raise DimensionError("left-factor solve needs equally shaped matrices")
+    r = w.rows
+    stacked = RationalMatrix.from_int_rows(w.int_rows + k_image.int_rows).transpose()
+    aug, _ = exact_linalg._int_rows_and_scale(stacked)
+    pivots, reduced, d = exact_linalg._rref(aug)
+    if pivots[:r] != list(range(r)):
+        raise RankError(f"target has row rank < {r}; left factor is not determined")
+    if len(pivots) > r:
+        raise InconsistentSystemError("no exact left factor exists")
+    return RationalMatrix.from_int_rows((col, d) for col in zip(*reduced))
+
+
 def fraction_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """The product by a Fraction sum over each row-column pair, term by term.
 

@@ -862,6 +862,14 @@ class TestStrictRationals:
             main(["sample", "--k", "1", "--n", "2", "--nodes", " 1, 2.5"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("k, m, named", [("1", "-1", "m=-1"), ("0", "2", "k=0")])
+    def test_campaign_parameters_out_of_range(self, k, m, named):
+        # refused before a Z with k + m rows is built
+        out = run_cli("fiber-campaign", "--k", k, "--m", m, "--trials", "1")
+        assert out.returncode == EXIT_USAGE
+        assert out.stderr.startswith("error: ") and named in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_rejection_has_no_traceback(self):
         out = run_cli("fiber-campaign", "--k", "1", "--m", "2", "--trials", "1", "--node-lo", "1/0")
         assert out.returncode == EXIT_USAGE

@@ -1,11 +1,14 @@
 """Projective equivalence certificates, transport checks, vertex extraction."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tnngrass.equivalence as equivalence_mod
 from tnngrass import (
@@ -35,6 +38,7 @@ from helpers import (
     identity,
     random_corank_one_setup,
     random_positive_det,
+    rref_left_factor,
     scaled_vandermonde_point,
     vandermonde_setup,
 )
@@ -105,6 +109,33 @@ class TestConstructEquivalence:
         b_setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4, 5)])
         with pytest.raises((UnsupportedParameterError, DimensionError)):
             construct_equivalence(a_setup, b_setup)
+
+
+@functools.cache
+def z0_of(k, m):
+    return build_z0(k, m)
+
+
+@st.composite
+def vandermonde_to_z0_st(draw):
+    """A Vandermonde setup with k <= 2 and even m <= 4 at distinct positive nodes, and z0 of its shape."""
+    k, m = draw(st.integers(1, 2)), draw(st.sampled_from([0, 2, 4]))
+    node_st = st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=8)
+    nodes = draw(st.lists(node_st, min_size=k + m + 1, max_size=k + m + 1, unique=True))
+    return vandermonde_setup(k, m, sorted(nodes)), z0_of(k, m)
+
+
+class TestLeftFactorOrientation:
+    """C solved from C Z = Z' D^-1 is the C of Z' = C (Z D), solved by the Fraction oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(vandermonde_to_z0_st())
+    def test_same_c_as_the_old_orientation(self, setups):
+        setup, target = setups
+        cert = construct_equivalence(setup, target)
+        zd_rows = [list(row) for row in setup.Z.scale_columns(cert.d_diag).row_tuples()]
+        expected = rref_left_factor([list(row) for row in target.Z.row_tuples()], zd_rows)
+        assert cert.c == RationalMatrix(expected)
 
 
 class TestProjectiveMap:

@@ -33,6 +33,7 @@ from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
     cofactor_det,
+    common_denominator_left_factor,
     count_computed_tables,
     det2,
     fraction_matmul,
@@ -463,6 +464,37 @@ class TestSolveForLeftFactor:
         assert solve_for_left_factor(g @ w, w) == g
 
 
+# primes just below 2^31 and powers of two up to 2^60
+LARGE_DENOMINATORS = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549] + [
+    2 ** e for e in (1, 7, 19, 31, 32, 45, 53, 60)
+]
+
+
+def draw_left_factor_target(data, w_rows):
+    """K rows for the system K = C W: arbitrary, or G W for a drawn (maybe singular) G."""
+    r, n = len(w_rows), len(w_rows[0])
+    row_st = st.lists(sparse_entry_st, min_size=n, max_size=n)
+    if data.draw(st.booleans()):
+        return data.draw(st.lists(row_st, min_size=r, max_size=r))
+    g_row_st = st.lists(sparse_entry_st, min_size=r, max_size=r)
+    g = RationalMatrix(data.draw(st.lists(g_row_st, min_size=r, max_size=r)))
+    return [list(row) for row in (g @ RationalMatrix(w_rows)).row_tuples()]
+
+
+def assert_left_factor_agrees(k_rows, w_rows):
+    """The solve gives the C, or raises the error, of both the Fraction and the common-denominator oracles."""
+    expected = rref_left_factor(k_rows, w_rows)
+    k_image, w = RationalMatrix(k_rows), RationalMatrix(w_rows)
+    if isinstance(expected, type):
+        for solve in (solve_for_left_factor, common_denominator_left_factor):
+            with pytest.raises(expected):
+                solve(k_image, w)
+    else:
+        got = solve_for_left_factor(k_image, w)
+        assert got == RationalMatrix(expected) == common_denominator_left_factor(k_image, w)
+        assert_canonical(got)
+
+
 class TestAgainstFractionRref:
     """The integer kernel agrees with Fraction Gauss-Jordan on degenerate inputs."""
 
@@ -499,21 +531,20 @@ class TestAgainstFractionRref:
     @settings(max_examples=200, deadline=None)
     @given(deficient_rows_st(), st.data())
     def test_left_factor(self, w_rows, data):
-        r, n = len(w_rows), len(w_rows[0])
-        row_st = st.lists(sparse_entry_st, min_size=n, max_size=n)
-        if data.draw(st.booleans()):
-            k_rows = data.draw(st.lists(row_st, min_size=r, max_size=r))
-        else:
-            g_row_st = st.lists(sparse_entry_st, min_size=r, max_size=r)
-            g = RationalMatrix(data.draw(st.lists(g_row_st, min_size=r, max_size=r)))
-            k_rows = [list(row) for row in (g @ RationalMatrix(w_rows)).row_tuples()]
-        expected = rref_left_factor(k_rows, w_rows)
-        if isinstance(expected, type):
-            with pytest.raises(expected):
-                solve_for_left_factor(RationalMatrix(k_rows), RationalMatrix(w_rows))
-        else:
-            got = solve_for_left_factor(RationalMatrix(k_rows), RationalMatrix(w_rows))
-            assert got == RationalMatrix(expected)
+        assert_left_factor_agrees(draw_left_factor_target(data, w_rows), w_rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(deficient_rows_st(), st.data())
+    def test_left_factor_with_large_row_denominators(self, w_rows, data):
+        # every row of W and of K over its own denominator, so the blocks'
+        # integer rows differ from their rows over a common one
+        k_rows = draw_left_factor_target(data, w_rows)
+        r = len(w_rows)
+        den_st = st.sampled_from(LARGE_DENOMINATORS)
+        dens = data.draw(st.lists(den_st, min_size=2 * r, max_size=2 * r, unique=True))
+        w_rows = [[x / den for x in row] for row, den in zip(w_rows, dens)]
+        k_rows = [[x / den for x in row] for row, den in zip(k_rows, dens[r:])]
+        assert_left_factor_agrees(k_rows, w_rows)
 
 
 class TestBackSubstitution:
@@ -689,6 +720,31 @@ class TestAddOuter:
         for col, row in [(1, 3), (3, 3), (2, 2), (2, 4)]:
             with pytest.raises(DimensionError):
                 m.add_outer([Fraction(0)] * col, [Fraction(1)] * row)
+
+
+class TestDiagonal:
+    """``diagonal`` builds the rows the generic constructor parses from a dense diagonal."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-50, 50), fractions_st, fractions_st.map(str)), min_size=1, max_size=7))
+    @example([0])
+    @example([Fraction(-2, 5), "4/6", "-0/3", "+5", 0, -7])
+    @example(["-12/8", Fraction(0), 1, "0", Fraction(9, 3), "-5"])
+    def test_equals_generic_constructor(self, entries):
+        n = len(entries)
+        generic = RationalMatrix([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+        diagonal = RationalMatrix.diagonal(entries)
+        assert diagonal.int_rows == generic.int_rows
+        assert_canonical(diagonal)
+
+    @pytest.mark.parametrize(
+        "bad, error", [(0.5, TypeError), (True, TypeError), ("1/0", ValueError), ("1.5", ValueError)]
+    )
+    def test_rejects_what_the_generic_constructor_rejects(self, bad, error):
+        with pytest.raises(error):
+            RationalMatrix.diagonal([1, bad])
+        with pytest.raises(error):
+            RationalMatrix([[1, 0], [0, bad]])
 
 
 class TestScaleColumns:
