@@ -9,12 +9,15 @@ positive determinant.  C is solved from C Z = Z' D^-1, so the elimination
 pivots on Z's own integer rows.  The triple (C, D, det C) is an exact
 certificate that the two image bodies are projectively equivalent.
 
-Every identity is decided once per certificate or once per setup.  The
-residual R = C (Z D) - Z' is formed once, from Z D by scaling columns
-and one product; the certificate is exact iff R = 0.  det C is then read
-off the two setups' memoized minor tables: C (Z D)_S = Z'_S on the first
-k+m columns S, so det C = p_S(Z') / (p_S(Z) prod_{j in S} d_j).  A
-transport spot check on V tests V R^T = 0, the square
+Every identity is decided once per certificate or once per setup.  As
+every d_j > 0, Z' = C Z D holds iff C Z = Z' D^-1, so a constructed
+certificate is decided on the solve's own system: one product of Z's
+own rows, compared with the right side the solve was given.  det C is
+then read off the two setups' memoized minor tables: C (Z D)_S = Z'_S
+on the first k+m columns S, so det C = p_S(Z') / (p_S(Z) prod_{j in S}
+d_j).  Only a certificate built otherwise forms the residual
+R = C (Z D) - Z', once, and is exact iff R = 0.  A transport spot check
+on V tests V R^T = 0, the square
 (V D) Z^T C^T = V Z'^T moved to one side (D is diagonal, so D^T = D);
 an exact certificate passes it for every V without a product.  V D is
 totally nonnegative iff V is when every d_j > 0, since each minor of V D
@@ -78,7 +81,12 @@ class EquivalenceCertificate:
 
     @cached_property
     def exact(self) -> bool:
-        """Whether Z' = C Z D holds entrywise, decided once."""
+        """Whether Z' = C Z D holds entrywise, decided once.
+
+        ``construct_equivalence`` stores the verdict it decided as
+        C Z = Z' D^-1; any other certificate, such as one copied with
+        ``dataclasses.replace``, forms the residual.
+        """
         return _is_zero(self.residual)
 
     @cached_property
@@ -110,7 +118,8 @@ def construct_equivalence(
     minors, which makes the kernel generators sign-alternating with no
     zero entries.  C is solved from C Z = Z' D^-1, with Z's own rows as
     the pivot block; the identity Z' = C Z D is then decided once, as
-    R = 0, and det C read off the setups' memoized tables as
+    C Z = Z' D^-1 (every d_j > 0), and det C read off the setups'
+    memoized tables as
     p_S(Z') / (p_S(Z) prod_{j in S} d_j) for S = {1..k+m}, with no
     second elimination.
     """
@@ -133,13 +142,17 @@ def construct_equivalence(
     d_diag = tuple(ai / bi for ai, bi in zip(a, b))
     if any(x <= 0 for x in d_diag):
         raise InternalConsistencyError("diagonal ratio of aligned alternating kernels is not positive")
+    k_image = setup_b.Z.scale_columns([1 / x for x in d_diag])
     try:
-        c = solve_for_left_factor(setup_b.Z.scale_columns([1 / x for x in d_diag]), setup_a.Z)
+        c = solve_for_left_factor(k_image, setup_a.Z)
     except (RankError, InconsistentSystemError) as exc:
         # Equal kernels force equal row spans, so the solve cannot fail.
         raise InternalConsistencyError(
             f"no exact left factor although kernels agree: {exc}"
         ) from exc
+    # D is invertible, so Z' = C Z D iff C Z = Z' D^-1: no Z D and no residual
+    if c @ setup_a.Z != k_image:
+        raise InternalConsistencyError("certificate identity Z' = C Z D failed entrywise")
     # Once Z' = C Z D holds, C (Z D)_S = Z'_S on the first k+m columns S,
     # the first colex entry of both memoized tables, so det C is a ratio
     # of leading minors and C needs no elimination of its own.
@@ -147,13 +160,13 @@ def construct_equivalence(
     lead_a, lead_b = all_maximal_minors(setup_a.Z), all_maximal_minors(setup_b.Z)
     p_a = Fraction(lead_a.ints[0], lead_a.scale)
     det_c = Fraction(lead_b.ints[0], lead_b.scale) / (p_a * prod(d_diag[:r]))
+    if det_c <= 0:
+        raise InternalConsistencyError(f"det(C) = {rational_to_string(det_c)} is not positive")
     cert = EquivalenceCertificate(
         z=setup_a.Z, z_prime=setup_b.Z, d_diag=d_diag, c=c, det_c=det_c
     )
-    if not cert.exact:
-        raise InternalConsistencyError("certificate identity Z' = C Z D failed entrywise")
-    if det_c <= 0:
-        raise InternalConsistencyError(f"det(C) = {rational_to_string(det_c)} is not positive")
+    # the cached ``exact``, decided above
+    vars(cert)["exact"] = True
     return cert
 
 

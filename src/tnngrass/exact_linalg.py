@@ -19,19 +19,25 @@ solves, inverses and minor tables from the reduced row echelon form R,
 after a back-substitution that returns only the non-pivot columns of
 d R: the pivot columns are d e_i and are never built.
 
-A table of all maximal minors of a k x n matrix comes from one
-elimination and one Laplace ladder over the reduced form R.  Each minor
-is, up to a sign fixed by the pivots, d times the minor of R on the
-pivot rows it misses and the free columns it holds, d the determinant of
-the pivot columns (Postnikov, "Total positivity, Grassmannians, and
-networks", arXiv math/0609764, section 3).  The ladder builds those of
-size s from s of size s - 1 and one exact division by d, level by level;
-the levels hold C(k, s) C(n - k, s) minors each, C(n, k) in all, so it
-computes the table and nothing more.  Its bookkeeping depends only on
-(n, k) and the pivots and is cached as one plan per pivot pattern, which
-generic matrices of one shape share.  The table is a ``MinorTable``:
-integer minors over one positive scale, the product of the row
-denominators, so sign tests read integers; a matrix computes it once.
+A table of all maximal minors of a k x n matrix takes one of two paths,
+chosen once per shape by which makes fewer products and divisions.
+Short tables (every k <= 3, 5 x 5, and 4 x n for n <= 5 or n >= 30)
+are expanded straight from the stored integer rows, from the last row
+up: the s x s minors of the last s rows are s products each of the
+minors one size smaller, with no elimination and no division.  The
+other shapes eliminate once and climb a Laplace ladder over the reduced
+form R, whose levels hold C(k, s) C(n - k, s) minors instead of
+C(n, s).  Each minor is, up to a sign fixed by the pivots, d times the
+minor of R on the pivot rows it misses and the free columns it holds,
+d the determinant of the pivot columns (Postnikov, "Total positivity,
+Grassmannians, and networks", arXiv math/0609764, section 3).  The
+ladder builds those of size s from s of size s - 1 and one exact
+division by d, level by level, C(n, k) in all, so it computes the table
+and nothing more.  Its bookkeeping depends only on (n, k) and the
+pivots and is cached as one plan per pivot pattern, which generic
+matrices of one shape share.  The table is a ``MinorTable``: integer
+minors over one positive scale, the product of the row denominators,
+so sign tests read integers; a matrix computes it once.
 
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
@@ -47,7 +53,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -208,13 +214,15 @@ def subsets_colex(n: int, k: int) -> list[IndexSubset]:
     return list(_colex(n, k).subsets)
 
 
-# Shape data (the subsets of a table, their positions, its ladder plans)
-# is cached in two caches of at most this many subsets' worth of entries
-# each, least recently used first out.  tracemalloc measured about 285
-# bytes per subset with its position for k <= 8 and at most 240 bytes per
-# plan entry on plans of 1000 subsets or more (a plan also holds a fixed
-# 1-2 KB), so about 52 MB in all; each member beyond 8 adds 8 bytes to a
-# subset.  Larger tables rebuild their shape data once per call.
+# Shape data (the subsets of a table, their positions, its expansion and
+# ladder plans) is cached in three caches of at most this many subsets'
+# worth of entries each, least recently used first out.  tracemalloc
+# measured about 285 bytes per subset with its position for k <= 8 and at
+# most 240 bytes per plan entry on plans of 1000 subsets or more (a ladder
+# plan also holds a fixed 1-2 KB; expansion plans of 3 x 40, 3 x 80 and
+# 2 x 400 took 216, 200 and 166 bytes per subset), so about 76 MB in all;
+# each member beyond 8 adds 8 bytes to a subset.  Larger tables rebuild
+# their shape data once per call.
 CACHED_SUBSETS = 100_000
 
 
@@ -654,10 +662,105 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
 def _minor_table(m: RationalMatrix) -> MinorTable:
     """The table ``all_maximal_minors`` returns, computed.
 
-    The integer rows are eliminated once: if the rank is below k every
-    minor is 0.  Otherwise, let D = d R be the scaled reduced rows, whose
-    free columns ``_back_substitute`` returns, R_I the pivot rows whose
-    pivot column is not in I, C_I = I - pivots = (c_0 < c_1 < ...) and
+    The minors are those of the stored integer rows, over the product of
+    the row denominators.  ``_expansion_plan`` picks the path once per
+    shape, from the operations each would make on a k x n matrix: short
+    tables (every k <= 3, 5 x 5, and 4 x n for n <= 5 or n >= 30) expand
+    the rows directly (``_expanded_minors``), every other shape eliminates
+    and climbs the reduced form's ladder (``_eliminated_minors``).  Both
+    give the same integers.
+    """
+    k, n = m.rows, m.cols
+    if k > n:
+        raise DimensionError(f"wide matrix required, got {k}x{n}")
+    colex = _colex(n, k)
+    int_rows, scale = _int_rows_and_scale(m)
+    plan = _expansion_plan(n, k)
+    if plan is None:
+        ints = _eliminated_minors(int_rows, n, k)
+    else:
+        ints = _expanded_minors(int_rows, plan)
+    return MinorTable(n, colex.subsets, tuple(ints), scale, colex.index)
+
+
+def _expanded_minors(int_rows: list[list[int]], levels: tuple) -> list[int]:
+    """The maximal minors of integer rows in colex order, by Laplace expansion.
+
+    Level s holds the s x s minors of the last s rows on every s-subset
+    C = (c_0 < c_1 < ...) of columns, in colex order, level 1 the last row
+    itself.  Expanding along the first of those rows, r,
+
+        M_s(C) = sum_t (-1)^t r[c_t] M_(s-1)(C - c_t),
+
+    so every value costs s products and nothing is divided; a matrix of
+    rank below k gives zeros.  ``levels[s - 2]`` holds, per t, the term
+    (c_t, place of C - c_t in level s - 1) of each C, c_t shifted by n
+    when t is odd to read -r[c_t].
+    """
+    level = int_rows[-1]
+    for row, (first, *middle, last) in zip(int_rows[-2::-1], levels):
+        below = level
+        coeffs = row + [-x for x in row]
+        acc = [coeffs[c] * below[j] for c, j in first]
+        for terms in middle:
+            acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
+        level = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, last)]
+    return level
+
+
+def _direct_ops(n: int, k: int) -> int:
+    """Products of ``_expanded_minors`` on a k x n matrix: s per s x s minor, s >= 2."""
+    return sum(s * comb(n, s) for s in range(2, k + 1))
+
+
+def _elimination_ops(n: int, k: int) -> int:
+    """Products and divisions of ``_eliminated_minors`` on a k x n matrix of rank k.
+
+    Bareiss updates (two products and a division each) with pivots in
+    the first k columns, back-substitution of the n - k free columns (a
+    scaling, one update per pivot row below and a division per entry),
+    and the ladder's s products and one division per value of level s.
+    """
+    free = n - k
+    bareiss = 3 * sum((k - 1 - r) * (n - 1 - r) for r in range(k))
+    back = free * sum(k - r + 1 for r in range(k))
+    ladder = sum((s + 1) * comb(k, s) * comb(free, s) for s in range(2, min(k, free) + 1))
+    return bareiss + back + ladder
+
+
+@_shape_cache
+def _expansion_plan(n: int, k: int) -> tuple | None:
+    """The levels of ``_expanded_minors`` for k x n tables, or None to eliminate.
+
+    The direct expansion is chosen where it makes no more operations
+    than elimination (``_direct_ops`` against ``_elimination_ops``), so
+    the choice depends on (n, k) alone.  Cached with the shape's
+    subsets, which ``_colex`` has built (or refused) first.
+    """
+    return _direct_levels(n, k) if _direct_ops(n, k) <= _elimination_ops(n, k) else None
+
+
+def _direct_levels(n: int, k: int) -> tuple:
+    """``levels`` of ``_expanded_minors`` for k x n matrices, levels 2..k in colex order."""
+    levels = []
+    below = {(j,): j - 1 for j in range(1, n + 1)}
+    for s in range(2, k + 1):
+        members = _colex_members(n, s)
+        levels.append(tuple(
+            tuple((cols[t] - 1 + n * (t % 2), below[cols[:t] + cols[t + 1:]]) for cols in members)
+            for t in range(s)
+        ))
+        below = {cols: i for i, cols in enumerate(members)}
+    return tuple(levels)
+
+
+def _eliminated_minors(int_rows: list[list[int]], n: int, k: int) -> list[int]:
+    """The maximal minors of integer rows in colex order, by elimination (destroys ``int_rows``).
+
+    The rows are eliminated once: if the rank is below k every minor is
+    0.  Otherwise, let D = d R be the scaled reduced rows, whose free
+    columns ``_back_substitute`` returns, R_I the pivot rows whose pivot
+    column is not in I, C_I = I - pivots = (c_0 < c_1 < ...) and
     s = |C_I|.  The Laplace expansion along the unit columns of R gives
 
         p_I = sign * sigma_I * v(R_I, C_I),  v(S, F) = det(D[S, F]) / d^(s-1),
@@ -677,14 +780,9 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     terms of each level and the place and sigma_I of every subset come
     from ``_ladder_plan``, cached per pivot pattern.
     """
-    k, n = m.rows, m.cols
-    if k > n:
-        raise DimensionError(f"wide matrix required, got {k}x{n}")
-    colex = _colex(n, k)
-    int_rows, scale = _int_rows_and_scale(m)
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
-        return MinorTable(n, colex.subsets, (0,) * len(colex.subsets), scale, colex.index)
+        return [0] * comb(n, k)
     reduced, d = _back_substitute(int_rows, pivots)
     plan = _ladder_plan(n, k, tuple(pivots))
     blocks = [list(col) for col in zip(*reduced)] if plan.transposed else reduced
@@ -706,7 +804,7 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     ints = [values[p] for p in plan.positions]
     for i in plan.negated:
         ints[i] = -ints[i]
-    return MinorTable(n, colex.subsets, tuple(ints), scale, colex.index)
+    return ints
 
 
 class _Ladder(NamedTuple):

@@ -120,9 +120,14 @@ class TestKernelFromTable:
         eliminations = count_eliminations(monkeypatch)
         z = RationalMatrix([[1, 1, 1, 1], [1, 2, 3, 4], [1, 4, 9, 16]])
         setup = build_setup(1, 2, z)
-        # the minor table's elimination is the only one
-        assert eliminations == [3]
+        # a 3 x 4 table is expanded directly, so nothing is eliminated
+        assert eliminations == []
         assert setup.kernel_gen == (1, -3, 3, -1)
+        # the image setups' 6 x 7 table eliminates once, and that is the only elimination
+        z = RationalMatrix([[x ** i for x in range(1, 8)] for i in range(6)])
+        setup = build_setup(2, 4, z)
+        assert eliminations == [6]
+        assert setup.kernel_gen == (1, -6, 15, -20, 15, -6, 1)
 
 
 class TestHatMap:

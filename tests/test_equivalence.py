@@ -417,6 +417,10 @@ class TestTransportTable:
         tables = count_computed_tables(monkeypatch)
         assert all(equivalence_transport_check(cert, point) for point in points)
         assert tables == []
+        # the identity was decided as C Z = Z' D^-1 in the construction: no residual is formed
+        assert "residual" not in vars(cert) and "residual_transpose" not in vars(cert)
+        copied = dataclasses.replace(cert)
+        assert copied.exact and copied.residual == cert.z_prime - cert.z_prime
 
 
 class TestDiagonalLength:

@@ -35,6 +35,7 @@ from helpers import (
     cofactor_det,
     common_denominator_left_factor,
     count_computed_tables,
+    count_eliminations,
     det2,
     fraction_matmul,
     fraction_rref,
@@ -76,6 +77,27 @@ def deficient_rows_st(draw, square=False):
 
 
 @st.composite
+def two_path_rows_st(draw):
+    """Rows of ``minor_table_rows_st`` for k <= 6 and n <= k + 7, made more degenerate and larger.
+
+    A row may be zeroed, entries may be large negative integers, and each
+    row may be divided by its own denominator up to 2^60.
+    """
+    rows = draw(minor_table_rows_st(max_k=6, max_extra=7))
+    n = len(rows[0])
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] = [Fraction(0)] * n
+    if draw(st.booleans()):
+        big_st = st.integers(-(2 ** 70), 2 ** 20)
+        for row in rows:
+            row[draw(st.integers(0, n - 1))] = Fraction(draw(big_st))
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.integers(1, 2 ** 60), min_size=len(rows), max_size=len(rows)))
+        rows = [[x / den for x in row] for row, den in zip(rows, dens)]
+    return rows
+
+
+@st.composite
 def inner_singular_rows_st(draw):
     """Square, at least 4 x 4, with a column before the last that depends on earlier ones.
 
@@ -92,15 +114,15 @@ def inner_singular_rows_st(draw):
 
 
 @st.composite
-def minor_table_rows_st(draw):
-    """k x n rows, 1 <= k <= 8 and k <= n <= k + 5, with the degenerate shapes mixed in.
+def minor_table_rows_st(draw, max_k=8, max_extra=5):
+    """k x n rows, 1 <= k <= max_k and k <= n <= k + max_extra, with the degenerate shapes mixed in.
 
     Entries are signed and often zero; rows may be combinations of the
     rows above (rank deficiency), and columns may be zeroed or copied
     from another column.
     """
-    k = draw(st.integers(1, 8))
-    n = draw(st.integers(k, k + 5))
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(k, k + max_extra))
     row_st = st.lists(sparse_entry_st, min_size=n, max_size=n)
     rows = draw(st.lists(row_st, min_size=k, max_size=k))
     for i in range(1, k):
@@ -342,6 +364,74 @@ class TestAllMaximalMinors:
         # C(5, 2) = 10 fills the budget, C(4, 2) = 6 pushes it out, and
         # C(6, 3) = 20 is never kept.
         assert builds == [(5, 2), (4, 2), (5, 2), (6, 3), (6, 3)]
+
+
+class TestTwoTablePaths:
+    """Short tables expand the stored rows, others eliminate: both give the same tables."""
+
+    @staticmethod
+    def _both_paths(rows):
+        tables = []
+        for plan in (exact_linalg._direct_levels, lambda n, k: None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(exact_linalg, "_expansion_plan", plan)
+                tables.append(all_maximal_minors(RationalMatrix(rows)))
+        return tables
+
+    # no shrink phase, as for the per-subset oracle test above
+    @settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(two_path_rows_st())
+    @example([[Fraction(0)] * 7, [Fraction(1)] * 7])
+    @example([[Fraction(j - 3, 2 ** 60) for j in range(8)]] * 3)
+    def test_both_paths_give_the_same_table(self, rows):
+        direct, eliminated = self._both_paths(rows)
+        # dataclass equality: n, subsets, ints and scale
+        assert direct == eliminated
+        assert list(minors_of(direct).items()) == list(subset_minor_table(RationalMatrix(rows)).items())
+
+    def test_the_benchmark_shapes_take_their_paths(self, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        rng = Random(81)
+        # campaign's 3 x 8 and image's 2 x 7 spot-check points expand directly
+        for k, n in ((2, 7), (3, 8)):
+            assert exact_linalg._expansion_plan(n, k) is not None
+            all_maximal_minors(random_matrix(rng, k, n))
+        assert eliminations == []
+        # the image setups' 6 x 7 and 7 x 8 tables and wide's 12 x 15 eliminate once each
+        for k, n in ((6, 7), (7, 8), (12, 15)):
+            assert exact_linalg._expansion_plan(n, k) is None
+            all_maximal_minors(random_matrix(rng, k, n))
+        assert eliminations == [6, 7, 12]
+
+    def test_direct_plans_are_held_in_the_bounded_shape_cache(self, monkeypatch):
+        builds = []
+        build = exact_linalg._direct_levels
+        monkeypatch.setattr(exact_linalg, "_direct_levels", lambda n, k: builds.append((n, k)) or build(n, k))
+        monkeypatch.setattr(exact_linalg, "CACHED_SUBSETS", 50)
+        rng = Random(82)
+        # C(8, 2) = 28 subsets fit the budget: every 2 x 8 table reads one plan
+        plan = exact_linalg._expansion_plan(8, 2)
+        for _ in range(3):
+            all_maximal_minors(random_matrix(rng, 2, 8))
+        assert exact_linalg._expansion_plan(8, 2) is plan
+        assert builds.count((8, 2)) <= 1
+        # C(60, 1) = 60 do not: each table rebuilds its plan
+        for _ in range(3):
+            all_maximal_minors(random_matrix(rng, 1, 60))
+        assert builds.count((60, 1)) == 3
+
+    def test_a_table_above_the_limit_is_refused_before_any_plan(self, monkeypatch):
+        calls = []
+        for name in ("_expansion_plan", "_direct_levels", "_ladder_plan", "_bareiss"):
+            original = getattr(exact_linalg, name)
+            monkeypatch.setattr(
+                exact_linalg, name, lambda *args, name=name, original=original: calls.append(name) or original(*args)
+            )
+        # C(700, 2) = 244650 > MAX_SUBSETS, and 2 x 700 would expand directly
+        m = RationalMatrix([[1] * 700, list(range(700))])
+        with pytest.raises(UnsupportedParameterError):
+            all_maximal_minors(m)
+        assert calls == []
 
 
 class TestMinorTableMemo:
