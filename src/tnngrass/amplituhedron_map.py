@@ -9,10 +9,11 @@ setup eliminates Z once.
 
 The cyclically symmetric matrix is constructed from the closed-form
 trigonometric eigenbasis of S + S^T, where S is the cyclic shift that
-twists the wrap-around entry by (-1)^(k-1).  Floating point appears only
-in the initial entry estimates; the rationalized matrix must then pass
-exact positivity and sign-alternation verification, with the precision
-doubled on failure.
+twists the wrap-around entry by (-1)^(k-1).  Its entries are estimated
+on integers alone (pi by Machin's formula, cosines and sines by a Taylor
+series and integer complex products) and rounded to decimals; the
+rationalized matrix must then pass exact positivity and sign-alternation
+verification, with the precision doubled on failure.
 """
 
 from __future__ import annotations
@@ -186,6 +187,33 @@ def hat_map(setup: AmplituhedronSetup, matrix: RationalMatrix) -> MappedPoint:
 # -- cyclically symmetric construction ---------------------------------------
 
 
+def _atan_inv(x: int, scale: int) -> int:
+    """atan(1/x) at ``scale``, for an integer x > 1, by its alternating series."""
+    total = 0
+    power = scale // x
+    x2 = x * x
+    divisor = 1
+    while power:
+        term = power // divisor
+        total += term if divisor % 4 == 1 else -term
+        power //= x2
+        divisor += 2
+    return total
+
+
+def _cos_sin(x: int, scale: int) -> tuple[int, int]:
+    """(cos x, sin x) at ``scale`` for x (also at ``scale``) in [0, pi], from one
+    Taylor series of exp(ix): terms x^j / j! land on cos or sin by j mod 4."""
+    parts = [0, 0, 0, 0]
+    term = scale
+    j = 0
+    while term:
+        parts[j % 4] += term
+        j += 1
+        term = term * x // (scale * j)
+    return parts[0] - parts[2], parts[1] - parts[3]
+
+
 def _trig_rows(k: int, m: int, n: int, digits: int) -> list[list[Fraction]]:
     """Entry estimates for the top eigenvectors of the twisted shift sum.
 
@@ -196,27 +224,38 @@ def _trig_rows(k: int, m: int, n: int, digits: int) -> list[list[Fraction]]:
     2*pi*t/n, and for even k pairs at angles (2t+1)*pi/n.  The lowest
     eigenvalue is always the alternating vector, which is why it spans
     the kernel of the result.
+
+    Every angle is p*pi/n, so every entry is a power of w = exp(i*pi/n):
+    the pair at p holds the real and imaginary parts of w^(p*i mod 2n).
+    All of it is integer arithmetic at a scale of 15 guard digits: pi by
+    Machin's formula, w by one Taylor series, its powers by integer
+    complex products.  Each value is rounded half to even to 10^-digits.
     """
-    # imported here, so that only build_z0 (this function's one caller) loads mpmath
-    import mpmath
+    guard = 10 ** 15
+    scale = 10 ** digits * guard
+    pi = 16 * _atan_inv(5, scale) - 4 * _atan_inv(239, scale)
+    c, s = _cos_sin(pi // n, scale)
+    powers = [(scale, 0)]
+    for _ in range(2 * n - 1):
+        re, im = powers[-1]
+        powers.append(((re * c - im * s) // scale, (re * s + im * c) // scale))
 
-    with mpmath.workdps(digits + 15):
-        scale = mpmath.mpf(10) ** digits
+    def rounded(x: int) -> Fraction:
+        q, r = divmod(x, guard)
+        if 2 * r > guard or (2 * r == guard and q % 2):
+            q += 1
+        return Fraction(q, 10 ** digits)
 
-        def rounded(x: mpmath.mpf) -> Fraction:
-            return Fraction(int(mpmath.nint(x * scale)), 10 ** digits)
-
-        rows: list[list[Fraction]] = []
-        if k % 2 == 1:
-            rows.append([Fraction(1)] * n)
-            pair_count = (k + m - 1) // 2
-            angles = [2 * mpmath.pi * t / n for t in range(1, pair_count + 1)]
-        else:
-            pair_count = (k + m) // 2
-            angles = [(2 * t + 1) * mpmath.pi / n for t in range(pair_count)]
-        for theta in angles:
-            rows.append([rounded(mpmath.cos(theta * i)) for i in range(n)])
-            rows.append([rounded(mpmath.sin(theta * i)) for i in range(n)])
+    rows: list[list[Fraction]] = []
+    if k % 2 == 1:
+        rows.append([Fraction(1)] * n)
+        multiples = range(2, k + m, 2)
+    else:
+        multiples = range(1, k + m, 2)
+    for p in multiples:
+        entries = [powers[p * i % (2 * n)] for i in range(n)]
+        rows.append([rounded(re) for re, _ in entries])
+        rows.append([rounded(im) for _, im in entries])
     return rows
 
 

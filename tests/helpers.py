@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from tnngrass import (
     AmplituhedronSetup,
     DimensionError,
@@ -410,6 +412,35 @@ def minor_affine_coeffs(
             f"minor on columns {list(cols.members)} is not affine along the fiber line"
         )
     return alpha, beta
+
+
+def mpmath_trig_rows(k: int, m: int, n: int, digits: int) -> list[list[Fraction]]:
+    """The z0 entry estimates from mpmath's pi, cos and sin at digits + 15 places.
+
+    The cosine/sine rows at angles 2*pi*t/n (odd k, after an all-ones
+    row) or (2t+1)*pi/n (even k), each value rounded half to even
+    (``mpmath.nint``) to 10^-digits.  Skips the calling test when mpmath
+    is not installed.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits + 15):
+        scale = mpmath.mpf(10) ** digits
+
+        def rounded(x) -> Fraction:
+            return Fraction(int(mpmath.nint(x * scale)), 10 ** digits)
+
+        rows: list[list[Fraction]] = []
+        if k % 2 == 1:
+            rows.append([Fraction(1)] * n)
+            pair_count = (k + m - 1) // 2
+            angles = [2 * mpmath.pi * t / n for t in range(1, pair_count + 1)]
+        else:
+            pair_count = (k + m) // 2
+            angles = [(2 * t + 1) * mpmath.pi / n for t in range(pair_count)]
+        for theta in angles:
+            rows.append([rounded(mpmath.cos(theta * i)) for i in range(n)])
+            rows.append([rounded(mpmath.sin(theta * i)) for i in range(n)])
+    return rows
 
 
 def det2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tnngrass.amplituhedron_map as map_mod
 from tnngrass import (
@@ -27,6 +28,7 @@ from helpers import (
     draw_nodes,
     identity,
     minor,
+    mpmath_trig_rows,
     random_fraction,
     random_corank_one_setup,
     random_matrix,
@@ -248,3 +250,28 @@ class TestBuildZ0:
     def test_higher_precision_also_verifies(self):
         setup = build_z0(2, 2, precision_digits=20)
         assert setup.all_minors_positive
+
+
+class TestTrigRows:
+    """The integer entry estimates equal mpmath's, value for value."""
+
+    @pytest.mark.parametrize("digits", [8, 12, 24, 48, 96, 192, 384, 640])
+    def test_matches_mpmath_on_grid(self, digits):
+        for k in range(1, 9):
+            for m in range(0, 11, 2):
+                n = k + m + 1
+                assert map_mod._trig_rows(k, m, n, digits) == mpmath_trig_rows(k, m, n, digits), (k, m)
+
+    # The rows depend on n only through the angles p*pi/n with p < k+m, so n
+    # is drawn apart from k+m, which keeps the oracle's cost small.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        k=st.integers(1, 5),
+        m=st.sampled_from([0, 2, 4]),
+        digits=st.integers(8, 640),
+    )
+    def test_matches_mpmath(self, n, k, m, digits):
+        k = min(k, n - 1)
+        m = min(m, (n - 1 - k) // 2 * 2)
+        assert map_mod._trig_rows(k, m, n, digits) == mpmath_trig_rows(k, m, n, digits)

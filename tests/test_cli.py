@@ -887,8 +887,22 @@ class TestEntryPoint:
         out = run_python("-c", code)
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
-        assert lines[0] == "False" and lines[-1] == "True"
+        assert lines[0] == "False" and lines[-1] == "False"
         assert "[PASS] kernel_sign_alternating" in out.stdout
+
+    def test_z0_builds_with_mpmath_blocked(self):
+        # a None entry in sys.modules makes every `import mpmath` raise ImportError
+        code = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from tnngrass import build_z0\n"
+            "for k, m in [(1, 2), (2, 4), (3, 4)]:\n"
+            "    setup = build_z0(k, m)\n"
+            "    print(k, m, setup.all_minors_positive, setup.kernel_alternating)\n"
+        )
+        out = run_python("-c", code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["1 2 True True", "2 4 True True", "3 4 True True"]
 
     def test_console_script_runs(self, tmp_path):
         out = run_cli("z0", "--k", "1", "--m", "2")
