@@ -39,6 +39,12 @@ matrices of one shape share.  The table is a ``MinorTable``: integer
 minors over one positive scale, the product of the row denominators,
 so sign tests read integers; a matrix computes it once.
 
+Whether every maximal minor is positive takes less than a table on the
+eliminated shapes: ``_all_minors_positive`` checks the k(n - k) initial
+minors of the signed free block after one elimination (Fomin and
+Zelevinsky), and ladders the table from that same elimination only when
+the check fails.
+
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
 package shares that convention.
@@ -343,7 +349,8 @@ class RationalMatrix:
     positive denominator, so equal matrices have equal storage and
     equality is entrywise exact equality.  All arithmetic returns new
     matrices; instances are safe to share between threads.  The slot
-    ``_minors`` is unset until ``all_maximal_minors`` keeps the table there.
+    ``_minors`` is unset until ``all_maximal_minors``, or a failed
+    ``_all_minors_positive`` test, keeps the table there.
     """
 
     __slots__ = ("int_rows", "_hash", "_minors")
@@ -617,16 +624,24 @@ def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[i
     return reduced, d
 
 
-def _rref(a: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+class _Echelon(NamedTuple):
+    pivots: list[int]
+    sign: int
+    reduced: list[list[int]]
+    d: int
+
+
+def _echelon(a: list[list[int]]) -> _Echelon:
     """Reduced row echelon form of an integer matrix (destroys ``a``).
 
-    Returns the pivot columns, the nonzero reduced rows on the non-pivot
-    columns multiplied by a common integer d, and d itself (see
-    ``_back_substitute``); the pivot columns, d e_i, are never built.
+    Returns the pivot columns, the sign of the row swaps, the nonzero
+    reduced rows on the non-pivot columns multiplied by a common integer
+    d, and d itself (see ``_back_substitute``); the pivot columns, d e_i,
+    are never built.
     """
-    pivots, _ = _bareiss(a)
+    pivots, sign = _bareiss(a)
     reduced, d = _back_substitute(a, pivots)
-    return pivots, reduced, d
+    return _Echelon(pivots, sign, reduced, d)
 
 
 # -- public operations -------------------------------------------------------
@@ -667,8 +682,8 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     shape, from the operations each would make on a k x n matrix: short
     tables (every k <= 3, 5 x 5, and 4 x n for n <= 5 or n >= 30) expand
     the rows directly (``_expanded_minors``), every other shape eliminates
-    and climbs the reduced form's ladder (``_eliminated_minors``).  Both
-    give the same integers.
+    and climbs the reduced form's ladder (``_echelon``, then
+    ``_ladder_minors``).  Both give the same integers.
     """
     k, n = m.rows, m.cols
     if k > n:
@@ -677,7 +692,7 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     int_rows, scale = _int_rows_and_scale(m)
     plan = _expansion_plan(n, k)
     if plan is None:
-        ints = _eliminated_minors(int_rows, n, k)
+        ints = _ladder_minors(_echelon(int_rows), n, k)
     else:
         ints = _expanded_minors(int_rows, plan)
     return MinorTable(n, colex.subsets, tuple(ints), scale, colex.index)
@@ -714,7 +729,7 @@ def _direct_ops(n: int, k: int) -> int:
 
 
 def _elimination_ops(n: int, k: int) -> int:
-    """Products and divisions of ``_eliminated_minors`` on a k x n matrix of rank k.
+    """Products and divisions of ``_echelon`` and ``_ladder_minors`` on a k x n matrix of rank k.
 
     Bareiss updates (two products and a division each) with pivots in
     the first k columns, back-substitution of the n - k free columns (a
@@ -754,14 +769,14 @@ def _direct_levels(n: int, k: int) -> tuple:
     return tuple(levels)
 
 
-def _eliminated_minors(int_rows: list[list[int]], n: int, k: int) -> list[int]:
-    """The maximal minors of integer rows in colex order, by elimination (destroys ``int_rows``).
+def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
+    """The maximal minors of k integer rows in colex order, from their ``_echelon``.
 
-    The rows are eliminated once: if the rank is below k every minor is
-    0.  Otherwise, let D = d R be the scaled reduced rows, whose free
-    columns ``_back_substitute`` returns, R_I the pivot rows whose pivot
-    column is not in I, C_I = I - pivots = (c_0 < c_1 < ...) and
-    s = |C_I|.  The Laplace expansion along the unit columns of R gives
+    If the rank is below k every minor is 0.  Otherwise, let D = d R be
+    the scaled reduced rows, whose free columns the echelon holds, R_I
+    the pivot rows whose pivot column is not in I, C_I = I - pivots =
+    (c_0 < c_1 < ...) and s = |C_I|.  The Laplace expansion along the
+    unit columns of R gives
 
         p_I = sign * sigma_I * v(R_I, C_I),  v(S, F) = det(D[S, F]) / d^(s-1),
 
@@ -780,10 +795,9 @@ def _eliminated_minors(int_rows: list[list[int]], n: int, k: int) -> list[int]:
     terms of each level and the place and sigma_I of every subset come
     from ``_ladder_plan``, cached per pivot pattern.
     """
-    pivots, sign = _bareiss(int_rows)
+    pivots, sign, reduced, d = echelon
     if len(pivots) < k:
         return [0] * comb(n, k)
-    reduced, d = _back_substitute(int_rows, pivots)
     plan = _ladder_plan(n, k, tuple(pivots))
     blocks = [list(col) for col in zip(*reduced)] if plan.transposed else reduced
     # the row-swap sign rides on v from level 0 up; the ladder's own
@@ -887,6 +901,81 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
     return _Ladder(transposed, tuple(steps), tuple(positions), tuple(negated))
 
 
+def _all_minors_positive(m: RationalMatrix) -> bool:
+    """Whether every maximal minor of a k x n matrix, k <= n, is positive, by one elimination.
+
+    When the pivots are the first k columns and the minor on them,
+    sign * d, is positive, m reduces to R = [I | F] and its minors are
+    that minor times those of B, B[i][j] = (-1)^i F[k-1-i][j] (Postnikov,
+    arXiv math/0609764, section 3).  So all are positive iff B is
+    totally positive, which holds iff its k(n - k) initial minors are
+    positive (Fomin and Zelevinsky, "Total positivity: tests and
+    parametrizations", arXiv math/9912128).  They are read on sign(d) d B,
+    row i of which is (-1)^i sign(d) times row k-1-i of the free columns
+    D = d F; its s x s minors are |d|^s times those of B.
+
+    On False the ladder builds the table from the same echelon form and
+    keeps it in m's ``_minors`` slot, as ``all_maximal_minors`` would, so
+    a failed test eliminates once in all.  A table above ``MAX_SUBSETS``
+    is refused before anything is eliminated.
+    """
+    k, n = m.rows, m.cols
+    colex = _colex(n, k)
+    int_rows, scale = _int_rows_and_scale(m)
+    echelon = pivots, sign, reduced, d = _echelon(int_rows)
+    if len(pivots) == k and pivots[-1] == k - 1 and sign * d > 0:
+        scaled_b = [
+            row if i % 2 == (d < 0) else [-x for x in row]
+            for i, row in enumerate(reversed(reduced))
+        ]
+        if n == k or _initial_minors_positive(scaled_b):
+            return True
+    table = MinorTable(n, colex.subsets, tuple(_ladder_minors(echelon, n, k)), scale, colex.index)
+    object.__setattr__(m, "_minors", table)
+    return False
+
+
+def _initial_minors_positive(b: list[list[int]]) -> bool:
+    """Whether every initial minor of an integer matrix is positive, smallest first.
+
+    An initial minor has consecutive rows and columns and starts in the
+    first row or the first column; it is the largest such minor with its
+    last row and column at one entry, so there is one per entry.  Those
+    that start at b[r][c], min(r, c) = 0, are the leading principal minors
+    of the square block from b[r][c] on, and Bareiss elimination without
+    row swaps makes them its pivots: pivot t is the minor of size t + 1,
+    and step t divides exactly by pivot t - 1, already checked positive.
+    The blocks advance one step together, so every minor of size s is
+    checked before any of size s + 1, and a wrong sign in the first row
+    or column stops the test before any block is copied.
+    """
+    rows, cols = len(b), len(b[0])
+    corners = [(0, c) for c in range(cols)] + [(r, 0) for r in range(1, rows)]
+    # size 1: the first row and column themselves, read before any block is copied
+    if any(b[r][c] <= 0 for r, c in corners):
+        return False
+    active = []
+    for r, c in corners:
+        size = min(rows - r, cols - c)
+        if size > 1:
+            active.append(([row[c:c + size] for row in b[r:r + size]], 1))
+    t = 0
+    while active:
+        advanced = []
+        for block, prev in active:
+            pivot_row = block[t]
+            pivot, tail = pivot_row[t], pivot_row[t + 1:]
+            for row in block[t + 1:]:
+                f = row[t]
+                row[t + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[t + 1:], tail)]
+            advanced.append((block, pivot))
+        t += 1
+        if any(block[t][t] <= 0 for block, _ in advanced):
+            return False
+        active = [(block, pivot) for block, pivot in advanced if len(block) > t + 1]
+    return True
+
+
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals."""
     int_rows, _ = _int_rows_and_scale(m)
@@ -902,7 +991,7 @@ def kernel_basis(m: RationalMatrix) -> list[RowVector]:
     cols - rank.
     """
     int_rows, _ = _int_rows_and_scale(m)
-    pivots, reduced, d = _rref(int_rows)
+    pivots, _, reduced, d = _echelon(int_rows)
     n = m.cols
     basis: list[RowVector] = []
     for f, free in enumerate(c for c in range(n) if c not in pivots):
@@ -930,7 +1019,7 @@ def solve_for_left_factor(k_image: RationalMatrix, w: RationalMatrix) -> Rationa
     r = w.rows
     # C' = diag(f) C diag(1/e) solves C' W_int = K_int: row reduce [W_int^T | K_int^T]
     aug = [list(col) for col in zip(*(ints for ints, _ in w.int_rows + k_image.int_rows))]
-    pivots, reduced, d = _rref(aug)
+    pivots, _, reduced, d = _echelon(aug)
     if pivots[:r] != list(range(r)):
         raise RankError(f"target has row rank < {r}; left factor is not determined")
     if len(pivots) > r:
@@ -949,7 +1038,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     n = m.rows
     # row i of [M | I] times its denominator
     aug = [list(ints) + [den * (i == j) for j in range(n)] for i, (ints, den) in enumerate(m.int_rows)]
-    pivots, reduced, d = _rref(aug)
+    pivots, _, reduced, d = _echelon(aug)
     if pivots != list(range(n)):
         raise RankError("matrix is singular")
     # the free columns are those of I, so reduced / d is the inverse

@@ -120,6 +120,8 @@ class FiberConvexityCertificate:
     are alpha = u / s and beta = v / t - u / s = (v s - u t) / (s t).  The
     verdict is true iff ``segment_in_cell`` holds for every minor; by
     affineness in lambda this covers all convex combinations at once.
+    ``convexity_certificate`` builds one only when both ends lie in the
+    cell, which makes it true.
     """
 
     cell: PositroidCellSpec
@@ -173,23 +175,21 @@ def convexity_certificate(
 
     # in_closed_cell left both tables on their matrices; fiber_displacement
     # checked V = U + x^T a exactly, so V's gives the minors at lambda = 1.
-    # lambda = 2 is computed independently as the affinity check.  With m_l / s_l
-    # the minor at lambda = l, alpha = m_0 / s_0 and beta = m_1 / s_1 - m_0 / s_0;
-    # both the check and the verdict are read on integers over positive scales.
+    # lambda = 2 is computed independently as the affinity check, read on
+    # integers over positive scales, with m_l / s_l the minor at lambda = l.
     minors0, minors1 = all_maximal_minors(u), all_maximal_minors(v)
     minors2 = all_maximal_minors(v.add_outer(x, a))
     s0, s1, s2 = minors0.scale, minors1.scale, minors2.scale
     s01, s02, s12 = s0 * s1, s0 * s2, s1 * s2
-    nonbases = cell.nonbases
-    verdict = True
     for subset, m0, m1, m2 in zip(minors0.subsets, minors0.ints, minors1.ints, minors2.ints):
         if m2 * s01 != 2 * m1 * s02 - m0 * s12:
             raise InternalConsistencyError(
                 f"minor on columns {list(subset.members)} is not affine along the fiber line"
             )
-        # alpha and beta times s0 s1
-        verdict = verdict and segment_in_cell(m0 * s1, m1 * s0 - m0 * s1, subset in nonbases)
-    return FiberConvexityCertificate(cell=cell, u_minors=minors0, v_minors=minors1, verdict=verdict)
+    # Both ends are in the closed cell, so every minor is nonnegative at
+    # both, and zero at both on a nonbasis; being affine, it satisfies
+    # segment_in_cell, and the verdict is the ends' membership.
+    return FiberConvexityCertificate(cell=cell, u_minors=minors0, v_minors=minors1, verdict=True)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,17 @@ A k x n matrix of rank k represents a point of the nonnegative part of
 the Grassmannian when all of its maximal minors are nonnegative.  Cells
 are specified by the k-subsets whose minors are required to vanish
 (nonbases); the top cell has an empty nonbasis set.
+
+``check_tnn`` reads the signs off the matrix's minor table, with one
+shortcut.  On the shapes whose table is eliminated (4 x 6 to 4 x 29,
+5 x n for n >= 6 and every k >= 6), a matrix that holds no table yet
+is first tested for total positivity: one elimination to [I | F]
+and the k(n - k) initial minors of the signed, row-reversed F
+(Postnikov; Fomin and Zelevinsky).  If every one is positive, so is
+every maximal minor, and the report is true with no table built.
+Otherwise the table is laddered from the same elimination, so the first
+violation and the rank verdict are read as before.  ``TNNPoint`` and
+``in_closed_cell`` always read the table, which their callers use next.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ from .exact_linalg import (
     IndexSubset,
     MinorTable,
     RationalMatrix,
+    _all_minors_positive,
+    _expansion_plan,
     all_maximal_minors,
     as_int,
     as_list,
@@ -75,8 +88,16 @@ def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
     """Full-rank plus all-maximal-minors-nonnegative test for a wide matrix.
 
     Rank fullness is equivalent to some maximal minor being nonzero, so a
-    single minor sweep decides everything.
+    single minor sweep decides everything.  A matrix with no table yet,
+    of a shape whose table is eliminated, first takes the test that
+    every minor is positive (``_all_minors_positive``): a pass is the
+    true report with no table built; a failure leaves the table, which
+    the sweep then reads.
     """
+    if not hasattr(matrix, "_minors"):
+        k, n = matrix.rows, matrix.cols
+        if k <= n and _expansion_plan(n, k) is None and _all_minors_positive(matrix):
+            return TNNWitnessReport(rank_ok=True)
     return _scan_minors(all_maximal_minors(matrix))
 
 
@@ -91,7 +112,8 @@ class TNNPoint:
 
     @classmethod
     def from_matrix(cls, matrix: RationalMatrix) -> "TNNPoint":
-        report = check_tnn(matrix)
+        # the table, not the positivity test: callers read it next
+        report = _scan_minors(all_maximal_minors(matrix))
         if not report.rank_ok:
             raise DegeneracyError(f"matrix has rank below {matrix.rows}")
         if report.first_violation is not None:

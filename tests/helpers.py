@@ -38,6 +38,7 @@ from tnngrass import (
 )
 from tnngrass import exact_linalg
 from tnngrass.exact_linalg import MinorTable
+from tnngrass.tnn_grassmannian import TNNWitnessReport, _scan_minors
 
 # (k, m) pairs exercised by the fiber acceptance criteria.
 FIBER_CONFIGS = [(1, 2), (2, 2), (2, 1), (3, 2)]
@@ -77,6 +78,16 @@ def count_eliminations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(exact_linalg, "_bareiss", counted)
     return rows
+
+
+def table_check_tnn(m: RationalMatrix) -> TNNWitnessReport:
+    """``check_tnn`` by the minor table alone, read on a fresh copy of m.
+
+    The oracle for the positivity test that ``check_tnn`` takes first on
+    eliminated shapes: the copy holds no table, so every minor is built
+    and scanned in colex order, as ``check_tnn`` did before the test.
+    """
+    return _scan_minors(all_maximal_minors(RationalMatrix.from_int_rows(m.int_rows)))
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -271,7 +282,7 @@ def common_denominator_left_factor(k_image: RationalMatrix, w: RationalMatrix) -
     r = w.rows
     stacked = RationalMatrix.from_int_rows(w.int_rows + k_image.int_rows).transpose()
     aug, _ = exact_linalg._int_rows_and_scale(stacked)
-    pivots, reduced, d = exact_linalg._rref(aug)
+    pivots, _, reduced, d = exact_linalg._echelon(aug)
     if pivots[:r] != list(range(r)):
         raise RankError(f"target has row rank < {r}; left factor is not determined")
     if len(pivots) > r:

@@ -19,6 +19,7 @@ from tnngrass import (
     UnsupportedParameterError,
     all_maximal_minors,
     as_rational,
+    check_tnn,
     det,
     invert,
     kernel_basis,
@@ -28,7 +29,7 @@ from tnngrass import (
     solve_for_left_factor,
     subsets_colex,
 )
-from tnngrass import exact_linalg
+from tnngrass import exact_linalg, tnn_grassmannian
 from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
@@ -391,17 +392,28 @@ class TestTwoTablePaths:
 
     def test_the_benchmark_shapes_take_their_paths(self, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
+        tested = []
+        positivity_test = tnn_grassmannian._all_minors_positive
+        monkeypatch.setattr(
+            tnn_grassmannian, "_all_minors_positive", lambda m: tested.append(m.rows) or positivity_test(m)
+        )
         rng = Random(81)
-        # campaign's 3 x 8 and image's 2 x 7 spot-check points expand directly
+        # campaign's 3 x 8 and image's 2 x 7 spot-check points expand
+        # directly, and check_tnn reads their tables without the positivity test
         for k, n in ((2, 7), (3, 8)):
             assert exact_linalg._expansion_plan(n, k) is not None
             all_maximal_minors(random_matrix(rng, k, n))
-        assert eliminations == []
+            check_tnn(random_matrix(rng, k, n))
+        assert eliminations == tested == []
         # the image setups' 6 x 7 and 7 x 8 tables and wide's 12 x 15 eliminate once each
         for k, n in ((6, 7), (7, 8), (12, 15)):
             assert exact_linalg._expansion_plan(n, k) is None
             all_maximal_minors(random_matrix(rng, k, n))
         assert eliminations == [6, 7, 12]
+        # and wide's check_tnn tests positivity first, on the same one elimination
+        check_tnn(random_matrix(rng, 12, 15))
+        assert tested == [12]
+        assert eliminations == [6, 7, 12, 12]
 
     def test_direct_plans_are_held_in_the_bounded_shape_cache(self, monkeypatch):
         builds = []
@@ -917,9 +929,9 @@ class TestCanonicalStorage:
 
     def test_negative_scale_cases_reach_a_negative_d(self):
         # invert and solve divide by the last Bareiss pivot d, which is negative here
-        assert exact_linalg._rref([[-1, 1]])[2] < 0
-        assert exact_linalg._rref([[1, 2, 1, 0], [3, 4, 0, 1]])[2] < 0
-        assert exact_linalg._rref([[1, 3, 0, 0], [2, 4, 0, 0], [0, 1, 0, 0]])[2] < 0
+        assert exact_linalg._echelon([[-1, 1]]).d < 0
+        assert exact_linalg._echelon([[1, 2, 1, 0], [3, 4, 0, 1]]).d < 0
+        assert exact_linalg._echelon([[1, 3, 0, 0], [2, 4, 0, 0], [0, 1, 0, 0]]).d < 0
 
     def test_left_factor_with_a_negative_pivot_block(self):
         # W^T = [[1, 3], [2, 4], [0, 1]]: its leading block has determinant -2

@@ -247,6 +247,38 @@ class TestConvexityCertificate:
         expected = alpha >= 0 and alpha + beta >= 0 and not (nonbasis and (alpha or beta))
         assert fiber_mod.segment_in_cell(Fraction(alpha), Fraction(beta), nonbasis) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 3),
+        m=st.integers(0, 2),
+        zeroed=st.booleans(),
+    )
+    def test_verdict_is_the_segment_rule_over_every_minor(self, seed, k, m, zeroed):
+        # the verdict is set from the ends' membership; the rule that report
+        # applies to each written (alpha, beta) must agree with it
+        rng = Random(seed)
+        setup = random_corank_one_setup(rng, k, m)
+        point = scaled_vandermonde_point(rng, k, setup.n)
+        if zeroed:
+            point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((rng.randint(1, setup.n),))))
+            cell = matroid_of(point)
+        else:
+            cell = PositroidCellSpec.top_cell(k, setup.n)
+        sampled = sample_fiber_partner(setup, cell, point, rng).v
+        x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 40)) for _ in range(k))
+        for v in (sampled, point.matrix.add_outer(x, setup.kernel_gen)):
+            try:
+                cert = convexity_certificate(setup, cell, point.matrix, v)
+            except NotInCellError:
+                assert not in_closed_cell(v, cell)
+                continue
+            rule = all(
+                fiber_mod.segment_in_cell(*cert.coefficients(s), s in cell.nonbases)
+                for s in cert.u_minors.subsets
+            )
+            assert cert.verdict is rule is True
+
     def test_not_same_fiber_reported_distinctly(self):
         setup = vandermonde_setup(1, 2, [Fraction(i) for i in (1, 2, 3, 4)])
         cell = PositroidCellSpec.top_cell(1, 4)

@@ -6,9 +6,10 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tnngrass import exact_linalg
 from tnngrass import (
     DegeneracyError,
     DimensionError,
@@ -17,6 +18,7 @@ from tnngrass import (
     PositroidCellSpec,
     RationalMatrix,
     TNNPoint,
+    UnsupportedParameterError,
     all_maximal_minors,
     check_tnn,
     in_closed_cell,
@@ -28,12 +30,90 @@ from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import capped_comb
 from helpers import (
     count_computed_tables,
+    count_eliminations,
     draw_nodes,
     identity,
     minors_of,
     random_positive_det,
+    table_check_tnn,
     vandermonde_det,
 )
+
+
+def vandermonde_rows(k, nodes):
+    return [[x ** i for x in nodes] for i in range(k)]
+
+
+def negate_column(rows, col):
+    """The rows with 1-based column ``col`` negated."""
+    return [[-v if j + 1 == col else v for j, v in enumerate(row)] for row in rows]
+
+
+def chart_rows(b):
+    """[I | F] with F[k-1-i][j] = (-1)^i b[i][j]: its minors are those of b (Postnikov)."""
+    k = len(b)
+    f = [[(-1) ** i * x for x in row] for i, row in enumerate(b)][::-1]
+    return [[int(r == c) for c in range(k)] + f[r] for r in range(k)]
+
+
+V6 = vandermonde_rows(6, range(1, 11))
+V6_16 = vandermonde_rows(6, range(1, 17))
+# Examples of the positivity test's branches; ``test_the_examples_reach_their_branch`` checks each.
+LEADING_ZERO_COLUMNS = [[0, 0] + row for row in vandermonde_rows(6, range(1, 9))]
+ZERO_MINORS = vandermonde_rows(6, [1, 2, 3, 4, 5, 6, 7, 8, 9, 9])
+DELTA_NEGATIVE = [V6[1], V6[0]] + V6[2:]
+# rows (M_1 - M_0, -M_0, M_2, ...) = g V6 with det g = 1: every minor stays
+# positive, but the first entry is 0, so elimination swaps rows and d < 0
+D_NEGATIVE = [[b - a for a, b in zip(V6[0], V6[1])], [-a for a in V6[0]]] + V6[2:]
+RANK_DEFICIENT = V6[:5] + [[a + b for a, b in zip(V6[0], V6[1])]]
+NEGATED_IN_PIVOTS = negate_column(V6_16, 3)
+NEGATED_OUTSIDE = negate_column(V6_16, 14)
+# b = the 6 x 3 Vandermonde at nodes 1, 2, 3 but for b[5][0] = -1: only
+# an initial minor starting below the first row of b sees the sign
+ROW_CORNER = chart_rows([[-1 if (i, j) == (5, 0) else x ** i for j, x in enumerate((1, 2, 3))] for i in range(6)])
+# b at nodes 1, 2, 5 with b[0][2] = 0: the other initial minors stay
+# positive, so only the size-1 check sees the zero minor
+COLUMN_CORNER_ZERO = chart_rows([[0 if (i, j) == (0, 2) else x ** i for j, x in enumerate((1, 2, 5))] for i in range(6)])
+WIDE_ITEM = [[Fraction(j % 5 + 1, j % 3 + 1) * x ** i for j, x in enumerate(range(2, 60, 4))] for i in range(12)]
+
+
+@st.composite
+def positivity_rows_st(draw):
+    """Scaled Vandermonde rows, totally positive, or changed by one of the ways a test can fail.
+
+    k runs to 7 and n to k + 7, so most shapes are eliminated ones that
+    take the positivity test, with both k > n - k and k < n - k.
+    """
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(k, k + 7))
+    nodes = sorted(draw(st.lists(st.integers(1, 25), min_size=n, max_size=n, unique=True)))
+    scales = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6), min_size=n, max_size=n
+    ))
+    rows = [[s * x ** i for s, x in zip(scales, nodes)] for i in range(k)]
+    change = draw(st.sampled_from(["none", "negate", "zero", "repeat", "swap", "shear", "perturb", "chart"]))
+    j = draw(st.integers(0, n - 1))
+    if change == "chart" and n > k:
+        # [I | F] for a totally positive b, k x (n - k), with one entry redrawn
+        b = [[x ** i for x in nodes[:n - k]] for i in range(k)]
+        b[draw(st.integers(0, k - 1))][j % (n - k)] = draw(st.integers(-2, 3))
+        return chart_rows(b)
+    if change == "negate":
+        rows = negate_column(rows, j + 1)
+    elif change == "zero":
+        rows = [[0 if c == j else v for c, v in enumerate(row)] for row in rows]
+    elif change == "repeat":
+        rows = [row[:j] + [row[(j + 1) % n]] + row[j + 1:] for row in rows]
+    elif change == "swap" and k >= 2:
+        rows = [rows[1], rows[0]] + rows[2:]
+    elif change == "shear" and k >= 2:
+        # row 0 += t row 1: the same span, so the same positivity
+        t = draw(st.integers(-30, 30))
+        rows = [[a + t * b for a, b in zip(rows[0], rows[1])]] + rows[1:]
+    elif change == "perturb":
+        i = draw(st.integers(0, k - 1))
+        rows[i][j] += draw(st.sampled_from([-1, 1]))
+    return rows
 
 
 class TestCheckTnn:
@@ -81,6 +161,104 @@ class TestCheckTnn:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             check_tnn(RationalMatrix([[1], [2]]))
+
+
+class TestPositivityTest:
+    """check_tnn's total-positivity test against the full table, its oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(positivity_rows_st())
+    @example(LEADING_ZERO_COLUMNS)
+    @example(ZERO_MINORS)
+    @example(DELTA_NEGATIVE)
+    @example(D_NEGATIVE)
+    @example(RANK_DEFICIENT)
+    @example(V6_16)
+    @example(vandermonde_rows(5, range(1, 21)))  # k < n - k
+    @example(vandermonde_rows(8, range(1, 12)))  # k > n - k
+    @example(WIDE_ITEM)
+    @example(NEGATED_IN_PIVOTS)
+    @example(NEGATED_OUTSIDE)
+    @example(ROW_CORNER)
+    @example(COLUMN_CORNER_ZERO)
+    @example(vandermonde_rows(6, range(1, 7)))  # square: no free column
+    def test_the_report_is_the_tables(self, rows):
+        m = RationalMatrix(rows)
+        oracle = table_check_tnn(m)
+        assert check_tnn(m).to_json_dict() == oracle.to_json_dict()
+        table = exact_linalg._minor_table(RationalMatrix(rows))
+        tested = exact_linalg._expansion_plan(m.cols, m.rows) is None
+        # a pass builds no table; a failure, or a shape that expands
+        # directly, leaves the table a fresh copy computes
+        assert hasattr(m, "_minors") == (not tested or not all(v > 0 for v in table.ints))
+        if hasattr(m, "_minors"):
+            assert m._minors == table
+
+    @pytest.mark.parametrize(
+        "rows, pivots, sign, d_positive, passes",
+        [
+            (LEADING_ZERO_COLUMNS, [2, 3, 4, 5, 6, 7], 1, True, False),
+            (ZERO_MINORS, [0, 1, 2, 3, 4, 5], 1, True, False),
+            (DELTA_NEGATIVE, [0, 1, 2, 3, 4, 5], 1, False, False),
+            (D_NEGATIVE, [0, 1, 2, 3, 4, 5], -1, False, True),
+            (RANK_DEFICIENT, [0, 1, 2, 3, 4], 1, True, False),
+            (V6_16, [0, 1, 2, 3, 4, 5], 1, True, True),
+            (NEGATED_IN_PIVOTS, [0, 1, 2, 3, 4, 5], 1, False, False),
+            (NEGATED_OUTSIDE, [0, 1, 2, 3, 4, 5], 1, True, False),
+            (ROW_CORNER, [0, 1, 2, 3, 4, 5], 1, True, False),
+            (COLUMN_CORNER_ZERO, [0, 1, 2, 3, 4, 5], 1, True, False),
+            (chart_rows(vandermonde_rows(6, (1, 2, 3))), [0, 1, 2, 3, 4, 5], 1, True, True),
+        ],
+    )
+    def test_the_examples_reach_their_branch(self, rows, pivots, sign, d_positive, passes):
+        m = RationalMatrix(rows)
+        assert exact_linalg._expansion_plan(m.cols, m.rows) is None
+        int_rows, _ = exact_linalg._int_rows_and_scale(m)
+        echelon = exact_linalg._echelon(int_rows)
+        assert (echelon.pivots, echelon.sign, echelon.d > 0) == (pivots, sign, d_positive)
+        assert exact_linalg._all_minors_positive(m) == passes
+        table = exact_linalg._minor_table(RationalMatrix(rows))
+        assert all(v > 0 for v in table.ints) == passes
+        if not passes:
+            assert m._minors == table
+
+    def test_a_totally_positive_matrix_eliminates_once_and_keeps_no_table(self, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        m = RationalMatrix(V6_16)
+        assert check_tnn(m).to_json_dict() == {"isTNN": True, "rankOK": True, "firstViolation": None}
+        assert eliminations == [6]
+        assert not hasattr(m, "_minors")
+
+    def test_a_failed_test_eliminates_once_and_keeps_the_table(self, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        tables = count_computed_tables(monkeypatch)
+        m = RationalMatrix(NEGATED_OUTSIDE)
+        report = check_tnn(m)
+        assert eliminations == [6]
+        # the ladder ran on the test's echelon form: no second table computation
+        assert tables == []
+        assert all_maximal_minors(m) is m._minors
+        # the colex-first subset holding column 14, with its Vandermonde minor negated
+        nodes = [1, 2, 3, 4, 5, 14]
+        assert report.first_violation == (IndexSubset(tuple(nodes)), -vandermonde_det(nodes))
+
+    def test_a_matrix_holding_its_table_makes_no_elimination(self, monkeypatch):
+        for rows in (V6_16, NEGATED_OUTSIDE):
+            m = RationalMatrix(rows)
+            oracle = table_check_tnn(m)
+            all_maximal_minors(m)
+            with monkeypatch.context() as patch:
+                eliminations = count_eliminations(patch)
+                assert check_tnn(m) == oracle
+            assert eliminations == []
+
+    def test_a_refused_table_is_refused_before_the_test(self, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        # C(40, 20) minors: eliminated shape, above MAX_SUBSETS
+        m = RationalMatrix(vandermonde_rows(20, range(1, 41)))
+        with pytest.raises(UnsupportedParameterError):
+            check_tnn(m)
+        assert eliminations == []
 
 
 class TestTnnPoint:
