@@ -39,11 +39,14 @@ matrices of one shape share.  The table is a ``MinorTable``: integer
 minors over one positive scale, the product of the row denominators,
 so sign tests read integers; a matrix computes it once.
 
-Whether every maximal minor is positive takes less than a table on the
-eliminated shapes: ``_all_minors_positive`` checks the k(n - k) initial
-minors of the signed free block after one elimination (Fomin and
-Zelevinsky), and ladders the table from that same elimination only when
-the check fails.
+Whether a matrix is totally nonnegative, and its first violation,
+take less than a table on the eliminated shapes.  ``_tnn_witness``
+eliminates once.  A negative minor on the first k columns is read off
+the elimination before any back-substitution; otherwise it checks the
+k(n - k) initial minors of the signed free block (Fomin and
+Zelevinsky).  When that check fails, it reads the minors in colex order
+off the same elimination's ladder, which climbs only as far as the
+first violation needs.  It keeps no table.
 
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
@@ -52,6 +55,7 @@ package shares that convention.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -349,8 +353,8 @@ class RationalMatrix:
     positive denominator, so equal matrices have equal storage and
     equality is entrywise exact equality.  All arithmetic returns new
     matrices; instances are safe to share between threads.  The slot
-    ``_minors`` is unset until ``all_maximal_minors``, or a failed
-    ``_all_minors_positive`` test, keeps the table there.
+    ``_minors`` is unset until ``all_maximal_minors`` keeps the table
+    there; ``_tnn_witness`` builds no table.
     """
 
     __slots__ = ("int_rows", "_hash", "_minors")
@@ -772,11 +776,25 @@ def _direct_levels(n: int, k: int) -> tuple:
 def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
     """The maximal minors of k integer rows in colex order, from their ``_echelon``.
 
-    If the rank is below k every minor is 0.  Otherwise, let D = d R be
-    the scaled reduced rows, whose free columns the echelon holds, R_I
-    the pivot rows whose pivot column is not in I, C_I = I - pivots =
-    (c_0 < c_1 < ...) and s = |C_I|.  The Laplace expansion along the
-    unit columns of R gives
+    If the rank is below k every minor is 0.  Otherwise ``_ladder_levels``
+    climbs every level, and ``_place`` reads the minors off them.
+    """
+    if len(echelon.pivots) < k:
+        return [0] * comb(n, k)
+    plan = _ladder_plan(n, k, tuple(echelon.pivots))
+    rows = itertools.chain.from_iterable(_ladder_levels(echelon, plan))
+    ints: list[int] = []
+    _place(ints, list(itertools.chain.from_iterable(rows)), plan, len(plan.positions))
+    return ints
+
+
+def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]]:
+    """The values of the reduced form's ladder, one level per step, from level 0 up.
+
+    Let D = d R be the scaled reduced rows, whose free columns the
+    echelon holds, R_I the pivot rows whose pivot column is not in I,
+    C_I = I - pivots = (c_0 < c_1 < ...) and s = |C_I|.  The Laplace
+    expansion along the unit columns of R gives
 
         p_I = sign * sigma_I * v(R_I, C_I),  v(S, F) = det(D[S, F]) / d^(s-1),
 
@@ -788,24 +806,23 @@ def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
 
         v(S, F) = ( sum_t (-1)^t D[r0][c_t] v(S - r0, F - c_t) ) / d,
 
-    from v of the empty block, d, and v({r}, {c}) = D[r][c].  Filled by
-    increasing s, every minor costs s products and one exact division.
-    When k > n - k the ladder expands along the first column of F
-    instead, so that its inner loops run over the longer side.  The
-    terms of each level and the place and sigma_I of every subset come
-    from ``_ladder_plan``, cached per pivot pattern.
+    from v of the empty block, d, and v({r}, {c}) = D[r][c].  Level s
+    holds sign * v of the s x s blocks, one list per row subset, each s
+    products and one exact division from level s - 1.  When k > n - k
+    the ladder expands along the first column of F instead, so that its
+    inner loops run over the longer side.  The terms of each level come
+    from ``plan``, the ``_ladder_plan`` of the echelon's pivots, which
+    needs full rank.  A caller that stops early builds nothing above the
+    last level it read.
     """
-    pivots, sign, reduced, d = echelon
-    if len(pivots) < k:
-        return [0] * comb(n, k)
-    plan = _ladder_plan(n, k, tuple(pivots))
+    _, sign, reduced, d = echelon
+    yield [[sign * d]]
     blocks = [list(col) for col in zip(*reduced)] if plan.transposed else reduced
     # the row-swap sign rides on v from level 0 up; the ladder's own
     # coefficients are D, read with the term sign from ``signed``
     level = blocks if sign > 0 else [[-x for x in row] for row in blocks]
     signed = [row + [-x for x in row] for row in blocks]
-    values = [sign * d]
-    values.extend(itertools.chain.from_iterable(level))
+    yield level
     for row_steps, (first, *middle, last) in plan.steps:
         below_level, level = level, []
         for r0, rest in row_steps:
@@ -814,11 +831,20 @@ def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
             for terms in middle:
                 acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
             level.append([(a + coeffs[c] * below[j]) // d for a, (c, j) in zip(acc, last)])
-        values.extend(itertools.chain.from_iterable(level))
-    ints = [values[p] for p in plan.positions]
-    for i in plan.negated:
+        yield level
+
+
+def _place(ints: list[int], values: list[int], plan: _Ladder, stop: int) -> None:
+    """Extend ``ints``, the integer minors of the first colex subsets, up to subset stop - 1.
+
+    The minors are read off ``values``, the ladder's levels concatenated
+    from level 0, which must reach level ``plan.reach[stop - 1]``.
+    """
+    start = len(ints)
+    ints.extend([values[p] for p in plan.positions[start:stop]])
+    negated = plan.negated
+    for i in negated[bisect.bisect_left(negated, start):bisect.bisect_left(negated, stop)]:
         ints[i] = -ints[i]
-    return ints
 
 
 class _Ladder(NamedTuple):
@@ -826,6 +852,7 @@ class _Ladder(NamedTuple):
     steps: tuple[tuple[tuple, tuple], ...]
     positions: tuple[int, ...]
     negated: tuple[int, ...]
+    reach: tuple[int, ...]
 
 
 @_shape_cache
@@ -840,7 +867,9 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
     term (y_t, place of Y - y_t in level s - 1), y_t shifted by the block
     width when t is odd to read -B[r0][y_t].  ``positions`` places each
     colex subset in the levels concatenated; ``negated`` lists those with
-    sigma_I = -1.  Cached: generic matrices share the pivots (0, ..., k-1).
+    sigma_I = -1; ``reach[i]`` is the highest level among colex subsets
+    0..i, so the first i + 1 minors need the levels up to it.  Cached:
+    generic matrices share the pivots (0, ..., k-1).
     """
     width = n - k
     transposed = k > width
@@ -888,51 +917,81 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
         column[c + 1] = (1 << (k + f), -1)
     positions = []
     negated = []
+    reach = []
+    top = 0
     for i, subset in enumerate(_colex(n, k).subsets):
-        key = parity = 0
+        # a subset's level is the number of free columns it holds
+        key = parity = level = 0
         for pos, j in enumerate(subset.members):
             bit, r = column[j]
             key |= bit
             if r >= 0:
                 parity += r + pos
+            else:
+                level += 1
         positions.append(place[key])
         if parity % 2:
             negated.append(i)
-    return _Ladder(transposed, tuple(steps), tuple(positions), tuple(negated))
+        top = max(top, level)
+        reach.append(top)
+    return _Ladder(transposed, tuple(steps), tuple(positions), tuple(negated), tuple(reach))
 
 
-def _all_minors_positive(m: RationalMatrix) -> bool:
-    """Whether every maximal minor of a k x n matrix, k <= n, is positive, by one elimination.
+def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] | None]:
+    """Whether a k x n matrix, k <= n, has rank k, and its colex-first negative maximal minor.
 
-    When the pivots are the first k columns and the minor on them,
-    sign * d, is positive, m reduces to R = [I | F] and its minors are
-    that minor times those of B, B[i][j] = (-1)^i F[k-1-i][j] (Postnikov,
-    arXiv math/0609764, section 3).  So all are positive iff B is
-    totally positive, which holds iff its k(n - k) initial minors are
-    positive (Fomin and Zelevinsky, "Total positivity: tests and
-    parametrizations", arXiv math/9912128).  They are read on sign(d) d B,
-    row i of which is (-1)^i sign(d) times row k-1-i of the free columns
-    D = d F; its s x s minors are |d|^s times those of B.
+    One elimination decides both, and no table is built.  Rank below k
+    is the answer (False, None).  When the pivots are the first k
+    columns, the minor on them, the colex-first one, is sign * d, read
+    off ``_bareiss`` before any back-substitution; if it is negative it
+    is the answer.  If it is positive, m reduces to R = [I | F] and its
+    minors are that minor times those of B, B[i][j] =
+    (-1)^i F[k-1-i][j] (Postnikov, arXiv math/0609764, section 3).  So
+    all are positive iff B is totally positive, which holds iff its
+    k(n - k) initial minors are positive (Fomin and Zelevinsky, "Total
+    positivity: tests and parametrizations", arXiv math/9912128).  They
+    are read on sign(d) d B, row i of which is (-1)^i sign(d) times row
+    k-1-i of the free columns D = d F; its s x s minors are |d|^s times
+    those of B.  A pass is the answer (True, None).
 
-    On False the ladder builds the table from the same echelon form and
-    keeps it in m's ``_minors`` slot, as ``all_maximal_minors`` would, so
-    a failed test eliminates once in all.  A table above ``MAX_SUBSETS``
-    is refused before anything is eliminated.
+    Otherwise the minors are read in colex order off the ladder of the
+    same echelon form (``_ladder_levels``), which climbs one more level
+    only when the next subset needs it (``_Ladder.reach``), and the scan
+    stops at the first negative one.  A matrix that is nonnegative but
+    not positive climbs every level.  A table above ``MAX_SUBSETS`` is
+    refused before anything is eliminated.
     """
     k, n = m.rows, m.cols
     colex = _colex(n, k)
     int_rows, scale = _int_rows_and_scale(m)
-    echelon = pivots, sign, reduced, d = _echelon(int_rows)
-    if len(pivots) == k and pivots[-1] == k - 1 and sign * d > 0:
+    pivots, sign = _bareiss(int_rows)
+    if len(pivots) < k:
+        return False, None
+    # sign * d, the minor on the pivot columns: the colex-first one when they lead
+    pivot_minor = sign * int_rows[k - 1][pivots[-1]]
+    leading = pivots[-1] == k - 1
+    if leading and pivot_minor < 0:
+        return True, (colex.subsets[0], Fraction(pivot_minor, scale))
+    echelon = _Echelon(pivots, sign, *_back_substitute(int_rows, pivots))
+    if leading:
+        d = echelon.d
         scaled_b = [
             row if i % 2 == (d < 0) else [-x for x in row]
-            for i, row in enumerate(reversed(reduced))
+            for i, row in enumerate(reversed(echelon.reduced))
         ]
         if n == k or _initial_minors_positive(scaled_b):
-            return True
-    table = MinorTable(n, colex.subsets, tuple(_ladder_minors(echelon, n, k)), scale, colex.index)
-    object.__setattr__(m, "_minors", table)
-    return False
+            return True, None
+    plan = _ladder_plan(n, k, tuple(pivots))
+    values: list[int] = []
+    ints: list[int] = []
+    for top, level in enumerate(_ladder_levels(echelon, plan)):
+        values.extend(itertools.chain.from_iterable(level))
+        start = len(ints)
+        _place(ints, values, plan, bisect.bisect_right(plan.reach, top, start))
+        for i, value in enumerate(itertools.islice(ints, start, None), start):
+            if value < 0:
+                return True, (colex.subsets[i], Fraction(value, scale))
+    return True, None
 
 
 def _initial_minors_positive(b: list[list[int]]) -> bool:

@@ -5,16 +5,19 @@ the Grassmannian when all of its maximal minors are nonnegative.  Cells
 are specified by the k-subsets whose minors are required to vanish
 (nonbases); the top cell has an empty nonbasis set.
 
-``check_tnn`` reads the signs off the matrix's minor table, with one
-shortcut.  On the shapes whose table is eliminated (4 x 6 to 4 x 29,
-5 x n for n >= 6 and every k >= 6), a matrix that holds no table yet
-is first tested for total positivity: one elimination to [I | F]
-and the k(n - k) initial minors of the signed, row-reversed F
-(Postnikov; Fomin and Zelevinsky).  If every one is positive, so is
-every maximal minor, and the report is true with no table built.
-Otherwise the table is laddered from the same elimination, so the first
-violation and the rank verdict are read as before.  ``TNNPoint`` and
-``in_closed_cell`` always read the table, which their callers use next.
+``check_tnn`` reads the signs off the matrix's minor table, except on
+the shapes whose table is eliminated (4 x 6 to 4 x 29, 5 x n for n >= 6
+and every k >= 6) when the matrix holds no table yet.  There one
+elimination decides the report, and no table is built.  Rank below k
+is read off the pivots, and a negative minor on columns 1..k, the
+colex-first one, off the last pivot.  Otherwise the matrix is tested
+for total positivity: the k(n - k) initial minors of the signed,
+row-reversed F of [I | F] (Postnikov; Fomin and Zelevinsky).  If every
+one is positive, so is every maximal minor, and the report is true.
+If not, the minors are read in colex order off the same elimination's
+ladder, which climbs only as far as the first violation needs.
+``TNNPoint`` and ``in_closed_cell`` always read the table, which their
+callers use next.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .exact_linalg import (
     IndexSubset,
     MinorTable,
     RationalMatrix,
-    _all_minors_positive,
     _expansion_plan,
+    _tnn_witness,
     all_maximal_minors,
     as_int,
     as_list,
@@ -89,15 +92,15 @@ def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
 
     Rank fullness is equivalent to some maximal minor being nonzero, so a
     single minor sweep decides everything.  A matrix with no table yet,
-    of a shape whose table is eliminated, first takes the test that
-    every minor is positive (``_all_minors_positive``): a pass is the
-    true report with no table built; a failure leaves the table, which
-    the sweep then reads.
+    of a shape whose table is eliminated, is decided by one elimination
+    instead (``_tnn_witness``): the positivity test, and on its failure
+    the minors in colex order up to the first violation.  It keeps no
+    table, and its report is the sweep's.
     """
     if not hasattr(matrix, "_minors"):
         k, n = matrix.rows, matrix.cols
-        if k <= n and _expansion_plan(n, k) is None and _all_minors_positive(matrix):
-            return TNNWitnessReport(rank_ok=True)
+        if k <= n and _expansion_plan(n, k) is None:
+            return TNNWitnessReport(*_tnn_witness(matrix))
     return _scan_minors(all_maximal_minors(matrix))
 
 

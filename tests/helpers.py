@@ -80,6 +80,38 @@ def count_eliminations(monkeypatch) -> list[int]:
     return rows
 
 
+def count_back_substitutions(monkeypatch) -> list[int]:
+    """Record the pivot count of each ``exact_linalg._back_substitute`` call."""
+    calls = []
+    back_substitute = exact_linalg._back_substitute
+
+    def counted(a, pivots):
+        calls.append(len(pivots))
+        return back_substitute(a, pivots)
+
+    monkeypatch.setattr(exact_linalg, "_back_substitute", counted)
+    return calls
+
+
+def count_ladder_levels(monkeypatch) -> list[int]:
+    """Record, per ladder climbed, the highest level it reached (0 for the level of d alone).
+
+    Patches ``exact_linalg._ladder_levels``, which the minor tables and
+    ``check_tnn``'s failure path read their levels from.
+    """
+    climbs = []
+    ladder = exact_linalg._ladder_levels
+
+    def counted(*args):
+        climbs.append(-1)
+        for level in ladder(*args):
+            climbs[-1] += 1
+            yield level
+
+    monkeypatch.setattr(exact_linalg, "_ladder_levels", counted)
+    return climbs
+
+
 def table_check_tnn(m: RationalMatrix) -> TNNWitnessReport:
     """``check_tnn`` by the minor table alone, read on a fresh copy of m.
 

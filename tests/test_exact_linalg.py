@@ -393,9 +393,9 @@ class TestTwoTablePaths:
     def test_the_benchmark_shapes_take_their_paths(self, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
         tested = []
-        positivity_test = tnn_grassmannian._all_minors_positive
+        positivity_test = tnn_grassmannian._tnn_witness
         monkeypatch.setattr(
-            tnn_grassmannian, "_all_minors_positive", lambda m: tested.append(m.rows) or positivity_test(m)
+            tnn_grassmannian, "_tnn_witness", lambda m: tested.append(m.rows) or positivity_test(m)
         )
         rng = Random(81)
         # campaign's 3 x 8 and image's 2 x 7 spot-check points expand

@@ -29,8 +29,10 @@ from tnngrass import (
 from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import capped_comb
 from helpers import (
+    count_back_substitutions,
     count_computed_tables,
     count_eliminations,
+    count_ladder_levels,
     draw_nodes,
     identity,
     minors_of,
@@ -54,6 +56,38 @@ def chart_rows(b):
     k = len(b)
     f = [[(-1) ** i * x for x in row] for i, row in enumerate(b)][::-1]
     return [[int(r == c) for c in range(k)] + f[r] for r in range(k)]
+
+
+def corner_lowered_pascal(s):
+    """(2s - 1) times the s x s Pascal matrix, its corner lowered by 2.
+
+    Every proper minor is positive and the determinant negative (checked
+    for s <= 5).  The Pascal matrix P is totally positive, and its j x j
+    leading minor minus t times the cofactor of the corner is 1 - t j, so
+    lowering the corner of P by t = 2 / (2s - 1), past 1/s and short of
+    1/(s - 1), makes the determinant alone negative.
+    """
+    a = [[(2 * s - 1) * comb(i + j, i) for j in range(s)] for i in range(s)]
+    a[0][0] -= 2
+    return a
+
+
+def violated_at_level(k, n, s):
+    """A k x n matrix [I | F] whose one negative maximal minor is on 1..k-s, k+1..k+s.
+
+    Its minors are those of b, the s x s ``corner_lowered_pascal`` in the
+    top left corner of k x (n - k) zeros (``chart_rows``), so only det b
+    is negative, and it holds s free columns.  Every colex-earlier subset
+    holds fewer, so the ladder decides it at level s.  At s = 0 the first
+    row of [I | 0] is negated instead: its one nonzero minor is -1 on 1..k.
+    """
+    b = [[0] * (n - k) for _ in range(k)]
+    if s == 0:
+        rows = chart_rows(b)
+        return [[-x for x in rows[0]]] + rows[1:]
+    for i, row in enumerate(corner_lowered_pascal(s)):
+        b[i][:s] = row
+    return chart_rows(b)
 
 
 V6 = vandermonde_rows(6, range(1, 11))
@@ -186,13 +220,12 @@ class TestPositivityTest:
         m = RationalMatrix(rows)
         oracle = table_check_tnn(m)
         assert check_tnn(m).to_json_dict() == oracle.to_json_dict()
-        table = exact_linalg._minor_table(RationalMatrix(rows))
+        # the eliminated shapes decide the report without a table, passed
+        # or failed; the shapes that expand directly read the table and keep it
         tested = exact_linalg._expansion_plan(m.cols, m.rows) is None
-        # a pass builds no table; a failure, or a shape that expands
-        # directly, leaves the table a fresh copy computes
-        assert hasattr(m, "_minors") == (not tested or not all(v > 0 for v in table.ints))
-        if hasattr(m, "_minors"):
-            assert m._minors == table
+        assert hasattr(m, "_minors") == (not tested)
+        # a later table is the one a fresh copy computes
+        assert all_maximal_minors(m) == exact_linalg._minor_table(RationalMatrix(rows))
 
     @pytest.mark.parametrize(
         "rows, pivots, sign, d_positive, passes",
@@ -210,17 +243,24 @@ class TestPositivityTest:
             (chart_rows(vandermonde_rows(6, (1, 2, 3))), [0, 1, 2, 3, 4, 5], 1, True, True),
         ],
     )
-    def test_the_examples_reach_their_branch(self, rows, pivots, sign, d_positive, passes):
+    def test_the_examples_reach_their_branch(self, monkeypatch, rows, pivots, sign, d_positive, passes):
         m = RationalMatrix(rows)
         assert exact_linalg._expansion_plan(m.cols, m.rows) is None
         int_rows, _ = exact_linalg._int_rows_and_scale(m)
         echelon = exact_linalg._echelon(int_rows)
         assert (echelon.pivots, echelon.sign, echelon.d > 0) == (pivots, sign, d_positive)
-        assert exact_linalg._all_minors_positive(m) == passes
         table = exact_linalg._minor_table(RationalMatrix(rows))
         assert all(v > 0 for v in table.ints) == passes
-        if not passes:
-            assert m._minors == table
+        oracle = table_check_tnn(m)
+        eliminations = count_eliminations(monkeypatch)
+        climbs = count_ladder_levels(monkeypatch)
+        assert check_tnn(m) == oracle
+        # one elimination, and a ladder only when the test fails at full
+        # rank with the minor on 1..k not already negative
+        assert eliminations == [m.rows]
+        leading_negative = pivots[-1] == m.rows - 1 and echelon.sign * echelon.d < 0
+        assert (climbs == []) == (passes or len(pivots) < m.rows or leading_negative)
+        assert not hasattr(m, "_minors")
 
     def test_a_totally_positive_matrix_eliminates_once_and_keeps_no_table(self, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
@@ -229,18 +269,69 @@ class TestPositivityTest:
         assert eliminations == [6]
         assert not hasattr(m, "_minors")
 
-    def test_a_failed_test_eliminates_once_and_keeps_the_table(self, monkeypatch):
+    def test_a_failed_test_eliminates_once_and_keeps_no_table(self, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
         tables = count_computed_tables(monkeypatch)
         m = RationalMatrix(NEGATED_OUTSIDE)
         report = check_tnn(m)
         assert eliminations == [6]
-        # the ladder ran on the test's echelon form: no second table computation
+        # the minors were read off the test's echelon form: no table computed or kept
         assert tables == []
-        assert all_maximal_minors(m) is m._minors
+        assert not hasattr(m, "_minors")
         # the colex-first subset holding column 14, with its Vandermonde minor negated
         nodes = [1, 2, 3, 4, 5, 14]
         assert report.first_violation == (IndexSubset(tuple(nodes)), -vandermonde_det(nodes))
+        # a later table is computed then, and is the one a fresh copy computes
+        assert all_maximal_minors(m) == exact_linalg._minor_table(RationalMatrix(NEGATED_OUTSIDE))
+
+    @pytest.mark.parametrize(
+        "k, n, level",
+        [(k, n, s) for k, n in ((4, 9), (6, 9), (12, 15)) for s in range(min(k, n - k) + 1)],
+    )
+    def test_a_violation_is_decided_at_its_level(self, monkeypatch, k, n, level):
+        # 4 x 9 ladders its 4 x 5 block, 6 x 9 and 12 x 15 the transposed one
+        m = RationalMatrix(violated_at_level(k, n, level))
+        oracle = table_check_tnn(m)
+        cols = (*range(1, k - level + 1), *range(k + 1, k + level + 1))
+        assert oracle.first_violation[0] == IndexSubset(cols)
+        climbs = count_ladder_levels(monkeypatch)
+        back_substitutions = count_back_substitutions(monkeypatch)
+        assert check_tnn(m) == oracle
+        # levels 0..level climbed, the top one only for a violation there;
+        # a negative minor on 1..k is read off the elimination alone
+        assert climbs == ([] if level == 0 else [level])
+        assert len(back_substitutions) == (level > 0)
+        assert not hasattr(m, "_minors")
+
+    @pytest.mark.parametrize(
+        "rows, climbed",
+        [
+            (LEADING_ZERO_COLUMNS, 4),  # pivots off the first k columns
+            (ZERO_MINORS, 4),  # a zero minor fails the test
+            (RANK_DEFICIENT, None),
+            (V6_16, None),
+        ],
+    )
+    def test_a_nonnegative_matrix_climbs_every_level(self, monkeypatch, rows, climbed):
+        m = RationalMatrix(rows)
+        oracle = table_check_tnn(m)
+        assert oracle.first_violation is None
+        climbs = count_ladder_levels(monkeypatch)
+        assert check_tnn(m) == oracle
+        # every level when the test fails at full rank; none at a pass or below rank k
+        assert climbs == ([] if climbed is None else [climbed])
+
+    def test_a_wide_false_item_climbs_at_most_two_levels(self, monkeypatch):
+        matrices = [RationalMatrix(negate_column(WIDE_ITEM, col)) for col in range(1, 16)]
+        oracles = [table_check_tnn(m) for m in matrices]
+        climbs = count_ladder_levels(monkeypatch)
+        back_substitutions = count_back_substitutions(monkeypatch)
+        assert [check_tnn(m) for m in matrices] == oracles
+        # the colex-first subset holding column j is 1..12 for j <= 12, read
+        # off the elimination alone, and 1..11, j for j = 13 to 15; before
+        # 1..11, 15 comes 1..10, 13, 14
+        assert climbs == [1, 1, 2]
+        assert len(back_substitutions) == 3
 
     def test_a_matrix_holding_its_table_makes_no_elimination(self, monkeypatch):
         for rows in (V6_16, NEGATED_OUTSIDE):
