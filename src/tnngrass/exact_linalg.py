@@ -20,33 +20,40 @@ after a back-substitution that returns only the non-pivot columns of
 d R: the pivot columns are d e_i and are never built.
 
 A table of all maximal minors of a k x n matrix takes one of two paths,
-chosen once per shape by which makes fewer products and divisions.
-Short tables (every k <= 3, 5 x 5, and 4 x n for n <= 5 or n >= 30)
-are expanded straight from the stored integer rows, from the last row
-up: the s x s minors of the last s rows are s products each of the
-minors one size smaller, with no elimination and no division.  The
-other shapes eliminate once and climb a Laplace ladder over the reduced
-form R, whose levels hold C(k, s) C(n - k, s) minors instead of
-C(n, s).  Each minor is, up to a sign fixed by the pivots, d times the
-minor of R on the pivot rows it misses and the free columns it holds,
-d the determinant of the pivot columns (Postnikov, "Total positivity,
-Grassmannians, and networks", arXiv math/0609764, section 3).  The
-ladder builds those of size s from s of size s - 1 and one exact
-division by d, level by level, C(n, k) in all, so it computes the table
-and nothing more.  Its bookkeeping depends only on (n, k) and the
-pivots and is cached as one plan per pivot pattern, which generic
-matrices of one shape share.  The table is a ``MinorTable``: integer
-minors over one positive scale, the product of the row denominators,
-so sign tests read integers; a matrix computes it once.
+chosen once per shape by which makes fewer products and divisions
+(``_expansion_plan``).  Both climb one Laplace recurrence on integer
+rows A (``_level_step``): level s holds the s x s minors on row subsets
+S and colex column subsets C = (c_0 < c_1 < ...), and expanding along
+the first row r0 of S,
 
-Whether a matrix is totally nonnegative, and its first violation,
-take less than a table on the eliminated shapes.  ``_tnn_witness``
-eliminates once.  A negative minor on the first k columns is read off
-the elimination before any back-substitution; otherwise it checks the
-k(n - k) initial minors of the signed free block (Fomin and
-Zelevinsky).  When that check fails, it reads the minors in colex order
-off the same elimination's ladder, which climbs only as far as the
-first violation needs.  It keeps no table.
+    v(S, C) = ( sum_t (-1)^t A[r0][c_t] v(S - r0, C - c_t) ) / d,
+
+with the terms of every level from one builder (``_colex_terms``) and no
+division when d == 1.  Short tables (every k <= 3, 5 x 5, and 4 x n for
+n <= 5 or n >= 30) run it on the stored rows, with d = 1 and one row
+subset per level, the last s rows: no elimination, no division, and
+zeros at rank below k.  The other shapes (4 x 6 to 4 x 29, 5 x n for
+n >= 6, every k >= 6) eliminate once and run it on the reduced form R,
+whose levels hold C(k, s) C(n - k, s) minors instead of C(n, s): each
+minor is, up to a sign fixed by the pivots, d times the minor of R on
+the pivot rows it misses and the free columns it holds, d the
+determinant of the pivot columns (Postnikov, "Total positivity,
+Grassmannians, and networks", arXiv math/0609764, section 3).  This
+ladder computes the C(n, k) minors and nothing more, from one plan per
+pivot pattern, cached because generic matrices of one shape share it.
+The table is a ``MinorTable``: integer minors over one positive scale,
+the product of the row denominators, so sign tests read integers; a
+matrix computes it once.
+
+Total nonnegativity and the colex-first violation are one decision,
+``_tnn_witness``, behind ``check_tnn``, ``TNNPoint.from_matrix`` and
+``in_closed_cell``.  A table handed over, held or short is scanned.  A
+matrix of an eliminated shape with no table is eliminated once and
+keeps none: rank below k, and a negative minor on columns 1..k, are
+read off the pivots; otherwise the k(n - k) initial minors of the
+signed free block test total positivity (Fomin and Zelevinsky), and
+only a failed test reads minors in colex order off the same
+elimination's ladder, as far as the first violation needs.
 
 Column subsets are 1-based throughout and enumerated in colexicographic
 order (compare largest member first); every subset-keyed result in the
@@ -354,7 +361,7 @@ class RationalMatrix:
     equality is entrywise exact equality.  All arithmetic returns new
     matrices; instances are safe to share between threads.  The slot
     ``_minors`` is unset until ``all_maximal_minors`` keeps the table
-    there; ``_tnn_witness`` builds no table.
+    there; ``_tnn_witness`` builds none on the eliminated shapes.
     """
 
     __slots__ = ("int_rows", "_hash", "_minors")
@@ -501,17 +508,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(_ratio_string(x, den) for x in ints) for ints, den in self.int_rows)
         return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
-
-    # -- slicing -----------------------------------------------------------
-
-    def submatrix(self, row_subset: IndexSubset, col_subset: IndexSubset) -> "RationalMatrix":
-        """Submatrix on 1-based row and column subsets."""
-        row_subset.check_bounds(self.rows)
-        col_subset.check_bounds(self.cols)
-        picked = (self.int_rows[i - 1] for i in row_subset)
-        return RationalMatrix(
-            _IntRows(_primitive([ints[j - 1] for j in col_subset], den) for ints, den in picked)
-        )
 
     # -- serialization -----------------------------------------------------
 
@@ -679,16 +675,7 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
 
 
 def _minor_table(m: RationalMatrix) -> MinorTable:
-    """The table ``all_maximal_minors`` returns, computed.
-
-    The minors are those of the stored integer rows, over the product of
-    the row denominators.  ``_expansion_plan`` picks the path once per
-    shape, from the operations each would make on a k x n matrix: short
-    tables (every k <= 3, 5 x 5, and 4 x n for n <= 5 or n >= 30) expand
-    the rows directly (``_expanded_minors``), every other shape eliminates
-    and climbs the reduced form's ladder (``_echelon``, then
-    ``_ladder_minors``).  Both give the same integers.
-    """
+    """The table ``all_maximal_minors`` returns, computed on the path ``_expansion_plan`` picks."""
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
@@ -702,28 +689,34 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     return MinorTable(n, colex.subsets, tuple(ints), scale, colex.index)
 
 
+def _level_step(coeffs: list[int], below: list[int], col_terms: tuple, d: int) -> list[int]:
+    """One row subset's values on level s of the recurrence in the module docstring.
+
+    ``coeffs`` is its first row r0 followed by that row negated, so a
+    shifted c_t reads (-1)^t A[r0][c_t]; ``below`` holds the values of
+    its other rows on level s - 1 over the colex column subsets, and
+    ``col_terms`` is level s of ``_colex_terms``.  Sums are divided
+    exactly by d unless d == 1.
+    """
+    first, middle, last = col_terms
+    acc = [coeffs[c] * below[j] for c, j in first]
+    for terms in middle:
+        acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
+    if d == 1:
+        return [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, last)]
+    return [(a + coeffs[c] * below[j]) // d for a, (c, j) in zip(acc, last)]
+
+
 def _expanded_minors(int_rows: list[list[int]], levels: tuple) -> list[int]:
     """The maximal minors of integer rows in colex order, by Laplace expansion.
 
-    Level s holds the s x s minors of the last s rows on every s-subset
-    C = (c_0 < c_1 < ...) of columns, in colex order, level 1 the last row
-    itself.  Expanding along the first of those rows, r,
-
-        M_s(C) = sum_t (-1)^t r[c_t] M_(s-1)(C - c_t),
-
-    so every value costs s products and nothing is divided; a matrix of
-    rank below k gives zeros.  ``levels[s - 2]`` holds, per t, the term
-    (c_t, place of C - c_t in level s - 1) of each C, c_t shifted by n
-    when t is odd to read -r[c_t].
+    Level s holds the s x s minors of the last s rows, its one row
+    subset, level 1 the last row itself; each step expands along the row
+    above them with d = 1.  ``levels`` are the shape's ``_colex_terms``.
     """
     level = int_rows[-1]
-    for row, (first, *middle, last) in zip(int_rows[-2::-1], levels):
-        below = level
-        coeffs = row + [-x for x in row]
-        acc = [coeffs[c] * below[j] for c, j in first]
-        for terms in middle:
-            acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
-        level = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, last)]
+    for row, col_terms in zip(int_rows[-2::-1], levels):
+        level = _level_step(row + [-x for x in row], level, col_terms, 1)
     return level
 
 
@@ -756,19 +749,26 @@ def _expansion_plan(n: int, k: int) -> tuple | None:
     the choice depends on (n, k) alone.  Cached with the shape's
     subsets, which ``_colex`` has built (or refused) first.
     """
-    return _direct_levels(n, k) if _direct_ops(n, k) <= _elimination_ops(n, k) else None
+    return _colex_terms(n, k) if _direct_ops(n, k) <= _elimination_ops(n, k) else None
 
 
-def _direct_levels(n: int, k: int) -> tuple:
-    """``levels`` of ``_expanded_minors`` for k x n matrices, levels 2..k in colex order."""
+def _colex_terms(n: int, k: int) -> tuple:
+    """The ``col_terms`` of ``_level_step`` for the column subsets of {1..n}, levels 2..k.
+
+    Level s lists, per t < s, the term (c_t, place of C - c_t in level
+    s - 1) of every s-subset C = (c_0 < c_1 < ...) in colex order, c_t
+    0-based and shifted by n when t is odd; the lists are grouped as
+    (t = 0, the t in between, t = s - 1).
+    """
     levels = []
     below = {(j,): j - 1 for j in range(1, n + 1)}
     for s in range(2, k + 1):
         members = _colex_members(n, s)
-        levels.append(tuple(
+        first, *middle, last = (
             tuple((cols[t] - 1 + n * (t % 2), below[cols[:t] + cols[t + 1:]]) for cols in members)
             for t in range(s)
-        ))
+        )
+        levels.append((first, tuple(middle), last))
         below = {cols: i for i, cols in enumerate(members)}
     return tuple(levels)
 
@@ -793,27 +793,22 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
 
     Let D = d R be the scaled reduced rows, whose free columns the
     echelon holds, R_I the pivot rows whose pivot column is not in I,
-    C_I = I - pivots = (c_0 < c_1 < ...) and s = |C_I|.  The Laplace
-    expansion along the unit columns of R gives
+    C_I = I - pivots and s = |C_I|.  The Laplace expansion along the
+    unit columns of R gives
 
         p_I = sign * sigma_I * v(R_I, C_I),  v(S, F) = det(D[S, F]) / d^(s-1),
 
     where sign is the row-swap sign of the elimination and sigma_I is
     (-1)^(sum of r(c) + pos_I(c)) over the pivot columns c in I (r(c) the
     0-based row of pivot c, pos_I(c) its 0-based position in I).  v(S, F)
-    is d det(R[S, F]), an integer, and expanding it along the first row
-    r0 of S gives the ladder
-
-        v(S, F) = ( sum_t (-1)^t D[r0][c_t] v(S - r0, F - c_t) ) / d,
-
-    from v of the empty block, d, and v({r}, {c}) = D[r][c].  Level s
-    holds sign * v of the s x s blocks, one list per row subset, each s
-    products and one exact division from level s - 1.  When k > n - k
-    the ladder expands along the first column of F instead, so that its
-    inner loops run over the longer side.  The terms of each level come
-    from ``plan``, the ``_ladder_plan`` of the echelon's pivots, which
-    needs full rank.  A caller that stops early builds nothing above the
-    last level it read.
+    is d det(R[S, F]), an integer, and the recurrence of the module
+    docstring on A = D builds it from v of the empty block, d, and
+    v({r}, {c}) = D[r][c].  Level s holds sign * v of the s x s blocks,
+    one list per row subset.  When k > n - k the ladder expands along the
+    first column of F instead, so that its inner loops run over the
+    longer side.  The terms of each level come from ``plan``, the
+    ``_ladder_plan`` of the echelon's pivots, which needs full rank.  A
+    caller that stops early builds nothing above the last level it read.
     """
     _, sign, reduced, d = echelon
     yield [[sign * d]]
@@ -821,16 +816,10 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
     # the row-swap sign rides on v from level 0 up; the ladder's own
     # coefficients are D, read with the term sign from ``signed``
     level = blocks if sign > 0 else [[-x for x in row] for row in blocks]
-    signed = [row + [-x for x in row] for row in blocks]
+    signed = [row + [-x for x in row] for row in blocks[:-1]]
     yield level
-    for row_steps, (first, *middle, last) in plan.steps:
-        below_level, level = level, []
-        for r0, rest in row_steps:
-            coeffs, below = signed[r0], below_level[rest]
-            acc = [coeffs[c] * below[j] for c, j in first]
-            for terms in middle:
-                acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
-            level.append([(a + coeffs[c] * below[j]) // d for a, (c, j) in zip(acc, last)])
+    for row_steps, col_terms in plan.steps:
+        level = [_level_step(signed[r0], level[rest], col_terms, d) for r0, rest in row_steps]
         yield level
 
 
@@ -861,11 +850,10 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
 
     It runs on the block B = D[:, free], or on B^T when k > n - k, so that
     block rows are the shorter side.  Level s holds v for the s-subsets X
-    of block rows and Y of block columns (``itertools.combinations``
-    order, X by X).  ``steps[s - 2]`` is level s >= 2: per X, its first
-    row r0 and the place of X - r0 in level s - 1; per t < s, per Y, the
-    term (y_t, place of Y - y_t in level s - 1), y_t shifted by the block
-    width when t is odd to read -B[r0][y_t].  ``positions`` places each
+    of block rows (``itertools.combinations`` order) and Y of block
+    columns (colex order), X by X.  ``steps[s - 2]`` is level s >= 2: per
+    X, its first row r0 and the place of X - r0 in level s - 1, and the
+    ``_colex_terms`` of the block columns.  ``positions`` places each
     colex subset in the levels concatenated; ``negated`` lists those with
     sigma_I = -1; ``reach[i]`` is the highest level among colex subsets
     0..i, so the first i + 1 minors need the levels up to it.  Cached:
@@ -880,22 +868,10 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
         {rows: i for i, rows in enumerate(itertools.combinations(range(n_rows), s))}
         for s in range(n_rows + 1)
     ]
-    col_index = [
-        {cols: i for i, cols in enumerate(itertools.combinations(range(n_cols), s))}
-        for s in range(n_rows + 1)
-    ]
-    steps = []
-    for s in range(2, n_rows + 1):
-        rows_below, cols_below = row_index[s - 1], col_index[s - 1]
-        row_steps = tuple((rows[0], rows_below[rows[1:]]) for rows in row_index[s])
-        col_terms = tuple(
-            tuple(
-                (cols[t] + n_cols * (t % 2), cols_below[cols[:t] + cols[t + 1:]])
-                for cols in col_index[s]
-            )
-            for t in range(s)
-        )
-        steps.append((row_steps, col_terms))
+    steps = tuple(
+        (tuple((rows[0], row_index[s - 1][rows[1:]]) for rows in row_index[s]), col_terms)
+        for s, col_terms in enumerate(_colex_terms(n_cols, n_rows), 2)
+    )
     # A subset I is keyed by bit r for each pivot column of row r in I and
     # bit k + f for each free column free[f] in I; ``place`` maps the key
     # to the position of v(R_I, C_I) in the concatenated levels.
@@ -905,7 +881,8 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
         return [sum(1 << (k + f) for f in x) for x in subsets]
 
     place: dict[int, int] = {}
-    for rows, cols in zip(row_index, col_index):
+    for s, rows in enumerate(row_index):
+        cols = [[c - 1 for c in y] for y in _colex_members(n_cols, s)]
         outer, inner = key_parts(rows, not transposed), key_parts(cols, transposed)
         keys = [a | b for a in outer for b in inner]
         place.update(zip(keys, range(len(place), len(place) + len(keys))))
@@ -934,17 +911,29 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
             negated.append(i)
         top = max(top, level)
         reach.append(top)
-    return _Ladder(transposed, tuple(steps), tuple(positions), tuple(negated), tuple(reach))
+    return _Ladder(transposed, steps, tuple(positions), tuple(negated), tuple(reach))
 
 
-def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] | None]:
+def _first_negative(
+    ints: Sequence[int], start: int, subsets: Sequence[IndexSubset], scale: int
+) -> tuple[IndexSubset, Fraction] | None:
+    """The first negative minor from ints[start] on, as (its subset, ints[i] / scale), or None."""
+    for i, value in enumerate(itertools.islice(ints, start, None), start):
+        if value < 0:
+            return subsets[i], Fraction(value, scale)
+    return None
+
+
+def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubset, Fraction] | None]:
     """Whether a k x n matrix, k <= n, has rank k, and its colex-first negative maximal minor.
 
-    One elimination decides both, and no table is built.  Rank below k
-    is the answer (False, None).  When the pivots are the first k
-    columns, the minor on them, the colex-first one, is sign * d, read
-    off ``_bareiss`` before any back-substitution; if it is negative it
-    is the answer.  If it is positive, m reduces to R = [I | F] and its
+    The decision of the module docstring, on a matrix or on a table.  A
+    scanned table gives its first negative minor, or else rank k iff
+    some minor is nonzero.  On the elimination, rank below k is the
+    answer (False, None).  When the pivots are the first k columns, the
+    minor on them, the colex-first one, is sign * d, read off
+    ``_bareiss`` before any back-substitution; if it is negative it is
+    the answer.  If it is positive, m reduces to R = [I | F] and its
     minors are that minor times those of B, B[i][j] =
     (-1)^i F[k-1-i][j] (Postnikov, arXiv math/0609764, section 3).  So
     all are positive iff B is totally positive, which holds iff its
@@ -961,7 +950,13 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     not positive climbs every level.  A table above ``MAX_SUBSETS`` is
     refused before anything is eliminated.
     """
-    k, n = m.rows, m.cols
+    if isinstance(m, RationalMatrix):
+        k, n = m.rows, m.cols
+        if k > n or hasattr(m, "_minors") or _expansion_plan(n, k) is not None:
+            m = all_maximal_minors(m)  # held, short, or refused
+    if isinstance(m, MinorTable):
+        violation = _first_negative(m.ints, 0, m.subsets, m.scale)
+        return violation is not None or any(m.ints), violation
     colex = _colex(n, k)
     int_rows, scale = _int_rows_and_scale(m)
     pivots, sign = _bareiss(int_rows)
@@ -988,9 +983,9 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
         values.extend(itertools.chain.from_iterable(level))
         start = len(ints)
         _place(ints, values, plan, bisect.bisect_right(plan.reach, top, start))
-        for i, value in enumerate(itertools.islice(ints, start, None), start):
-            if value < 0:
-                return True, (colex.subsets[i], Fraction(value, scale))
+        violation = _first_negative(ints, start, colex.subsets, scale)
+        if violation is not None:
+            return True, violation
     return True, None
 
 

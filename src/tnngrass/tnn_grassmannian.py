@@ -5,19 +5,12 @@ the Grassmannian when all of its maximal minors are nonnegative.  Cells
 are specified by the k-subsets whose minors are required to vanish
 (nonbases); the top cell has an empty nonbasis set.
 
-``check_tnn`` reads the signs off the matrix's minor table, except on
-the shapes whose table is eliminated (4 x 6 to 4 x 29, 5 x n for n >= 6
-and every k >= 6) when the matrix holds no table yet.  There one
-elimination decides the report, and no table is built.  Rank below k
-is read off the pivots, and a negative minor on columns 1..k, the
-colex-first one, off the last pivot.  Otherwise the matrix is tested
-for total positivity: the k(n - k) initial minors of the signed,
-row-reversed F of [I | F] (Postnikov; Fomin and Zelevinsky).  If every
-one is positive, so is every maximal minor, and the report is true.
-If not, the minors are read in colex order off the same elimination's
-ladder, which climbs only as far as the first violation needs.
-``TNNPoint`` and ``in_closed_cell`` always read the table, which their
-callers use next.
+``check_tnn``, ``TNNPoint.from_matrix`` and ``in_closed_cell`` take
+their verdicts from one decision in ``exact_linalg``, whose module
+docstring says which shapes read a minor table and which are decided by
+one elimination and a positivity test.  ``TNNPoint`` and
+``in_closed_cell`` build the table first, because their callers read it
+next.
 """
 
 from __future__ import annotations
@@ -26,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import exact_linalg
 from .errors import DegeneracyError, DimensionError, DomainError, UnsupportedParameterError
 from .exact_linalg import (
     MAX_SUBSETS,
     IndexSubset,
     MinorTable,
     RationalMatrix,
-    _expansion_plan,
-    _tnn_witness,
     all_maximal_minors,
     as_int,
     as_list,
@@ -78,30 +70,15 @@ class TNNWitnessReport:
         return {"isTNN": self.is_tnn, "rankOK": self.rank_ok, "firstViolation": violation}
 
 
-def _scan_minors(minors: MinorTable) -> TNNWitnessReport:
-    """Signs read off the integer minors; a Fraction only for the first violation."""
-    for subset, value in zip(minors.subsets, minors.ints):  # colexicographic order
-        if value < 0:
-            violation = (subset, Fraction(value, minors.scale))
-            return TNNWitnessReport(rank_ok=True, first_violation=violation)
-    return TNNWitnessReport(rank_ok=any(minors.ints))
-
-
 def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
     """Full-rank plus all-maximal-minors-nonnegative test for a wide matrix.
 
-    Rank fullness is equivalent to some maximal minor being nonzero, so a
-    single minor sweep decides everything.  A matrix with no table yet,
-    of a shape whose table is eliminated, is decided by one elimination
-    instead (``_tnn_witness``): the positivity test, and on its failure
-    the minors in colex order up to the first violation.  It keeps no
-    table, and its report is the sweep's.
+    Rank fullness is equivalent to some maximal minor being nonzero.  How
+    the minors are read, from a table or from one elimination that keeps
+    none, is chosen in ``exact_linalg`` (see its module docstring); the
+    report is the same either way.
     """
-    if not hasattr(matrix, "_minors"):
-        k, n = matrix.rows, matrix.cols
-        if k <= n and _expansion_plan(n, k) is None:
-            return TNNWitnessReport(*_tnn_witness(matrix))
-    return _scan_minors(all_maximal_minors(matrix))
+    return TNNWitnessReport(*exact_linalg._tnn_witness(matrix))
 
 
 @dataclass(frozen=True)
@@ -116,11 +93,11 @@ class TNNPoint:
     @classmethod
     def from_matrix(cls, matrix: RationalMatrix) -> "TNNPoint":
         # the table, not the positivity test: callers read it next
-        report = _scan_minors(all_maximal_minors(matrix))
-        if not report.rank_ok:
+        rank_ok, violation = exact_linalg._tnn_witness(all_maximal_minors(matrix))
+        if not rank_ok:
             raise DegeneracyError(f"matrix has rank below {matrix.rows}")
-        if report.first_violation is not None:
-            subset, value = report.first_violation
+        if violation is not None:
+            subset, value = violation
             raise DomainError(
                 f"minor on columns {list(subset.members)} is negative: {rational_to_string(value)}"
             )
@@ -195,7 +172,7 @@ def in_closed_cell(matrix: RationalMatrix, cell: PositroidCellSpec) -> bool:
     if (matrix.rows, matrix.cols) != (cell.k, cell.n):
         raise DimensionError(f"matrix is {matrix.rows}x{matrix.cols} but cell expects {cell.k}x{cell.n}")
     minors = all_maximal_minors(matrix)
-    if not _scan_minors(minors).is_tnn:
+    if not TNNWitnessReport(*exact_linalg._tnn_witness(minors)).is_tnn:
         return False
     return all(minors.int_at(s) == 0 for s in cell.nonbases)
 

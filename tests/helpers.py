@@ -38,7 +38,7 @@ from tnngrass import (
 )
 from tnngrass import exact_linalg
 from tnngrass.exact_linalg import MinorTable
-from tnngrass.tnn_grassmannian import TNNWitnessReport, _scan_minors
+from tnngrass.tnn_grassmannian import TNNWitnessReport
 
 # (k, m) pairs exercised by the fiber acceptance criteria.
 FIBER_CONFIGS = [(1, 2), (2, 2), (2, 1), (3, 2)]
@@ -112,14 +112,18 @@ def count_ladder_levels(monkeypatch) -> list[int]:
     return climbs
 
 
-def table_check_tnn(m: RationalMatrix) -> TNNWitnessReport:
+def tnn_report_by_table(m: RationalMatrix) -> TNNWitnessReport:
     """``check_tnn`` by the minor table alone, read on a fresh copy of m.
 
     The oracle for the positivity test that ``check_tnn`` takes first on
     eliminated shapes: the copy holds no table, so every minor is built
-    and scanned in colex order, as ``check_tnn`` did before the test.
+    and scanned here in colex order, as ``check_tnn`` did before the test.
     """
-    return _scan_minors(all_maximal_minors(RationalMatrix.from_int_rows(m.int_rows)))
+    table = all_maximal_minors(RationalMatrix.from_int_rows(m.int_rows))
+    for subset, value in zip(table.subsets, table.ints):
+        if value < 0:
+            return TNNWitnessReport(rank_ok=True, first_violation=(subset, Fraction(value, table.scale)))
+    return TNNWitnessReport(rank_ok=any(table.ints))
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -232,6 +236,13 @@ def fraction_det(rows: list[list[Fraction]]) -> Fraction:
     return value
 
 
+def submatrix(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -> RationalMatrix:
+    """The submatrix of m on 1-based row and column subsets."""
+    row_subset.check_bounds(m.rows)
+    col_subset.check_bounds(m.cols)
+    return RationalMatrix([m.entry(i - 1, j - 1) for j in col_subset] for i in row_subset)
+
+
 def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -> Fraction:
     """Determinant of the submatrix selected by 1-based index subsets, one at a time."""
     if len(row_subset) != len(col_subset):
@@ -240,7 +251,7 @@ def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -
         )
     if len(row_subset) == 0:
         return Fraction(1)
-    return det(m.submatrix(row_subset, col_subset))
+    return det(submatrix(m, row_subset, col_subset))
 
 
 def minors_of(table: MinorTable) -> dict[IndexSubset, Fraction]:

@@ -46,6 +46,7 @@ from helpers import (
     random_invertible,
     random_matrix,
     scaled_vandermonde_point,
+    submatrix,
     vandermonde_setup,
 )
 
@@ -272,7 +273,7 @@ def test_criterion_10_oracle_equivalence():
     def cauchy_binet_holds(a: RationalMatrix, b: RationalMatrix) -> bool:
         rows_all = IndexSubset(tuple(range(1, a.rows + 1)))
         rhs = sum(
-            value * det(b.submatrix(subset, rows_all))
+            value * det(submatrix(b, subset, rows_all))
             for subset, value in minors_of(all_maximal_minors(a)).items()
         )
         return det(a @ b) == rhs

@@ -29,7 +29,7 @@ from tnngrass import (
     solve_for_left_factor,
     subsets_colex,
 )
-from tnngrass import exact_linalg, tnn_grassmannian
+from tnngrass import exact_linalg
 from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     rref_inverse,
     rref_kernel,
     rref_left_factor,
+    submatrix,
     subset_minor_table,
     vandermonde_det,
     zeros,
@@ -373,7 +374,7 @@ class TestTwoTablePaths:
     @staticmethod
     def _both_paths(rows):
         tables = []
-        for plan in (exact_linalg._direct_levels, lambda n, k: None):
+        for plan in (exact_linalg._colex_terms, lambda n, k: None):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(exact_linalg, "_expansion_plan", plan)
                 tables.append(all_maximal_minors(RationalMatrix(rows)))
@@ -384,6 +385,18 @@ class TestTwoTablePaths:
     @given(two_path_rows_st())
     @example([[Fraction(0)] * 7, [Fraction(1)] * 7])
     @example([[Fraction(j - 3, 2 ** 60) for j in range(8)]] * 3)
+    # [I | F]: the ladder's d is 1 and nothing is divided
+    @example([
+        [Fraction(int(r == c)) for c in range(4)] + [Fraction((r - j) ** 3 + j) for j in range(4)]
+        for r in range(4)
+    ])
+    # a pivot block of determinant -1: the ladder divides by d = -1
+    @example([
+        [Fraction(int(r == c) - 2 * (r == c == 3)) for c in range(4)] + [Fraction(r * j - 3) for j in range(4)]
+        for r in range(4)
+    ])
+    # 1 x n: level 1 is the table, with no level step
+    @example([[Fraction(j - 2, j + 1) for j in range(6)]])
     def test_both_paths_give_the_same_table(self, rows):
         direct, eliminated = self._both_paths(rows)
         # dataclass equality: n, subsets, ints and scale
@@ -392,33 +405,30 @@ class TestTwoTablePaths:
 
     def test_the_benchmark_shapes_take_their_paths(self, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
-        tested = []
-        positivity_test = tnn_grassmannian._tnn_witness
-        monkeypatch.setattr(
-            tnn_grassmannian, "_tnn_witness", lambda m: tested.append(m.rows) or positivity_test(m)
-        )
+        tables = count_computed_tables(monkeypatch)
         rng = Random(81)
         # campaign's 3 x 8 and image's 2 x 7 spot-check points expand
-        # directly, and check_tnn reads their tables without the positivity test
+        # directly: check_tnn computes one table each and eliminates nothing
         for k, n in ((2, 7), (3, 8)):
             assert exact_linalg._expansion_plan(n, k) is not None
-            all_maximal_minors(random_matrix(rng, k, n))
-            check_tnn(random_matrix(rng, k, n))
-        assert eliminations == tested == []
+            m = random_matrix(rng, k, n)
+            check_tnn(m)
+            assert tables[-1] is m
+        assert len(tables) == 2 and eliminations == []
         # the image setups' 6 x 7 and 7 x 8 tables and wide's 12 x 15 eliminate once each
         for k, n in ((6, 7), (7, 8), (12, 15)):
             assert exact_linalg._expansion_plan(n, k) is None
             all_maximal_minors(random_matrix(rng, k, n))
         assert eliminations == [6, 7, 12]
-        # and wide's check_tnn tests positivity first, on the same one elimination
+        # and wide's check_tnn tests positivity on one elimination, with no table
         check_tnn(random_matrix(rng, 12, 15))
-        assert tested == [12]
         assert eliminations == [6, 7, 12, 12]
+        assert len(tables) == 5
 
     def test_direct_plans_are_held_in_the_bounded_shape_cache(self, monkeypatch):
         builds = []
-        build = exact_linalg._direct_levels
-        monkeypatch.setattr(exact_linalg, "_direct_levels", lambda n, k: builds.append((n, k)) or build(n, k))
+        build = exact_linalg._colex_terms
+        monkeypatch.setattr(exact_linalg, "_colex_terms", lambda n, k: builds.append((n, k)) or build(n, k))
         monkeypatch.setattr(exact_linalg, "CACHED_SUBSETS", 50)
         rng = Random(82)
         # C(8, 2) = 28 subsets fit the budget: every 2 x 8 table reads one plan
@@ -434,7 +444,7 @@ class TestTwoTablePaths:
 
     def test_a_table_above_the_limit_is_refused_before_any_plan(self, monkeypatch):
         calls = []
-        for name in ("_expansion_plan", "_direct_levels", "_ladder_plan", "_bareiss"):
+        for name in ("_expansion_plan", "_colex_terms", "_ladder_plan", "_bareiss"):
             original = getattr(exact_linalg, name)
             monkeypatch.setattr(
                 exact_linalg, name, lambda *args, name=name, original=original: calls.append(name) or original(*args)
@@ -684,7 +694,7 @@ class TestCauchyBinet:
         b = random_matrix(rng, n, k, lo=-5, hi=5, max_den=3)
         rows_all = IndexSubset(tuple(range(1, k + 1)))
         rhs = sum(
-            value * det(b.submatrix(subset, rows_all))
+            value * det(submatrix(b, subset, rows_all))
             for subset, value in minors_of(all_maximal_minors(a)).items()
         )
         assert det(a @ b) == rhs

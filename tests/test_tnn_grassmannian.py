@@ -37,7 +37,7 @@ from helpers import (
     identity,
     minors_of,
     random_positive_det,
-    table_check_tnn,
+    tnn_report_by_table,
     vandermonde_det,
 )
 
@@ -218,7 +218,7 @@ class TestPositivityTest:
     @example(vandermonde_rows(6, range(1, 7)))  # square: no free column
     def test_the_report_is_the_tables(self, rows):
         m = RationalMatrix(rows)
-        oracle = table_check_tnn(m)
+        oracle = tnn_report_by_table(m)
         assert check_tnn(m).to_json_dict() == oracle.to_json_dict()
         # the eliminated shapes decide the report without a table, passed
         # or failed; the shapes that expand directly read the table and keep it
@@ -251,7 +251,7 @@ class TestPositivityTest:
         assert (echelon.pivots, echelon.sign, echelon.d > 0) == (pivots, sign, d_positive)
         table = exact_linalg._minor_table(RationalMatrix(rows))
         assert all(v > 0 for v in table.ints) == passes
-        oracle = table_check_tnn(m)
+        oracle = tnn_report_by_table(m)
         eliminations = count_eliminations(monkeypatch)
         climbs = count_ladder_levels(monkeypatch)
         assert check_tnn(m) == oracle
@@ -291,7 +291,7 @@ class TestPositivityTest:
     def test_a_violation_is_decided_at_its_level(self, monkeypatch, k, n, level):
         # 4 x 9 ladders its 4 x 5 block, 6 x 9 and 12 x 15 the transposed one
         m = RationalMatrix(violated_at_level(k, n, level))
-        oracle = table_check_tnn(m)
+        oracle = tnn_report_by_table(m)
         cols = (*range(1, k - level + 1), *range(k + 1, k + level + 1))
         assert oracle.first_violation[0] == IndexSubset(cols)
         climbs = count_ladder_levels(monkeypatch)
@@ -314,7 +314,7 @@ class TestPositivityTest:
     )
     def test_a_nonnegative_matrix_climbs_every_level(self, monkeypatch, rows, climbed):
         m = RationalMatrix(rows)
-        oracle = table_check_tnn(m)
+        oracle = tnn_report_by_table(m)
         assert oracle.first_violation is None
         climbs = count_ladder_levels(monkeypatch)
         assert check_tnn(m) == oracle
@@ -323,7 +323,7 @@ class TestPositivityTest:
 
     def test_a_wide_false_item_climbs_at_most_two_levels(self, monkeypatch):
         matrices = [RationalMatrix(negate_column(WIDE_ITEM, col)) for col in range(1, 16)]
-        oracles = [table_check_tnn(m) for m in matrices]
+        oracles = [tnn_report_by_table(m) for m in matrices]
         climbs = count_ladder_levels(monkeypatch)
         back_substitutions = count_back_substitutions(monkeypatch)
         assert [check_tnn(m) for m in matrices] == oracles
@@ -336,7 +336,7 @@ class TestPositivityTest:
     def test_a_matrix_holding_its_table_makes_no_elimination(self, monkeypatch):
         for rows in (V6_16, NEGATED_OUTSIDE):
             m = RationalMatrix(rows)
-            oracle = table_check_tnn(m)
+            oracle = tnn_report_by_table(m)
             all_maximal_minors(m)
             with monkeypatch.context() as patch:
                 eliminations = count_eliminations(patch)
