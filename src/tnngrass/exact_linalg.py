@@ -20,38 +20,35 @@ after a back-substitution that returns only the non-pivot columns of
 d R: the pivot columns are d e_i and are never built.
 
 A table of all maximal minors of a k x n matrix takes one of two paths,
-chosen once per shape by which makes fewer products and divisions
-(``_expansion_plan``).  Both climb one Laplace recurrence on integer
-rows A (``_level_step``): level s holds the s x s minors on row subsets
-S and colex column subsets C = (c_0 < c_1 < ...), and expanding along
-the first row r0 of S,
+chosen by k alone.  Both climb one Laplace recurrence on integer rows A
+(``_level_step``): level s holds the s x s minors on row subsets S and
+colex column subsets C = (c_0 < c_1 < ...), and expanding along the
+first row r0 of S,
 
     v(S, C) = ( sum_t (-1)^t A[r0][c_t] v(S - r0, C - c_t) ) / d,
 
 with the terms of every level from one builder (``_colex_terms``) and no
-division when d == 1.  Short tables (every k <= 3, 5 x 5, and 4 x n for
-n <= 5 or n >= 30) run it on the stored rows, with d = 1 and one row
-subset per level, the last s rows: no elimination, no division, and
-zeros at rank below k.  The other shapes (4 x 6 to 4 x 29, 5 x n for
-n >= 6, every k >= 6) eliminate once and run it on the reduced form R,
-whose levels hold C(k, s) C(n - k, s) minors instead of C(n, s): each
-minor is, up to a sign fixed by the pivots, d times the minor of R on
-the pivot rows it misses and the free columns it holds, d the
-determinant of the pivot columns (Postnikov, "Total positivity,
-Grassmannians, and networks", arXiv math/0609764, section 3).  This
-ladder computes the C(n, k) minors and nothing more, from one plan per
-pivot pattern, cached because generic matrices of one shape share it.
-The table is a ``MinorTable``: integer minors over one positive scale,
-the product of the row denominators, so sign tests read integers; a
-matrix computes it once.
+division when d == 1.  k <= 4 expands directly: the recurrence runs on
+the stored rows, with d = 1 and one row subset per level, the last s
+rows: no elimination, no division, and zeros at rank below k.  Every
+k >= 5 eliminates once and runs it on the reduced form R, whose levels
+hold C(k, s) C(n - k, s) minors instead of C(n, s): each minor is, up
+to a sign fixed by the pivots, d times the minor of R on the pivot rows
+it misses and the free columns it holds, d the determinant of the pivot
+columns (Postnikov, "Total positivity, Grassmannians, and networks",
+arXiv math/0609764, section 3).  This ladder computes the C(n, k) minors
+and nothing more, from one plan per pivot pattern, cached because
+generic matrices of one shape share it.  The table is a ``MinorTable``:
+integer minors over one positive scale, the product of the row
+denominators, so sign tests read integers; a matrix computes it once.
 
 Total nonnegativity and the colex-first violation are one decision,
 ``_tnn_witness``, behind ``check_tnn``, ``TNNPoint.from_matrix`` and
-``in_closed_cell``.  A table handed over, held or short is scanned.  A
-matrix of an eliminated shape with no table is eliminated once and
-keeps none: rank below k, and a negative minor on columns 1..k, are
-read off the pivots; otherwise the k(n - k) initial minors of the
-signed free block test total positivity (Fomin and Zelevinsky), and
+``in_closed_cell``.  A table handed over, or held by the matrix, is
+scanned.  A matrix with no table is eliminated and tested, whatever its
+shape, and keeps no table: rank below k, and a negative minor on columns
+1..k, are read off the pivots; otherwise the k(n - k) initial minors of
+the signed free block test total positivity (Fomin and Zelevinsky), and
 only a failed test reads minors in colex order off the same
 elimination's ladder, as far as the first violation needs.
 
@@ -361,7 +358,7 @@ class RationalMatrix:
     equality is entrywise exact equality.  All arithmetic returns new
     matrices; instances are safe to share between threads.  The slot
     ``_minors`` is unset until ``all_maximal_minors`` keeps the table
-    there; ``_tnn_witness`` builds none on the eliminated shapes.
+    there; ``_tnn_witness`` builds none.
     """
 
     __slots__ = ("int_rows", "_hash", "_minors")
@@ -675,7 +672,7 @@ def all_maximal_minors(m: RationalMatrix) -> MinorTable:
 
 
 def _minor_table(m: RationalMatrix) -> MinorTable:
-    """The table ``all_maximal_minors`` returns, computed on the path ``_expansion_plan`` picks."""
+    """The table ``all_maximal_minors`` returns, expanded directly or eliminated as the shape's plan says."""
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
@@ -695,16 +692,16 @@ def _level_step(coeffs: list[int], below: list[int], col_terms: tuple, d: int) -
     ``coeffs`` is its first row r0 followed by that row negated, so a
     shifted c_t reads (-1)^t A[r0][c_t]; ``below`` holds the values of
     its other rows on level s - 1 over the colex column subsets, and
-    ``col_terms`` is level s of ``_colex_terms``.  Sums are divided
-    exactly by d unless d == 1.
+    ``col_terms`` is level s of ``_colex_terms``, two terms per pass.
+    Sums are divided exactly by d unless d == 1.
     """
-    first, middle, last = col_terms
-    acc = [coeffs[c] * below[j] for c, j in first]
-    for terms in middle:
-        acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, terms)]
-    if d == 1:
-        return [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, last)]
-    return [(a + coeffs[c] * below[j]) // d for a, (c, j) in zip(acc, last)]
+    first, pairs, lone = col_terms
+    acc = [coeffs[c0] * below[j0] + coeffs[c1] * below[j1] for c0, j0, c1, j1 in first]
+    for terms in pairs:
+        acc = [a + coeffs[c0] * below[j0] + coeffs[c1] * below[j1] for a, (c0, j0, c1, j1) in zip(acc, terms)]
+    if lone:
+        acc = [a + coeffs[c] * below[j] for a, (c, j) in zip(acc, lone)]
+    return acc if d == 1 else [a // d for a in acc]
 
 
 def _expanded_minors(int_rows: list[list[int]], levels: tuple) -> list[int]:
@@ -720,55 +717,40 @@ def _expanded_minors(int_rows: list[list[int]], levels: tuple) -> list[int]:
     return level
 
 
-def _direct_ops(n: int, k: int) -> int:
-    """Products of ``_expanded_minors`` on a k x n matrix: s per s x s minor, s >= 2."""
-    return sum(s * comb(n, s) for s in range(2, k + 1))
-
-
-def _elimination_ops(n: int, k: int) -> int:
-    """Products and divisions of ``_echelon`` and ``_ladder_minors`` on a k x n matrix of rank k.
-
-    Bareiss updates (two products and a division each) with pivots in
-    the first k columns, back-substitution of the n - k free columns (a
-    scaling, one update per pivot row below and a division per entry),
-    and the ladder's s products and one division per value of level s.
-    """
-    free = n - k
-    bareiss = 3 * sum((k - 1 - r) * (n - 1 - r) for r in range(k))
-    back = free * sum(k - r + 1 for r in range(k))
-    ladder = sum((s + 1) * comb(k, s) * comb(free, s) for s in range(2, min(k, free) + 1))
-    return bareiss + back + ladder
-
-
 @_shape_cache
 def _expansion_plan(n: int, k: int) -> tuple | None:
     """The levels of ``_expanded_minors`` for k x n tables, or None to eliminate.
 
-    The direct expansion is chosen where it makes no more operations
-    than elimination (``_direct_ops`` against ``_elimination_ops``), so
-    the choice depends on (n, k) alone.  Cached with the shape's
-    subsets, which ``_colex`` has built (or refused) first.
+    k <= 4 expands directly and k >= 5 eliminates, as timed on random
+    integer matrices (entries in -9..9, 16-bit and 64-bit; best of 7):
+    direct took 0.19-0.98x the eliminated time on every k <= 4 shape
+    tried up to 4 x 29 (4 x 40, entries in -9..9: 1.31x), and was slower
+    on most k >= 5 shapes with entries up to 16 bits, square ones and
+    5 x 6 aside, though not on most with 64-bit entries.  Cached with
+    the shape's subsets, which ``_colex`` has built (or refused) first.
     """
-    return _colex_terms(n, k) if _direct_ops(n, k) <= _elimination_ops(n, k) else None
+    return _colex_terms(n, k) if k <= 4 else None
 
 
 def _colex_terms(n: int, k: int) -> tuple:
     """The ``col_terms`` of ``_level_step`` for the column subsets of {1..n}, levels 2..k.
 
-    Level s lists, per t < s, the term (c_t, place of C - c_t in level
-    s - 1) of every s-subset C = (c_0 < c_1 < ...) in colex order, c_t
-    0-based and shifted by n when t is odd; the lists are grouped as
-    (t = 0, the t in between, t = s - 1).
+    The term t of an s-subset C = (c_0 < c_1 < ...) is (c_t, place of
+    C - c_t in level s - 1), c_t 0-based and shifted by n when t is odd.
+    Level s lists, for t = 0, 2, 4, ... below s - 1, the terms t and
+    t + 1 of every subset in colex order as one flat 4-tuple, grouped as
+    (t = 0, the other pairs); then term s - 1 alone when s is odd, or ().
     """
     levels = []
     below = {(j,): j - 1 for j in range(1, n + 1)}
     for s in range(2, k + 1):
         members = _colex_members(n, s)
-        first, *middle, last = (
-            tuple((cols[t] - 1 + n * (t % 2), below[cols[:t] + cols[t + 1:]]) for cols in members)
+        terms = [
+            [(cols[t] - 1 + n * (t % 2), below[cols[:t] + cols[t + 1:]]) for cols in members]
             for t in range(s)
-        )
-        levels.append((first, tuple(middle), last))
+        ]
+        first, *pairs = (tuple(map(operator.add, terms[t], terms[t + 1])) for t in range(0, s - 1, 2))
+        levels.append((first, tuple(pairs), tuple(terms[-1]) if s % 2 else ()))
         below = {cols: i for i, cols in enumerate(members)}
     return tuple(levels)
 
@@ -928,20 +910,21 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
     """Whether a k x n matrix, k <= n, has rank k, and its colex-first negative maximal minor.
 
     The decision of the module docstring, on a matrix or on a table.  A
-    scanned table gives its first negative minor, or else rank k iff
-    some minor is nonzero.  On the elimination, rank below k is the
-    answer (False, None).  When the pivots are the first k columns, the
-    minor on them, the colex-first one, is sign * d, read off
-    ``_bareiss`` before any back-substitution; if it is negative it is
-    the answer.  If it is positive, m reduces to R = [I | F] and its
-    minors are that minor times those of B, B[i][j] =
-    (-1)^i F[k-1-i][j] (Postnikov, arXiv math/0609764, section 3).  So
-    all are positive iff B is totally positive, which holds iff its
-    k(n - k) initial minors are positive (Fomin and Zelevinsky, "Total
-    positivity: tests and parametrizations", arXiv math/9912128).  They
-    are read on sign(d) d B, row i of which is (-1)^i sign(d) times row
-    k-1-i of the free columns D = d F; its s x s minors are |d|^s times
-    those of B.  A pass is the answer (True, None).
+    table handed over or held by the matrix gives its first negative
+    minor, or else rank k iff some minor is nonzero.  Any other matrix
+    is eliminated and tested: rank below k is the answer (False, None).
+    When the pivots are the first k columns, the minor on them, the
+    colex-first one, is sign * d, read off ``_bareiss`` before any
+    back-substitution; if it is negative it is the answer.  If it is
+    positive, m reduces to R = [I | F] and its minors are that minor
+    times those of B, B[i][j] = (-1)^i F[k-1-i][j] (Postnikov,
+    arXiv math/0609764, section 3).  So all are positive iff B is
+    totally positive, which holds iff its k(n - k) initial minors are
+    positive (Fomin and Zelevinsky, "Total positivity: tests and
+    parametrizations", arXiv math/9912128).  They are read on
+    sign(d) d B, row i of which is (-1)^i sign(d) times row k-1-i of the
+    free columns D = d F; its s x s minors are |d|^s times those of B.
+    A pass is the answer (True, None).
 
     Otherwise the minors are read in colex order off the ladder of the
     same echelon form (``_ladder_levels``), which climbs one more level
@@ -952,8 +935,8 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
     """
     if isinstance(m, RationalMatrix):
         k, n = m.rows, m.cols
-        if k > n or hasattr(m, "_minors") or _expansion_plan(n, k) is not None:
-            m = all_maximal_minors(m)  # held, short, or refused
+        if k > n or hasattr(m, "_minors"):
+            m = all_maximal_minors(m)  # held, or refused
     if isinstance(m, MinorTable):
         violation = _first_negative(m.ints, 0, m.subsets, m.scale)
         return violation is not None or any(m.ints), violation

@@ -35,6 +35,7 @@ from .errors import (
     NotInCellError,
     RankError,
     UnsupportedParameterError,
+    WellDefinednessError,
 )
 from .exact_linalg import (
     IndexSubset,
@@ -212,7 +213,8 @@ def section_witness(
     fact; it is not independently decidable here).  A nonpositive det(C)
     with totally nonnegative K is therefore reported as an internal
     inconsistency.  The solve raises RankError for a W of deficient rank
-    and FiberMismatchError when span(W) differs from span(K Z^T).
+    and FiberMismatchError when span(W) differs from span(K Z^T), and
+    WellDefinednessError when det(C) = 0, that is, rank(K Z^T) < k.
     """
     if k_rep.rows != setup.k or k_rep.cols != setup.n:
         raise DimensionError(f"K must be {setup.k}x{setup.n}")
@@ -227,7 +229,7 @@ def section_witness(
         raise FiberMismatchError("span(K Z^T) differs from span(W)") from exc
     det_c = det(c)
     if det_c == 0:
-        raise InternalConsistencyError("left factor between equal spans is singular")
+        raise WellDefinednessError(f"K Z^T has rank below {setup.k}; the span is not a valid point")
     if det_c < 0 and check_tnn(k_rep).is_tnn:
         raise InternalConsistencyError(
             f"det(C) = {rational_to_string(det_c)} <= 0 for a TNN representative"

@@ -6,11 +6,10 @@ are specified by the k-subsets whose minors are required to vanish
 (nonbases); the top cell has an empty nonbasis set.
 
 ``check_tnn``, ``TNNPoint.from_matrix`` and ``in_closed_cell`` take
-their verdicts from one decision in ``exact_linalg``, whose module
-docstring says which shapes read a minor table and which are decided by
-one elimination and a positivity test.  ``TNNPoint`` and
-``in_closed_cell`` build the table first, because their callers read it
-next.
+their verdicts from one decision in ``exact_linalg``: a minor table, if
+the matrix holds one, is scanned, and a matrix with no table is
+eliminated and tested.  ``TNNPoint`` and ``in_closed_cell`` build the
+table first, because their callers read it next.
 """
 
 from __future__ import annotations
@@ -73,10 +72,10 @@ class TNNWitnessReport:
 def check_tnn(matrix: RationalMatrix) -> TNNWitnessReport:
     """Full-rank plus all-maximal-minors-nonnegative test for a wide matrix.
 
-    Rank fullness is equivalent to some maximal minor being nonzero.  How
-    the minors are read, from a table or from one elimination that keeps
-    none, is chosen in ``exact_linalg`` (see its module docstring); the
-    report is the same either way.
+    Rank fullness is equivalent to some maximal minor being nonzero.  A
+    table the matrix holds is scanned; a matrix with no table is
+    eliminated and tested, and keeps none (see the ``exact_linalg``
+    module docstring).  The report is the same either way.
     """
     return TNNWitnessReport(*exact_linalg._tnn_witness(matrix))
 

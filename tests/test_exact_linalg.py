@@ -369,7 +369,7 @@ class TestAllMaximalMinors:
 
 
 class TestTwoTablePaths:
-    """Short tables expand the stored rows, others eliminate: both give the same tables."""
+    """k <= 4 expands the stored rows, k >= 5 eliminates: both give the same tables."""
 
     @staticmethod
     def _both_paths(rows):
@@ -407,23 +407,27 @@ class TestTwoTablePaths:
         eliminations = count_eliminations(monkeypatch)
         tables = count_computed_tables(monkeypatch)
         rng = Random(81)
-        # campaign's 3 x 8 and image's 2 x 7 spot-check points expand
-        # directly: check_tnn computes one table each and eliminates nothing
-        for k, n in ((2, 7), (3, 8)):
-            assert exact_linalg._expansion_plan(n, k) is not None
+        # check_tnn on a fresh matrix eliminates once and computes no table,
+        # whatever its shape: image's 2 x 7, campaign's 3 x 8, wide's 12 x 15
+        for k, n in ((2, 7), (3, 8), (12, 15)):
             m = random_matrix(rng, k, n)
             check_tnn(m)
-            assert tables[-1] is m
-        assert len(tables) == 2 and eliminations == []
-        # the image setups' 6 x 7 and 7 x 8 tables and wide's 12 x 15 eliminate once each
-        for k, n in ((6, 7), (7, 8), (12, 15)):
-            assert exact_linalg._expansion_plan(n, k) is None
+            assert not hasattr(m, "_minors")
+        assert eliminations == [2, 3, 12] and tables == []
+        # tables of k <= 4 rows expand directly, 4 x n included ...
+        for k, n in ((2, 7), (3, 8), (4, 6), (4, 29)):
             all_maximal_minors(random_matrix(rng, k, n))
-        assert eliminations == [6, 7, 12]
-        # and wide's check_tnn tests positivity on one elimination, with no table
-        check_tnn(random_matrix(rng, 12, 15))
-        assert eliminations == [6, 7, 12, 12]
-        assert len(tables) == 5
+        assert eliminations == [2, 3, 12]
+        # ... and k >= 5 eliminates once: 5 x 5, the image setups' 6 x 7 and
+        # 7 x 8, and wide's 12 x 15
+        for k, n in ((5, 5), (6, 7), (7, 8), (12, 15)):
+            all_maximal_minors(random_matrix(rng, k, n))
+        assert eliminations == [2, 3, 12, 5, 6, 7, 12]
+        assert len(tables) == 8
+
+    @pytest.mark.parametrize("k, n", [(k, n) for k in (4, 5) for n in range(k, k + 26)])
+    def test_four_rows_expand_and_five_eliminate(self, k, n):
+        assert (exact_linalg._expansion_plan(n, k) is None) == (k == 5)
 
     def test_direct_plans_are_held_in_the_bounded_shape_cache(self, monkeypatch):
         builds = []

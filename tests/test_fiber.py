@@ -19,6 +19,7 @@ from tnngrass import (
     RationalMatrix,
     TNNPoint,
     UnsupportedParameterError,
+    WellDefinednessError,
     all_maximal_minors,
     build_setup,
     check_tnn,
@@ -428,6 +429,16 @@ class TestSectionWitness:
         assert rank(w) == 1
         assert rank(stack_below(k_rep @ setup.Z.transpose(), w)) == 3
         with pytest.raises(RankError):
+            section_witness(setup, k_rep, w)
+
+    def test_full_rank_representative_with_a_lower_rank_image(self):
+        # K = [a; e_1] has rank 2, but a spans ker Z, so K Z^T has rank 1:
+        # C is singular, and span(K) maps to no point of the image
+        setup = vandermonde_setup(2, 1, [Fraction(i) for i in (1, 2, 3, 4)])
+        k_rep = RationalMatrix([setup.kernel_gen, [1, 0, 0, 0]])
+        w = RationalMatrix([[1, 1, 1], [0, 0, 1]])
+        assert rank(k_rep) == 2 and rank(k_rep @ setup.Z.transpose()) == 1
+        with pytest.raises(WellDefinednessError):
             section_witness(setup, k_rep, w)
 
     def test_one_rank_call(self, monkeypatch):

@@ -108,6 +108,10 @@ ROW_CORNER = chart_rows([[-1 if (i, j) == (5, 0) else x ** i for j, x in enumera
 # b at nodes 1, 2, 5 with b[0][2] = 0: the other initial minors stay
 # positive, so only the size-1 check sees the zero minor
 COLUMN_CORNER_ZERO = chart_rows([[0 if (i, j) == (0, 2) else x ** i for j, x in enumerate((1, 2, 5))] for i in range(6)])
+# 1 x n: the entries are the minors, and the pivot is the first nonzero one
+ROW_NEGATIVE = [[2, 3, -1, 4, 5]]
+ROW_LEADING_ZEROS = [[0, 0, 3, 1, 2]]
+ROW_ZERO = [[0, 0, 0, 0]]
 WIDE_ITEM = [[Fraction(j % 5 + 1, j % 3 + 1) * x ** i for j, x in enumerate(range(2, 60, 4))] for i in range(12)]
 
 
@@ -115,8 +119,8 @@ WIDE_ITEM = [[Fraction(j % 5 + 1, j % 3 + 1) * x ** i for j, x in enumerate(rang
 def positivity_rows_st(draw):
     """Scaled Vandermonde rows, totally positive, or changed by one of the ways a test can fail.
 
-    k runs to 7 and n to k + 7, so most shapes are eliminated ones that
-    take the positivity test, with both k > n - k and k < n - k.
+    k runs to 7 and n to k + 7, with both k > n - k and k < n - k; every
+    shape takes the positivity test.
     """
     k = draw(st.integers(1, 7))
     n = draw(st.integers(k, k + 7))
@@ -216,14 +220,20 @@ class TestPositivityTest:
     @example(ROW_CORNER)
     @example(COLUMN_CORNER_ZERO)
     @example(vandermonde_rows(6, range(1, 7)))  # square: no free column
+    @example(ROW_NEGATIVE)
+    @example(ROW_LEADING_ZEROS)
+    @example(ROW_ZERO)
     def test_the_report_is_the_tables(self, rows):
         m = RationalMatrix(rows)
         oracle = tnn_report_by_table(m)
-        assert check_tnn(m).to_json_dict() == oracle.to_json_dict()
-        # the eliminated shapes decide the report without a table, passed
-        # or failed; the shapes that expand directly read the table and keep it
-        tested = exact_linalg._expansion_plan(m.cols, m.rows) is None
-        assert hasattr(m, "_minors") == (not tested)
+        with pytest.MonkeyPatch.context() as patch:
+            eliminations = count_eliminations(patch)
+            tables = count_computed_tables(patch)
+            assert check_tnn(m).to_json_dict() == oracle.to_json_dict()
+        # every shape is decided by one elimination, passed or failed, and
+        # no table is computed or kept
+        assert eliminations == [m.rows] and tables == []
+        assert not hasattr(m, "_minors")
         # a later table is the one a fresh copy computes
         assert all_maximal_minors(m) == exact_linalg._minor_table(RationalMatrix(rows))
 
@@ -241,11 +251,13 @@ class TestPositivityTest:
             (ROW_CORNER, [0, 1, 2, 3, 4, 5], 1, True, False),
             (COLUMN_CORNER_ZERO, [0, 1, 2, 3, 4, 5], 1, True, False),
             (chart_rows(vandermonde_rows(6, (1, 2, 3))), [0, 1, 2, 3, 4, 5], 1, True, True),
+            (ROW_NEGATIVE, [0], 1, True, False),
+            (ROW_LEADING_ZEROS, [2], 1, True, False),
+            (ROW_ZERO, [], 1, True, False),
         ],
     )
     def test_the_examples_reach_their_branch(self, monkeypatch, rows, pivots, sign, d_positive, passes):
         m = RationalMatrix(rows)
-        assert exact_linalg._expansion_plan(m.cols, m.rows) is None
         int_rows, _ = exact_linalg._int_rows_and_scale(m)
         echelon = exact_linalg._echelon(int_rows)
         assert (echelon.pivots, echelon.sign, echelon.d > 0) == (pivots, sign, d_positive)
@@ -258,7 +270,7 @@ class TestPositivityTest:
         # one elimination, and a ladder only when the test fails at full
         # rank with the minor on 1..k not already negative
         assert eliminations == [m.rows]
-        leading_negative = pivots[-1] == m.rows - 1 and echelon.sign * echelon.d < 0
+        leading_negative = pivots[-1:] == [m.rows - 1] and echelon.sign * echelon.d < 0
         assert (climbs == []) == (passes or len(pivots) < m.rows or leading_negative)
         assert not hasattr(m, "_minors")
 
@@ -345,7 +357,7 @@ class TestPositivityTest:
 
     def test_a_refused_table_is_refused_before_the_test(self, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
-        # C(40, 20) minors: eliminated shape, above MAX_SUBSETS
+        # C(40, 20) minors, above MAX_SUBSETS
         m = RationalMatrix(vandermonde_rows(20, range(1, 41)))
         with pytest.raises(UnsupportedParameterError):
             check_tnn(m)
