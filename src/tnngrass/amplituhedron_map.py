@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .exact_linalg import (
-    MAX_SUBSETS,
     MinorTable,
     RationalMatrix,
     RowVector,
@@ -51,6 +50,11 @@ __all__ = [
 ]
 
 _PRECISION_CEILING = 640
+# z0 eliminates its (k+m) x n matrix at least once, at a cost that grows
+# about as n^4 (build_z0(1, 100) took 2.5 s on a 2-core x86-64 VM), so n
+# is refused above this before any entry is built.  It also keeps the
+# matrix far below MAX_SUBSETS entries.
+_MAX_Z0_COLUMNS = 64
 
 
 def signs_alternate(vec: Sequence[Fraction]) -> bool:
@@ -276,10 +280,9 @@ def build_z0(k: int, m: int, precision_digits: int = 12) -> AmplituhedronSetup:
             f"precision_digits must be between 8 and {_PRECISION_CEILING}, got {precision_digits}"
         )
     n = k + m + 1
-    # the (k+m) x n matrix outnumbers its n minors; refuse it before any entry is built
-    if (k + m) * n > MAX_SUBSETS:
+    if n > _MAX_Z0_COLUMNS:
         raise UnsupportedParameterError(
-            f"a {k + m}x{n} matrix would exceed the limit of {MAX_SUBSETS} entries"
+            f"n = k + m + 1 = {n} columns exceed the z0 limit of {_MAX_Z0_COLUMNS}"
         )
     digits = precision_digits
     while digits <= _PRECISION_CEILING:

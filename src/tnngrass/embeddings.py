@@ -18,9 +18,9 @@ from .errors import DomainError, InternalConsistencyError, RankError, WellDefine
 from .exact_linalg import (
     RationalMatrix,
     RowVector,
+    _cleared,
     all_maximal_minors,
     as_rational,
-    rank,
 )
 
 __all__ = [
@@ -67,28 +67,27 @@ class VeroneseMatrix:
 def veronese(x: Sequence[int | str | Fraction]) -> VeroneseMatrix:
     """Projection matrix of the line through x; invariant under scaling x.
 
-    The output is validated exactly: symmetric, trace one, idempotent,
-    rank one.  All four follow algebraically from the formula, so a
-    failure here means broken arithmetic, not bad input.
+    Built on integers: with x cleared to integers a (``_cleared``), row i
+    is a_i a / |a|^2, so P = x w^T with w = x / |x|^2.  The output is
+    validated exactly in O(d^2), as P = P^T and P x = x.  That suffices:
+    a symmetric x w^T has w = c x, since x (w^T x) = w |x|^2, and P x = x
+    gives w^T x = 1, so c = 1 / |x|^2.  Then P^2 = x (w^T x) w^T = P, P
+    has rank one (x and w are nonzero) and trace w^T x = 1.  A failure
+    here means broken arithmetic, not bad input.
     """
     vals = tuple(as_rational(v) for v in x)
     if not vals:
         raise DomainError("empty vector")
-    norm2 = sum(v * v for v in vals)
+    a, _ = _cleared(vals)
+    norm2 = sum(v * v for v in a)
     if norm2 == 0:
         raise DomainError("zero vector has no span")
-    entries = RationalMatrix(
-        tuple(vi * vj / norm2 for vj in vals) for vi in vals
-    )
-    d = len(vals)
+    entries = RationalMatrix.from_int_rows(([ai * aj for aj in a], norm2) for ai in a)
     if entries != entries.transpose():
         raise InternalConsistencyError("projection matrix is not symmetric")
-    if sum(entries.entry(i, i) for i in range(d)) != 1:
-        raise InternalConsistencyError("projection matrix trace is not 1")
-    if entries @ entries != entries:
-        raise InternalConsistencyError("projection matrix is not idempotent")
-    if rank(entries) != 1:
-        raise InternalConsistencyError("projection matrix does not have rank one")
+    column = RationalMatrix([v] for v in vals)
+    if entries @ column != column:
+        raise InternalConsistencyError("projection matrix does not fix x")
     return VeroneseMatrix(entries=entries)
 
 

@@ -38,9 +38,15 @@ it misses and the free columns it holds, d the determinant of the pivot
 columns (Postnikov, "Total positivity, Grassmannians, and networks",
 arXiv math/0609764, section 3).  This ladder computes the C(n, k) minors
 and nothing more, from one plan per pivot pattern, cached because
-generic matrices of one shape share it.  The table is a ``MinorTable``:
-integer minors over one positive scale, the product of the row
-denominators, so sign tests read integers; a matrix computes it once.
+generic matrices of one shape share it.  Its row and column subsets
+are colex, like every subset here.  The plan holds each minor's place
+in the levels concatenated, bitwise negated where the sign flips, and
+per level the count of leading minors that the levels up to it decide:
+a table reads every minor off the levels, and a scan reads them level
+by level and stops at the first negative one.  The table is a
+``MinorTable``: integer minors over one positive scale, the product of
+the row denominators, so sign tests read integers; a matrix computes
+it once.
 
 Total nonnegativity and the colex-first violation are one decision,
 ``_tnn_witness``, behind ``check_tnn``, ``TNNPoint.from_matrix`` and
@@ -59,7 +65,6 @@ package shares that convention.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -759,15 +764,15 @@ def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
     """The maximal minors of k integer rows in colex order, from their ``_echelon``.
 
     If the rank is below k every minor is 0.  Otherwise ``_ladder_levels``
-    climbs every level, and ``_place`` reads the minors off them.
+    climbs every level, and minor i is read off the levels concatenated at
+    its signed position ``_Ladder.positions[i]``.
     """
     if len(echelon.pivots) < k:
         return [0] * comb(n, k)
     plan = _ladder_plan(n, k, tuple(echelon.pivots))
     rows = itertools.chain.from_iterable(_ladder_levels(echelon, plan))
-    ints: list[int] = []
-    _place(ints, list(itertools.chain.from_iterable(rows)), plan, len(plan.positions))
-    return ints
+    values = list(itertools.chain.from_iterable(rows))
+    return [values[p] if p >= 0 else -values[~p] for p in plan.positions]
 
 
 def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]]:
@@ -786,7 +791,8 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
     is d det(R[S, F]), an integer, and the recurrence of the module
     docstring on A = D builds it from v of the empty block, d, and
     v({r}, {c}) = D[r][c].  Level s holds sign * v of the s x s blocks,
-    one list per row subset.  When k > n - k the ladder expands along the
+    one list per colex subset of block rows, over the colex subsets of
+    block columns.  When k > n - k the ladder expands along the
     first column of F instead, so that its inner loops run over the
     longer side.  The terms of each level come from ``plan``, the
     ``_ladder_plan`` of the echelon's pivots, which needs full rank.  A
@@ -805,25 +811,11 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
         yield level
 
 
-def _place(ints: list[int], values: list[int], plan: _Ladder, stop: int) -> None:
-    """Extend ``ints``, the integer minors of the first colex subsets, up to subset stop - 1.
-
-    The minors are read off ``values``, the ladder's levels concatenated
-    from level 0, which must reach level ``plan.reach[stop - 1]``.
-    """
-    start = len(ints)
-    ints.extend([values[p] for p in plan.positions[start:stop]])
-    negated = plan.negated
-    for i in negated[bisect.bisect_left(negated, start):bisect.bisect_left(negated, stop)]:
-        ints[i] = -ints[i]
-
-
 class _Ladder(NamedTuple):
     transposed: bool
     steps: tuple[tuple[tuple, tuple], ...]
     positions: tuple[int, ...]
-    negated: tuple[int, ...]
-    reach: tuple[int, ...]
+    stops: tuple[int, ...]
 
 
 @_shape_cache
@@ -832,40 +824,37 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
 
     It runs on the block B = D[:, free], or on B^T when k > n - k, so that
     block rows are the shorter side.  Level s holds v for the s-subsets X
-    of block rows (``itertools.combinations`` order) and Y of block
-    columns (colex order), X by X.  ``steps[s - 2]`` is level s >= 2: per
-    X, its first row r0 and the place of X - r0 in level s - 1, and the
-    ``_colex_terms`` of the block columns.  ``positions`` places each
-    colex subset in the levels concatenated; ``negated`` lists those with
-    sigma_I = -1; ``reach[i]`` is the highest level among colex subsets
-    0..i, so the first i + 1 minors need the levels up to it.  Cached:
-    generic matrices share the pivots (0, ..., k-1).
+    of block rows and Y of block columns, both in colex order, X by X.
+    ``steps[s - 2]`` is level s >= 2: per X, term 0 of the block rows'
+    ``_colex_terms`` (its first row r0 and the place of X - r0 on level
+    s - 1), and the ``_colex_terms`` of the block columns.
+    ``positions[i]`` is the place p of colex subset i in the levels
+    concatenated, stored as ~p when sigma_I = -1; ``stops[s]`` counts
+    the leading colex subsets that hold at most s free columns, so levels
+    0..s give the first stops[s] minors.  Cached: generic matrices share
+    the pivots (0, ..., k-1).
     """
     width = n - k
     transposed = k > width
     # the block's row and column counts
     n_rows, n_cols = (width, k) if transposed else (k, width)
     free = tuple(c for c in range(n) if c not in pivots)
-    row_index = [
-        {rows: i for i, rows in enumerate(itertools.combinations(range(n_rows), s))}
-        for s in range(n_rows + 1)
-    ]
     steps = tuple(
-        (tuple((rows[0], row_index[s - 1][rows[1:]]) for rows in row_index[s]), col_terms)
-        for s, col_terms in enumerate(_colex_terms(n_cols, n_rows), 2)
+        (tuple((r0, rest) for r0, rest, _, _ in row_terms[0]), col_terms)
+        for row_terms, col_terms in zip(_colex_terms(n_rows, n_rows), _colex_terms(n_cols, n_rows))
     )
     # A subset I is keyed by bit r for each pivot column of row r in I and
     # bit k + f for each free column free[f] in I; ``place`` maps the key
     # to the position of v(R_I, C_I) in the concatenated levels.
-    def key_parts(subsets, of_pivot_rows):
+    def key_parts(size, s, of_pivot_rows):
+        members = _colex_members(size, s)
         if of_pivot_rows:  # I holds the pivots of the rows not in x
-            return [(1 << k) - 1 ^ sum(1 << r for r in x) for x in subsets]
-        return [sum(1 << (k + f) for f in x) for x in subsets]
+            return [(1 << k) - 1 ^ sum(1 << (r - 1) for r in x) for x in members]
+        return [sum(1 << (k + f - 1) for f in x) for x in members]
 
     place: dict[int, int] = {}
-    for s, rows in enumerate(row_index):
-        cols = [[c - 1 for c in y] for y in _colex_members(n_cols, s)]
-        outer, inner = key_parts(rows, not transposed), key_parts(cols, transposed)
+    for s in range(n_rows + 1):
+        outer, inner = key_parts(n_rows, s, not transposed), key_parts(n_cols, s, transposed)
         keys = [a | b for a in outer for b in inner]
         place.update(zip(keys, range(len(place), len(place) + len(keys))))
     # per 1-based column: its key bit and the row of its pivot, or -1
@@ -875,9 +864,7 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
     for f, c in enumerate(free):
         column[c + 1] = (1 << (k + f), -1)
     positions = []
-    negated = []
-    reach = []
-    top = 0
+    stops: list[int] = []
     for i, subset in enumerate(_colex(n, k).subsets):
         # a subset's level is the number of free columns it holds
         key = parity = level = 0
@@ -888,21 +875,20 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
                 parity += r + pos
             else:
                 level += 1
-        positions.append(place[key])
-        if parity % 2:
-            negated.append(i)
-        top = max(top, level)
-        reach.append(top)
-    return _Ladder(transposed, steps, tuple(positions), tuple(negated), tuple(reach))
+        positions.append(~place[key] if parity % 2 else place[key])
+        while len(stops) < level:
+            stops.append(i)
+    stops += [len(positions)] * (n_rows + 1 - len(stops))
+    return _Ladder(transposed, steps, tuple(positions), tuple(stops))
 
 
 def _first_negative(
-    ints: Sequence[int], start: int, subsets: Sequence[IndexSubset], scale: int
+    ints: Sequence[int], subsets: Sequence[IndexSubset], scale: int
 ) -> tuple[IndexSubset, Fraction] | None:
-    """The first negative minor from ints[start] on, as (its subset, ints[i] / scale), or None."""
-    for i, value in enumerate(itertools.islice(ints, start, None), start):
+    """The first negative minor, as (its subset, ints[i] / scale), or None."""
+    for value, subset in zip(ints, subsets):
         if value < 0:
-            return subsets[i], Fraction(value, scale)
+            return subset, Fraction(value, scale)
     return None
 
 
@@ -927,10 +913,11 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
     A pass is the answer (True, None).
 
     Otherwise the minors are read in colex order off the ladder of the
-    same echelon form (``_ladder_levels``), which climbs one more level
-    only when the next subset needs it (``_Ladder.reach``), and the scan
-    stops at the first negative one.  A matrix that is nonnegative but
-    not positive climbs every level.  A table above ``MAX_SUBSETS`` is
+    same echelon form (``_ladder_levels``): after level s the scan reads
+    minors up to ``_Ladder.stops[s]``, each at its signed position, and
+    stops at the first negative one, so it climbs one more level only
+    when the next subset needs it.  A matrix that is nonnegative but not
+    positive climbs every level.  A table above ``MAX_SUBSETS`` is
     refused before anything is eliminated.
     """
     if isinstance(m, RationalMatrix):
@@ -938,7 +925,7 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
         if k > n or hasattr(m, "_minors"):
             m = all_maximal_minors(m)  # held, or refused
     if isinstance(m, MinorTable):
-        violation = _first_negative(m.ints, 0, m.subsets, m.scale)
+        violation = _first_negative(m.ints, m.subsets, m.scale)
         return violation is not None or any(m.ints), violation
     colex = _colex(n, k)
     int_rows, scale = _int_rows_and_scale(m)
@@ -961,14 +948,14 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
             return True, None
     plan = _ladder_plan(n, k, tuple(pivots))
     values: list[int] = []
-    ints: list[int] = []
-    for top, level in enumerate(_ladder_levels(echelon, plan)):
+    start = 0
+    for level, stop in zip(_ladder_levels(echelon, plan), plan.stops):
         values.extend(itertools.chain.from_iterable(level))
-        start = len(ints)
-        _place(ints, values, plan, bisect.bisect_right(plan.reach, top, start))
-        violation = _first_negative(ints, start, colex.subsets, scale)
-        if violation is not None:
-            return True, violation
+        for i, p in enumerate(plan.positions[start:stop], start):
+            value = values[p] if p >= 0 else -values[~p]
+            if value < 0:
+                return True, (colex.subsets[i], Fraction(value, scale))
+        start = stop
     return True, None
 
 

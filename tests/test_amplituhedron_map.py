@@ -247,6 +247,12 @@ class TestBuildZ0:
         with pytest.raises(UnsupportedParameterError):
             build_z0(1, 2, precision_digits=4)
 
+    @pytest.mark.parametrize("k,m", [(2, 62), (1, 64), (64, 0)])
+    def test_more_than_64_columns_refused_before_any_entry(self, monkeypatch, k, m):
+        monkeypatch.setattr(map_mod, "_trig_rows", lambda *args: pytest.fail("entries built"))
+        with pytest.raises(UnsupportedParameterError, match="exceed the z0 limit of 64"):
+            build_z0(k, m)
+
     def test_higher_precision_also_verifies(self):
         setup = build_z0(2, 2, precision_digits=20)
         assert setup.all_minors_positive

@@ -93,8 +93,8 @@ def _cap_address_space():
 
 class TestTableSizeLimit:
     """A few KB of input asking for C(40, 20) or C(41, 20) minors, or a few
-    bytes asking for a matrix of more entries than that limit, is refused
-    before the matrix is built."""
+    bytes asking for a matrix of more entries than that limit or a z0
+    setup of more than 64 columns, is refused before the matrix is built."""
 
     REQUESTS = {
         "fiber-campaign": ["fiber-campaign", "--k", "20", "--m", "20", "--trials", "1"],
@@ -102,6 +102,8 @@ class TestTableSizeLimit:
         "sample-n": ["sample", "--k", "1", "--n", "100000000"],
         "sample-k": ["sample", "--k", "3000", "--n", "3001"],
         "z0": ["z0", "--k", "100000001", "--m", "0"],
+        # a 441 x 442 matrix of only 194922 entries: n is refused above 64
+        "z0-n": ["z0", "--k", "1", "--m", "440"],
     }
 
     @pytest.mark.parametrize("command", ["check-tnn", *REQUESTS])

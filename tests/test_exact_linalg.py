@@ -1,9 +1,10 @@
 """Core exact linear algebra: determinants, minors, kernels, solves."""
 
+import itertools
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 from random import Random
 
 import pytest
@@ -458,6 +459,42 @@ class TestTwoTablePaths:
         with pytest.raises(UnsupportedParameterError):
             all_maximal_minors(m)
         assert calls == []
+
+
+class TestLadderPlan:
+    """Every pivot pattern of every k x n ladder, 1 <= k <= n <= 7, against direct expansion."""
+
+    @staticmethod
+    def _reduced_rows(rng, n, pivots):
+        # unit columns at the pivots, zeros left of each pivot, seeded entries elsewhere
+        return [
+            [int(j == c) if j <= c or j in pivots else rng.randint(-9, 9) for j in range(n)]
+            for c in pivots
+        ]
+
+    @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 8) for k in range(1, n + 1)])
+    def test_every_pivot_pattern(self, k, n):
+        rng = Random(f"ladder:{k}:{n}")
+        count = comb(n, k)
+        n_rows = min(k, n - k)
+        for pivots in itertools.combinations(range(n), k):
+            rows = self._reduced_rows(rng, n, pivots)
+            direct = exact_linalg._expanded_minors([row[:] for row in rows], exact_linalg._colex_terms(n, k))
+            echelon = exact_linalg._echelon([row[:] for row in rows])
+            assert echelon.pivots == list(pivots)
+            assert exact_linalg._ladder_minors(echelon, n, k) == direct
+            plan = exact_linalg._ladder_plan(n, k, pivots)
+            # k > n - k ladders the transposed block
+            assert plan.transposed == (k > n - k)
+            assert sorted(p if p >= 0 else ~p for p in plan.positions) == list(range(count))
+            stops = plan.stops
+            assert len(stops) == n_rows + 1 and stops[-1] == count
+            assert list(stops) == sorted(stops)
+            free_held = [len(set(subset.members) - {c + 1 for c in pivots}) for subset in subsets_colex(n, k)]
+            for s, stop in enumerate(stops):
+                # the leading subsets with at most s free columns, and no more
+                assert max(free_held[:stop], default=0) <= s
+                assert stop == count or free_held[stop] > s
 
 
 class TestMinorTableMemo:
