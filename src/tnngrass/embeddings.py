@@ -14,13 +14,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from .amplituhedron_map import AmplituhedronSetup, hat_map
-from .errors import DomainError, InternalConsistencyError, RankError, WellDefinednessError
+from .errors import (
+    DomainError,
+    InternalConsistencyError,
+    RankError,
+    UnsupportedParameterError,
+    WellDefinednessError,
+)
 from .exact_linalg import (
+    MAX_SUBSETS,
     RationalMatrix,
     RowVector,
     _cleared,
     all_maximal_minors,
     as_rational,
+    capped_comb,
 )
 
 __all__ = [
@@ -96,8 +104,17 @@ def embed_point(setup: AmplituhedronSetup, matrix: RationalMatrix) -> VeroneseMa
 
     Independent of the representative: left multiplication by an
     invertible G rescales every minor coordinate by det(G), which the
-    projection formula cancels.
+    projection formula cancels.  A d x d projection, d = C(k+m, k), of
+    more than ``MAX_SUBSETS`` entries is refused from the shape alone,
+    before the map runs.
     """
+    k, m = setup.k, setup.m
+    d = capped_comb(k + m, k, MAX_SUBSETS)
+    if d * d > MAX_SUBSETS:
+        raise UnsupportedParameterError(
+            f"a C({k + m}, {k}) x C({k + m}, {k}) projection matrix would exceed "
+            f"the limit of {MAX_SUBSETS} entries"
+        )
     mapped = hat_map(setup, matrix)
     if mapped.image_rank < setup.k:
         raise WellDefinednessError(

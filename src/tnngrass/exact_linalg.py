@@ -50,17 +50,22 @@ it once.
 
 Total nonnegativity and the colex-first violation are one decision,
 ``_tnn_witness``, behind ``check_tnn``, ``TNNPoint.from_matrix`` and
-``in_closed_cell``.  A table handed over, or held by the matrix, is
-scanned.  A matrix with no table is eliminated and tested, whatever its
-shape, and keeps no table: rank below k, and a negative minor on columns
-1..k, are read off the pivots; otherwise the k(n - k) initial minors of
-the signed free block test total positivity (Fomin and Zelevinsky), and
-only a failed test reads minors in colex order off the same
-elimination's ladder, as far as the first violation needs.
+``in_closed_cell``.  A table held by the matrix is scanned.  A matrix
+with no table is eliminated and tested, whatever its shape, and keeps no
+table: rank below k, and a negative minor on columns 1..k, are read off
+the pivots; otherwise the k(n - k) initial minors of the signed free
+block test total positivity (Fomin and Zelevinsky), and only a failed
+test reads minors in colex order off the same elimination's ladder, as
+far as the first violation needs.
 
-Column subsets are 1-based throughout and enumerated in colexicographic
-order (compare largest member first); every subset-keyed result in the
-package shares that convention.
+Column subsets are 1-based throughout and ordered colexicographically
+(compare largest member first); every subset-keyed result in the
+package shares that convention.  A subset's place in that order is its
+colex rank, sum_i C(c_i - 1, i) over its members c_1 < ... < c_k
+(Knuth, TAOCP 4A, section 7.2.1.3), so a table is read by rank
+(``MinorTable.int_at``) and a violation is named by unranking its
+place (``_colex_unrank``).  No decision builds the C(n, k) subsets;
+only a caller that iterates ``MinorTable.subsets`` does.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ import itertools
 import operator
 import re
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -230,18 +235,18 @@ def subsets_colex(n: int, k: int) -> list[IndexSubset]:
     """
     if k < 0 or n < 0:
         raise DimensionError("subset parameters must be nonnegative")
-    return list(_colex(n, k).subsets)
+    return list(_colex_subsets(n, k))
 
 
-# Shape data (the subsets of a table, their positions, its expansion and
-# ladder plans) is cached in three caches of at most this many subsets'
-# worth of entries each, least recently used first out.  tracemalloc
-# measured about 285 bytes per subset with its position for k <= 8 and at
-# most 240 bytes per plan entry on plans of 1000 subsets or more (a ladder
-# plan also holds a fixed 1-2 KB; expansion plans of 3 x 40, 3 x 80 and
-# 2 x 400 took 216, 200 and 166 bytes per subset), so about 76 MB in all;
-# each member beyond 8 adds 8 bytes to a subset.  Larger tables rebuild
-# their shape data once per call.
+# Shape data (the subsets of a table, its expansion and ladder plans) is
+# cached in three caches of at most this many subsets' worth of entries
+# each, least recently used first out.  tracemalloc measured 180-235 bytes
+# per subset for k <= 8 on 500 subsets or more (284 on the 56 of 3 x 8)
+# and at most 240 bytes per plan entry on plans of 1000 subsets or more (a
+# ladder plan also holds a fixed 1-2 KB; expansion plans of 3 x 40, 3 x 80
+# and 2 x 400 took 216, 200 and 166 bytes per subset), so about 70 MB in
+# all; each member beyond 8 adds 8 bytes to a subset.  Larger shapes
+# rebuild their shape data once per call, and no decision builds subsets.
 CACHED_SUBSETS = 100_000
 
 
@@ -270,6 +275,20 @@ def _shape_cache(build):
     return lookup
 
 
+def _subset_count(n: int, k: int) -> int:
+    """C(n, k), the number of k-subsets of {1..n}, or UnsupportedParameterError above ``MAX_SUBSETS``.
+
+    Every enumeration, table and decision on k x n matrices asks this
+    first, so a refused shape builds and eliminates nothing.
+    """
+    count = capped_comb(n, k, MAX_SUBSETS)
+    if count > MAX_SUBSETS:
+        raise UnsupportedParameterError(
+            f"C({n}, {k}) column subsets exceed the limit of {MAX_SUBSETS}"
+        )
+    return count
+
+
 def _colex_members(n: int, k: int) -> list[tuple[int, ...]]:
     """The k-subsets of {1..n} as increasing tuples in colexicographic order.
 
@@ -277,51 +296,79 @@ def _colex_members(n: int, k: int) -> list[tuple[int, ...]]:
     the alphabet n, n-1, ..., 1, read backwards.  More than ``MAX_SUBSETS``
     subsets raise UnsupportedParameterError before any is built.
     """
-    if capped_comb(n, k, MAX_SUBSETS) > MAX_SUBSETS:
-        raise UnsupportedParameterError(
-            f"C({n}, {k}) column subsets exceed the limit of {MAX_SUBSETS}"
-        )
+    _subset_count(n, k)
     return [c[::-1] for c in reversed(list(itertools.combinations(range(n, 0, -1), k)))]
 
 
-class _Colex(NamedTuple):
-    subsets: tuple[IndexSubset, ...]
-    index: dict[IndexSubset, int]
+def _colex_rank(members: Sequence[int]) -> int:
+    """The position of increasing 1-based members c_1 < ... < c_k in colex order.
+
+    It is sum_i C(c_i - 1, i) (Knuth, TAOCP 4A, section 7.2.1.3): the
+    subsets before it are, for each i, those that agree with it above
+    c_i and hold i members below c_i.
+    """
+    return sum(map(comb, [c - 1 for c in members], itertools.count(1)))
+
+
+def _colex_unrank(rank: int, k: int) -> IndexSubset:
+    """The k-subset at position ``rank`` in colex order, the inverse of ``_colex_rank``.
+
+    Greedy from the largest member down: c_i is the largest c with
+    C(c - 1, i) <= what remains of the rank, the least c >= i with
+    C(c, i) above it.
+    """
+    members = []
+    for i in range(k, 0, -1):
+        c = next(c for c in itertools.count(i) if comb(c, i) > rank)
+        rank -= comb(c - 1, i)
+        members.append(c)
+    return IndexSubset._trusted(tuple(reversed(members)))
 
 
 @_shape_cache
-def _colex(n: int, k: int) -> _Colex:
-    """The k-subsets of {1..n} in colexicographic order and the position of each."""
-    subsets = tuple(map(IndexSubset._trusted, _colex_members(n, k)))
-    return _Colex(subsets, {subset: i for i, subset in enumerate(subsets)})
+def _colex_subsets(n: int, k: int) -> tuple[IndexSubset, ...]:
+    """The k-subsets of {1..n} in colexicographic order, for callers that iterate them."""
+    return tuple(map(IndexSubset._trusted, _colex_members(n, k)))
 
 
 @dataclass(frozen=True, slots=True)
 class MinorTable:
     """All maximal minors of a k x n matrix as integers over one positive scale.
 
-    ``ints[i] / scale`` is the minor on ``subsets[i]``, in colexicographic
-    order, and ``index`` maps each subset to its position.  The scale is
-    positive, so the sign of a minor is the sign of its integer and sign
-    tests never build a Fraction.  Built only by ``all_maximal_minors``,
-    once per matrix, and kept on it.
+    ``ints[i] / scale`` is the minor on the column subset of colex rank
+    i, sum_j C(c_j - 1, j) for its members c_1 < ... < c_k
+    (``_colex_rank``); ``int_at`` reads a subset's minor by that rank,
+    and ``subsets`` lists them in that order.  The scale is positive, so
+    the sign of a minor is the sign of its integer and sign tests never
+    build a Fraction.  Built only by ``all_maximal_minors``, once per
+    matrix, and kept on it.
     """
 
     n: int
-    subsets: tuple[IndexSubset, ...]
+    k: int
     ints: tuple[int, ...]
     scale: int
-    index: dict[IndexSubset, int] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.ints) != len(self.subsets):
-            raise DimensionError(f"{len(self.ints)} minors for {len(self.subsets)} column subsets")
+        if len(self.ints) != comb(self.n, self.k):
+            raise DimensionError(f"{len(self.ints)} minors for C({self.n}, {self.k}) column subsets")
         if self.scale <= 0:
             raise ValueError(f"minor table scale must be positive, got {self.scale}")
 
+    @property
+    def subsets(self) -> tuple[IndexSubset, ...]:
+        """The column subsets in colex order, ``ints``' order."""
+        return _colex_subsets(self.n, self.k)
+
     def int_at(self, subset: IndexSubset) -> int:
-        """The minor on ``subset`` times ``scale``: an integer of the same sign."""
-        return self.ints[self.index[subset]]
+        """The minor on ``subset`` times ``scale``: an integer of the same sign.
+
+        KeyError for a subset of another size or with a member above n.
+        """
+        members = subset.members
+        if len(members) != self.k or (members and members[-1] > self.n):
+            raise KeyError(subset)
+        return self.ints[_colex_rank(members)]
 
 
 class _IntRows(tuple):
@@ -681,14 +728,14 @@ def _minor_table(m: RationalMatrix) -> MinorTable:
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"wide matrix required, got {k}x{n}")
-    colex = _colex(n, k)
+    _subset_count(n, k)
     int_rows, scale = _int_rows_and_scale(m)
     plan = _expansion_plan(n, k)
     if plan is None:
         ints = _ladder_minors(_echelon(int_rows), n, k)
     else:
         ints = _expanded_minors(int_rows, plan)
-    return MinorTable(n, colex.subsets, tuple(ints), scale, colex.index)
+    return MinorTable(n, k, tuple(ints), scale)
 
 
 def _level_step(coeffs: list[int], below: list[int], col_terms: tuple, d: int) -> list[int]:
@@ -731,8 +778,8 @@ def _expansion_plan(n: int, k: int) -> tuple | None:
     direct took 0.19-0.98x the eliminated time on every k <= 4 shape
     tried up to 4 x 29 (4 x 40, entries in -9..9: 1.31x), and was slower
     on most k >= 5 shapes with entries up to 16 bits, square ones and
-    5 x 6 aside, though not on most with 64-bit entries.  Cached with
-    the shape's subsets, which ``_colex`` has built (or refused) first.
+    5 x 6 aside, though not on most with 64-bit entries.  Its caller
+    has refused shapes above ``MAX_SUBSETS`` (``_subset_count``) first.
     """
     return _colex_terms(n, k) if k <= 4 else None
 
@@ -865,10 +912,10 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
         column[c + 1] = (1 << (k + f), -1)
     positions = []
     stops: list[int] = []
-    for i, subset in enumerate(_colex(n, k).subsets):
+    for i, members in enumerate(_colex_members(n, k)):
         # a subset's level is the number of free columns it holds
         key = parity = level = 0
-        for pos, j in enumerate(subset.members):
+        for pos, j in enumerate(members):
             bit, r = column[j]
             key |= bit
             if r >= 0:
@@ -882,23 +929,14 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
     return _Ladder(transposed, steps, tuple(positions), tuple(stops))
 
 
-def _first_negative(
-    ints: Sequence[int], subsets: Sequence[IndexSubset], scale: int
-) -> tuple[IndexSubset, Fraction] | None:
-    """The first negative minor, as (its subset, ints[i] / scale), or None."""
-    for value, subset in zip(ints, subsets):
-        if value < 0:
-            return subset, Fraction(value, scale)
-    return None
-
-
-def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubset, Fraction] | None]:
+def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] | None]:
     """Whether a k x n matrix, k <= n, has rank k, and its colex-first negative maximal minor.
 
-    The decision of the module docstring, on a matrix or on a table.  A
-    table handed over or held by the matrix gives its first negative
-    minor, or else rank k iff some minor is nonzero.  Any other matrix
-    is eliminated and tested: rank below k is the answer (False, None).
+    The decision of the module docstring.  A table the matrix holds
+    gives its first negative minor, or else rank k iff some minor is
+    nonzero.  Any other matrix is refused above ``MAX_SUBSETS``
+    (``_subset_count``) before anything is eliminated, and is otherwise
+    eliminated and tested: rank below k is the answer (False, None).
     When the pivots are the first k columns, the minor on them, the
     colex-first one, is sign * d, read off ``_bareiss`` before any
     back-substitution; if it is negative it is the answer.  If it is
@@ -917,17 +955,18 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
     minors up to ``_Ladder.stops[s]``, each at its signed position, and
     stops at the first negative one, so it climbs one more level only
     when the next subset needs it.  A matrix that is nonnegative but not
-    positive climbs every level.  A table above ``MAX_SUBSETS`` is
-    refused before anything is eliminated.
+    positive climbs every level.  Every violation, on a held table, on
+    the pivots or on the ladder, is named by ``_colex_unrank`` of its
+    colex rank.
     """
-    if isinstance(m, RationalMatrix):
-        k, n = m.rows, m.cols
-        if k > n or hasattr(m, "_minors"):
-            m = all_maximal_minors(m)  # held, or refused
-    if isinstance(m, MinorTable):
-        violation = _first_negative(m.ints, m.subsets, m.scale)
-        return violation is not None or any(m.ints), violation
-    colex = _colex(n, k)
+    k, n = m.rows, m.cols
+    table = getattr(m, "_minors", None) if k <= n else all_maximal_minors(m)  # held; tall is refused
+    if table is not None:
+        for i, value in enumerate(table.ints):
+            if value < 0:
+                return True, (_colex_unrank(i, k), Fraction(value, table.scale))
+        return any(table.ints), None
+    _subset_count(n, k)
     int_rows, scale = _int_rows_and_scale(m)
     pivots, sign = _bareiss(int_rows)
     if len(pivots) < k:
@@ -936,7 +975,7 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
     pivot_minor = sign * int_rows[k - 1][pivots[-1]]
     leading = pivots[-1] == k - 1
     if leading and pivot_minor < 0:
-        return True, (colex.subsets[0], Fraction(pivot_minor, scale))
+        return True, (_colex_unrank(0, k), Fraction(pivot_minor, scale))
     echelon = _Echelon(pivots, sign, *_back_substitute(int_rows, pivots))
     if leading:
         d = echelon.d
@@ -954,7 +993,7 @@ def _tnn_witness(m: RationalMatrix | MinorTable) -> tuple[bool, tuple[IndexSubse
         for i, p in enumerate(plan.positions[start:stop], start):
             value = values[p] if p >= 0 else -values[~p]
             if value < 0:
-                return True, (colex.subsets[i], Fraction(value, scale))
+                return True, (_colex_unrank(i, k), Fraction(value, scale))
         start = stop
     return True, None
 

@@ -132,9 +132,8 @@ class FiberConvexityCertificate:
 
     def coefficients(self, cols: IndexSubset) -> tuple[Fraction, Fraction]:
         """(alpha, beta) of the minor on ``cols``; KeyError for a subset not in the tables."""
-        i = self.u_minors.index[cols]
-        alpha = Fraction(self.u_minors.ints[i], self.u_minors.scale)
-        return alpha, Fraction(self.v_minors.ints[i], self.v_minors.scale) - alpha
+        alpha = Fraction(self.u_minors.int_at(cols), self.u_minors.scale)
+        return alpha, Fraction(self.v_minors.int_at(cols), self.v_minors.scale) - alpha
 
     def to_json_dict(self) -> dict:
         u, v = self.u_minors, self.v_minors

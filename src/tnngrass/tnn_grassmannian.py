@@ -92,7 +92,8 @@ class TNNPoint:
     @classmethod
     def from_matrix(cls, matrix: RationalMatrix) -> "TNNPoint":
         # the table, not the positivity test: callers read it next
-        rank_ok, violation = exact_linalg._tnn_witness(all_maximal_minors(matrix))
+        all_maximal_minors(matrix)
+        rank_ok, violation = exact_linalg._tnn_witness(matrix)
         if not rank_ok:
             raise DegeneracyError(f"matrix has rank below {matrix.rows}")
         if violation is not None:
@@ -171,7 +172,7 @@ def in_closed_cell(matrix: RationalMatrix, cell: PositroidCellSpec) -> bool:
     if (matrix.rows, matrix.cols) != (cell.k, cell.n):
         raise DimensionError(f"matrix is {matrix.rows}x{matrix.cols} but cell expects {cell.k}x{cell.n}")
     minors = all_maximal_minors(matrix)
-    if not TNNWitnessReport(*exact_linalg._tnn_witness(minors)).is_tnn:
+    if not TNNWitnessReport(*exact_linalg._tnn_witness(matrix)).is_tnn:
         return False
     return all(minors.int_at(s) == 0 for s in cell.nonbases)
 

@@ -92,9 +92,10 @@ def _cap_address_space():
 
 
 class TestTableSizeLimit:
-    """A few KB of input asking for C(40, 20) or C(41, 20) minors, or a few
-    bytes asking for a matrix of more entries than that limit or a z0
-    setup of more than 64 columns, is refused before the matrix is built."""
+    """A few KB of input asking for C(40, 20) or C(41, 20) minors or for a
+    C(20, 10)-square projection, or a few bytes asking for a matrix of more
+    entries than that limit or a z0 setup of more than 64 columns, is
+    refused before the matrix is built."""
 
     REQUESTS = {
         "fiber-campaign": ["fiber-campaign", "--k", "20", "--m", "20", "--trials", "1"],
@@ -106,11 +107,17 @@ class TestTableSizeLimit:
         "z0-n": ["z0", "--k", "1", "--m", "440"],
     }
 
-    @pytest.mark.parametrize("command", ["check-tnn", *REQUESTS])
+    @pytest.mark.parametrize("command", ["check-tnn", "embed", *REQUESTS])
     def test_refused_quickly_without_traceback(self, tmp_path, command):
         if command == "check-tnn":
             rows = [[int(i == j) for j in range(40)] for i in range(20)]
             args = [command, write(tmp_path / "wide.json", RationalMatrix(rows).to_json_dict())]
+        elif command == "embed":
+            # (k, m) = (10, 10): a C(20, 10) x C(20, 10) projection, 3.4e10 entries
+            nodes = [Fraction(i) for i in range(1, 22)]
+            setup = write(tmp_path / "setup.json", vandermonde_setup(10, 10, nodes).to_json_dict())
+            point = RationalMatrix([[x ** i for x in nodes] for i in range(10)])
+            args = [command, setup, write(tmp_path / "point.json", point.to_json_dict())]
         else:
             args = self.REQUESTS[command]
         start = time.perf_counter()

@@ -307,23 +307,30 @@ class TestAllMaximalMinors:
             table[first] = Fraction(0)
         with pytest.raises(TypeError):
             table.ints[0] = 0
-        for name in ("ints", "scale", "subsets", "n", "index"):
+        for name in ("ints", "scale", "n", "k"):
             with pytest.raises(AttributeError):
                 setattr(table, name, None)
             with pytest.raises(AttributeError):
                 delattr(table, name)
-        with pytest.raises(KeyError):
-            table.int_at(IndexSubset((1, 2)))
+        # a slotted frozen dataclass raises TypeError, not AttributeError, on
+        # Python 3.11 for a name that is not a field, such as the property
+        with pytest.raises((AttributeError, TypeError)):
+            table.subsets = ()
+        assert not hasattr(table, "index")
+        # a subset of the wrong size, or with a member above n, has no minor
+        for subset in (IndexSubset((1, 2)), IndexSubset((1, 2, 3, 4, 5, 6)), IndexSubset((1, 2, 3, 4, 8))):
+            with pytest.raises(KeyError):
+                table.int_at(subset)
 
     def test_construction_checks_lengths_and_a_positive_scale(self):
         table = all_maximal_minors(RationalMatrix([[1, 1, 1], [1, 2, 3]]))
-        assert MinorTable(table.n, table.subsets, table.ints, table.scale, table.index) == table
+        assert MinorTable(table.n, table.k, table.ints, table.scale) == table
         for ints in (table.ints[:-1], table.ints + (1,), ()):
             with pytest.raises(DimensionError):
-                MinorTable(table.n, table.subsets, ints, table.scale, table.index)
+                MinorTable(table.n, table.k, ints, table.scale)
         for scale in (0, -1, -table.scale):
             with pytest.raises(ValueError) as exc:
-                MinorTable(table.n, table.subsets, table.ints, scale, table.index)
+                MinorTable(table.n, table.k, table.ints, scale)
             # DimensionError is a ValueError too; the scale check raises the plain one
             assert type(exc.value) is ValueError
 
@@ -1027,6 +1034,17 @@ class TestSubsetsAndSerialization:
         again = subsets_colex(5, 3)
         assert len(again) == 10 and again is not first
         assert [s.members for s in again] == [s.members for s in subsets_colex(5, 3)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 12))
+    @example(0)
+    @example(12)
+    def test_rank_and_unrank_follow_the_enumeration(self, n):
+        # every k <= n: position i of the enumeration has rank i and unranks to it
+        for k in range(n + 1):
+            members = exact_linalg._colex_members(n, k)
+            assert [exact_linalg._colex_rank(c) for c in members] == list(range(len(members)))
+            assert [exact_linalg._colex_unrank(i, k) for i in range(len(members))] == list(map(IndexSubset, members))
 
     def test_index_subset_validation(self):
         with pytest.raises(DimensionError):

@@ -1,6 +1,7 @@
 """Positivity tests, matroid extraction, cell membership, sampling."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -362,6 +363,31 @@ class TestPositivityTest:
         with pytest.raises(UnsupportedParameterError):
             check_tnn(m)
         assert eliminations == []
+
+    def test_a_large_passing_test_builds_no_subsets(self):
+        # C(20, 10) = 184756 subsets, above CACHED_SUBSETS: the passing test
+        # reads 100 initial minors and names nothing, so it holds no subset
+        m = RationalMatrix(vandermonde_rows(10, range(1, 21)))
+        tracemalloc.start()
+        try:
+            report = check_tnn(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.is_tnn
+        assert peak < 1_000_000
+        assert not hasattr(m, "_minors")
+
+    def test_a_large_violation_is_named_by_its_rank(self):
+        # the colex-first subset holding column 20 is 1..9, 20, after every
+        # subset of 1..19; no subset tuple of this shape is cached to read it from
+        nodes = [*range(1, 10), 20]
+        m = RationalMatrix(negate_column(vandermonde_rows(10, range(1, 21)), 20))
+        report = check_tnn(m)
+        assert report.first_violation == (IndexSubset(tuple(nodes)), -vandermonde_det(nodes))
+        assert report.to_json_dict()["firstViolation"] == {
+            "cols": nodes, "minor": "-169507484299610711654400000"
+        }
 
 
 class TestTnnPoint:
