@@ -195,6 +195,8 @@ def load_setup(path: str) -> AmplituhedronSetup:
     """Rebuild a setup from file, re-running all exact validation."""
     with _loaded(path, "setup") as obj:
         z = RationalMatrix.from_json_dict(obj["Z"])
+        if "n" in obj and as_int(obj["n"]) != z.cols:
+            raise UserInputError(f"{path}: stated n = {obj['n']} does not match the {z.cols} columns of Z")
         setup = build_setup(as_int(obj["k"]), as_int(obj["m"]), z)
         stored_kernel = obj.get("kernel")
         stated = None if stored_kernel is None else tuple(map(as_rational, as_list(stored_kernel)))

@@ -40,13 +40,12 @@ arXiv math/0609764, section 3).  This ladder computes the C(n, k) minors
 and nothing more, from one plan per pivot pattern, cached because
 generic matrices of one shape share it.  Its row and column subsets
 are colex, like every subset here.  The plan holds each minor's place
-in the levels concatenated, bitwise negated where the sign flips, and
-per level the count of leading minors that the levels up to it decide:
-a table reads every minor off the levels, and a scan reads them level
-by level and stops at the first negative one.  The table is a
-``MinorTable``: integer minors over one positive scale, the product of
-the row denominators, so sign tests read integers; a matrix computes
-it once.
+in the levels concatenated, bitwise negated where the sign flips: a
+table reads every minor off the levels, and a scan reads them in colex
+order, climbing to the next level only when a minor needs it.  The
+table is a ``MinorTable``: integer minors over one positive scale, the
+product of the row denominators, so sign tests read integers; a matrix
+computes it once.
 
 Total nonnegativity and the colex-first violation are one decision,
 ``_tnn_witness``, behind ``check_tnn``, ``TNNPoint.from_matrix`` and
@@ -56,7 +55,8 @@ table: rank below k, and a negative minor on columns 1..k, are read off
 the pivots; otherwise the k(n - k) initial minors of the signed free
 block test total positivity (Fomin and Zelevinsky), and only a failed
 test reads minors in colex order off the same elimination's ladder, as
-far as the first violation needs.
+far as the first violation needs.  Held or laddered, the minors are
+read by one loop.
 
 Column subsets are 1-based throughout and ordered colexicographically
 (compare largest member first); every subset-keyed result in the
@@ -822,6 +822,30 @@ def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
     return [values[p] if p >= 0 else -values[~p] for p in plan.positions]
 
 
+def _ladder_scan(echelon: _Echelon, n: int, k: int) -> Iterator[int]:
+    """The maximal minors of k integer rows of rank k in colex order, from their ``_echelon``.
+
+    Minor i is read off the levels concatenated at its signed position
+    ``_Ladder.positions[i]``, and more levels are taken from
+    ``_ladder_levels`` only when that position lies above the values
+    read so far.  So a reader that stops after minor i has climbed to
+    level s, the most free columns any of minors 0..i holds, and built
+    nothing above it.  The climb runs on the read's IndexError, so a
+    minor on a level already climbed costs no bounds check.
+    """
+    plan = _ladder_plan(n, k, tuple(echelon.pivots))
+    levels = _ladder_levels(echelon, plan)
+    values: list[int] = []
+    for p in plan.positions:
+        try:
+            value = values[p] if p >= 0 else -values[~p]
+        except IndexError:  # p lies above the levels climbed so far
+            while (p if p >= 0 else ~p) >= len(values):
+                values += itertools.chain.from_iterable(next(levels))
+            value = values[p] if p >= 0 else -values[~p]
+        yield value
+
+
 def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]]:
     """The values of the reduced form's ladder, one level per step, from level 0 up.
 
@@ -842,8 +866,10 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
     block columns.  When k > n - k the ladder expands along the
     first column of F instead, so that its inner loops run over the
     longer side.  The terms of each level come from ``plan``, the
-    ``_ladder_plan`` of the echelon's pivots, which needs full rank.  A
-    caller that stops early builds nothing above the last level it read.
+    ``_ladder_plan`` of the echelon's pivots, which needs full rank.
+    Tables take every level (``_ladder_minors``); ``_ladder_scan`` takes
+    the next one only when the next minor it reads lies on it, so a
+    reader that stops early builds nothing above the last level it read.
     """
     _, sign, reduced, d = echelon
     yield [[sign * d]]
@@ -862,7 +888,6 @@ class _Ladder(NamedTuple):
     transposed: bool
     steps: tuple[tuple[tuple, tuple], ...]
     positions: tuple[int, ...]
-    stops: tuple[int, ...]
 
 
 @_shape_cache
@@ -876,10 +901,9 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
     ``_colex_terms`` (its first row r0 and the place of X - r0 on level
     s - 1), and the ``_colex_terms`` of the block columns.
     ``positions[i]`` is the place p of colex subset i in the levels
-    concatenated, stored as ~p when sigma_I = -1; ``stops[s]`` counts
-    the leading colex subsets that hold at most s free columns, so levels
-    0..s give the first stops[s] minors.  Cached: generic matrices share
-    the pivots (0, ..., k-1).
+    concatenated, stored as ~p when sigma_I = -1; p lies on level s when
+    the subset holds s free columns.  Cached: generic matrices share the
+    pivots (0, ..., k-1).
     """
     width = n - k
     transposed = k > width
@@ -911,22 +935,15 @@ def _ladder_plan(n: int, k: int, pivots: tuple[int, ...]) -> _Ladder:
     for f, c in enumerate(free):
         column[c + 1] = (1 << (k + f), -1)
     positions = []
-    stops: list[int] = []
-    for i, members in enumerate(_colex_members(n, k)):
-        # a subset's level is the number of free columns it holds
-        key = parity = level = 0
+    for members in _colex_members(n, k):
+        key = parity = 0
         for pos, j in enumerate(members):
             bit, r = column[j]
             key |= bit
             if r >= 0:
                 parity += r + pos
-            else:
-                level += 1
         positions.append(~place[key] if parity % 2 else place[key])
-        while len(stops) < level:
-            stops.append(i)
-    stops += [len(positions)] * (n_rows + 1 - len(stops))
-    return _Ladder(transposed, steps, tuple(positions), tuple(stops))
+    return _Ladder(transposed, steps, tuple(positions))
 
 
 def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] | None]:
@@ -950,56 +967,47 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     free columns D = d F; its s x s minors are |d|^s times those of B.
     A pass is the answer (True, None).
 
-    Otherwise the minors are read in colex order off the ladder of the
-    same echelon form (``_ladder_levels``): after level s the scan reads
-    minors up to ``_Ladder.stops[s]``, each at its signed position, and
-    stops at the first negative one, so it climbs one more level only
-    when the next subset needs it.  A matrix that is nonnegative but not
-    positive climbs every level.  Every violation, on a held table, on
-    the pivots or on the ladder, is named by ``_colex_unrank`` of its
-    colex rank.
+    Otherwise the minors are streamed in colex order off the ladder of
+    the same echelon form (``_ladder_scan``), which climbs one more level
+    only when the next minor lies on it.  One loop reads that stream, or
+    a held table's integers, and stops at the first negative minor, so a
+    matrix that is nonnegative but not positive climbs every level.
+    Every violation, on a held table, on the pivots or on the ladder, is
+    named by ``_colex_unrank`` of its colex rank.
     """
     k, n = m.rows, m.cols
     table = getattr(m, "_minors", None) if k <= n else all_maximal_minors(m)  # held; tall is refused
     if table is not None:
-        for i, value in enumerate(table.ints):
-            if value < 0:
-                return True, (_colex_unrank(i, k), Fraction(value, table.scale))
-        return any(table.ints), None
-    _subset_count(n, k)
-    int_rows, scale = _int_rows_and_scale(m)
-    pivots, sign = _bareiss(int_rows)
-    if len(pivots) < k:
-        return False, None
-    # sign * d, the minor on the pivot columns: the colex-first one when they lead
-    pivot_minor = sign * int_rows[k - 1][pivots[-1]]
-    leading = pivots[-1] == k - 1
-    if leading and pivot_minor < 0:
-        return True, (_colex_unrank(0, k), Fraction(pivot_minor, scale))
-    echelon = _Echelon(pivots, sign, *_back_substitute(int_rows, pivots))
-    if leading:
-        d = echelon.d
-        scaled_b = [
-            row if i % 2 == (d < 0) else [-x for x in row]
-            for i, row in enumerate(reversed(echelon.reduced))
-        ]
-        if n == k or _initial_minors_positive(scaled_b):
-            return True, None
-    plan = _ladder_plan(n, k, tuple(pivots))
-    values: list[int] = []
-    start = 0
-    for level, stop in zip(_ladder_levels(echelon, plan), plan.stops):
-        values.extend(itertools.chain.from_iterable(level))
-        for i, p in enumerate(plan.positions[start:stop], start):
-            value = values[p] if p >= 0 else -values[~p]
-            if value < 0:
-                return True, (_colex_unrank(i, k), Fraction(value, scale))
-        start = stop
-    return True, None
+        minors, scale = table.ints, table.scale
+    else:
+        _subset_count(n, k)
+        int_rows, scale = _int_rows_and_scale(m)
+        pivots, sign = _bareiss(int_rows)
+        if len(pivots) < k:
+            return False, None
+        # sign * d, the minor on the pivot columns: the colex-first one when they lead
+        pivot_minor = sign * int_rows[k - 1][pivots[-1]]
+        leading = pivots[-1] == k - 1
+        if leading and pivot_minor < 0:
+            return True, (_colex_unrank(0, k), Fraction(pivot_minor, scale))
+        echelon = _Echelon(pivots, sign, *_back_substitute(int_rows, pivots))
+        if leading:
+            d = echelon.d
+            scaled_b = [
+                row if i % 2 == (d < 0) else [-x for x in row]
+                for i, row in enumerate(reversed(echelon.reduced))
+            ]
+            if n == k or _initial_minors_positive(scaled_b):
+                return True, None
+        minors = _ladder_scan(echelon, n, k)
+    for i, value in enumerate(minors):
+        if value < 0:
+            return True, (_colex_unrank(i, k), Fraction(value, scale))
+    return table is None or any(table.ints), None
 
 
 def _initial_minors_positive(b: list[list[int]]) -> bool:
-    """Whether every initial minor of an integer matrix is positive, smallest first.
+    """Whether every initial minor of an integer matrix is positive, block by block.
 
     An initial minor has consecutive rows and columns and starts in the
     first row or the first column; it is the largest such minor with its
@@ -1008,34 +1016,27 @@ def _initial_minors_positive(b: list[list[int]]) -> bool:
     of the square block from b[r][c] on, and Bareiss elimination without
     row swaps makes them its pivots: pivot t is the minor of size t + 1,
     and step t divides exactly by pivot t - 1, already checked positive.
-    The blocks advance one step together, so every minor of size s is
-    checked before any of size s + 1, and a wrong sign in the first row
-    or column stops the test before any block is copied.
+    The minors of size 1, the first row and column, are checked before
+    any block is copied; then each block is eliminated on its own, and
+    the first nonpositive pivot stops the test.
     """
     rows, cols = len(b), len(b[0])
     corners = [(0, c) for c in range(cols)] + [(r, 0) for r in range(1, rows)]
     # size 1: the first row and column themselves, read before any block is copied
     if any(b[r][c] <= 0 for r, c in corners):
         return False
-    active = []
     for r, c in corners:
         size = min(rows - r, cols - c)
-        if size > 1:
-            active.append(([row[c:c + size] for row in b[r:r + size]], 1))
-    t = 0
-    while active:
-        advanced = []
-        for block, prev in active:
-            pivot_row = block[t]
-            pivot, tail = pivot_row[t], pivot_row[t + 1:]
+        block = [row[c:c + size] for row in b[r:r + size]]
+        prev = 1
+        for t in range(size - 1):
+            pivot, tail = block[t][t], block[t][t + 1:]
             for row in block[t + 1:]:
                 f = row[t]
                 row[t + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[t + 1:], tail)]
-            advanced.append((block, pivot))
-        t += 1
-        if any(block[t][t] <= 0 for block, _ in advanced):
-            return False
-        active = [(block, pivot) for block, pivot in advanced if len(block) > t + 1]
+            if block[t + 1][t + 1] <= 0:
+                return False
+            prev = pivot
     return True
 
 

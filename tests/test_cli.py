@@ -766,6 +766,21 @@ class TestStrictIntegers:
         cell = write(tmp_path / "cell.json", {"k": 2, "n": 3, "nonbases": [[member, 3]]})
         assert main(["cell-member", matrix_file, cell]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("n", [99, "x"])
+    def test_setup_stated_n_must_be_the_columns_of_z(self, tmp_path, n, capsys):
+        # a 2 x 3 Z: the setup has n = 3, and a stated n of another value or type is refused
+        payload = {**VALID_SETUP, "n": n}
+        bad = write(tmp_path / "bad_setup.json", payload)
+        v = write(tmp_path / "v.json", VALID_U)
+        assert main(["map", bad, v]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_setup_without_n_loads(self, tmp_path):
+        payload = {key: value for key, value in VALID_SETUP.items() if key != "n"}
+        assert payload["Z"]["cols"] == 3
+        setup = write(tmp_path / "setup.json", payload)
+        assert main(["map", setup, write(tmp_path / "v.json", VALID_U)]) == EXIT_OK
+
     @pytest.mark.parametrize("field", ["k", "m"])
     def test_setup_field(self, tmp_path, setup_file, field):
         payload = json.loads(Path(setup_file).read_text())

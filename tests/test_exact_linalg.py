@@ -38,6 +38,7 @@ from helpers import (
     common_denominator_left_factor,
     count_computed_tables,
     count_eliminations,
+    count_ladder_levels,
     det2,
     fraction_matmul,
     fraction_rref,
@@ -480,10 +481,10 @@ class TestLadderPlan:
         ]
 
     @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 8) for k in range(1, n + 1)])
-    def test_every_pivot_pattern(self, k, n):
+    def test_every_pivot_pattern(self, monkeypatch, k, n):
         rng = Random(f"ladder:{k}:{n}")
         count = comb(n, k)
-        n_rows = min(k, n - k)
+        climbs = count_ladder_levels(monkeypatch)
         for pivots in itertools.combinations(range(n), k):
             rows = self._reduced_rows(rng, n, pivots)
             direct = exact_linalg._expanded_minors([row[:] for row in rows], exact_linalg._colex_terms(n, k))
@@ -494,14 +495,74 @@ class TestLadderPlan:
             # k > n - k ladders the transposed block
             assert plan.transposed == (k > n - k)
             assert sorted(p if p >= 0 else ~p for p in plan.positions) == list(range(count))
-            stops = plan.stops
-            assert len(stops) == n_rows + 1 and stops[-1] == count
-            assert list(stops) == sorted(stops)
+            # a subset's level is the number of free columns it holds
             free_held = [len(set(subset.members) - {c + 1 for c in pivots}) for subset in subsets_colex(n, k)]
-            for s, stop in enumerate(stops):
-                # the leading subsets with at most s free columns, and no more
-                assert max(free_held[:stop], default=0) <= s
-                assert stop == count or free_held[stop] > s
+            scanned = []
+            for i, value in enumerate(exact_linalg._ladder_scan(echelon, n, k)):
+                # minors 0..i read: levels 0..s climbed, s the highest level among them
+                assert climbs[-1] == max(free_held[:i + 1])
+                scanned.append(value)
+            assert scanned == direct
+
+
+def _totally_positive(b):
+    """Whether every minor of an integer matrix, of every size, is positive: the brute-force oracle."""
+    rows, cols = len(b), len(b[0])
+    return all(
+        cofactor_det([[b[i][j] for j in col_subset] for i in row_subset]) > 0
+        for s in range(1, min(rows, cols) + 1)
+        for row_subset in itertools.combinations(range(rows), s)
+        for col_subset in itertools.combinations(range(cols), s)
+    )
+
+
+@st.composite
+def vandermonde_like_st(draw, rows=st.integers(1, 4), cols=st.integers(1, 5)):
+    """A totally positive integer matrix: column-scaled powers of increasing positive nodes."""
+    rows, cols = draw(rows), draw(cols)
+    nodes = sorted(draw(st.sets(st.integers(1, 9), min_size=cols, max_size=cols)))
+    scales = draw(st.lists(st.integers(1, 3), min_size=cols, max_size=cols))
+    return [[s * x ** i for x, s in zip(nodes, scales)] for i in range(rows)]
+
+
+@st.composite
+def late_block_broken_st(draw):
+    """A Vandermonde-like matrix whose initial minor of size 2 or 3 at a corner other than b[0][0] is made 0 or negative.
+
+    The minor's last entry is lowered: the minor is linear in it, with the
+    positive minor of its other rows and columns as the slope.
+    """
+    b = draw(vandermonde_like_st(rows=st.integers(2, 4), cols=st.integers(3, 5)))
+    rows, cols = len(b), len(b[0])
+    corners = [(0, c) for c in range(1, cols)] + [(r, 0) for r in range(1, rows)]
+    r0, c0, s = draw(st.sampled_from([
+        (r, c, s) for r, c in corners for s in (2, 3) if s <= min(rows - r, cols - c)
+    ]))
+    block = [row[c0:c0 + s] for row in b[r0:r0 + s]]
+    slope = int(cofactor_det([row[:-1] for row in block[:-1]]))
+    value = int(cofactor_det(block))
+    b[r0 + s - 1][c0 + s - 1] -= -(-value // slope) + draw(st.integers(0, 1))
+    assert cofactor_det([row[c0:c0 + s] for row in b[r0:r0 + s]]) <= 0
+    return b
+
+
+class TestInitialMinors:
+    """``_initial_minors_positive`` against every minor of every size (Fomin and Zelevinsky)."""
+
+    random_st = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-1, 30), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=random_st | vandermonde_like_st() | late_block_broken_st())
+    def test_the_verdict_is_total_positivity(self, b):
+        copy = [row[:] for row in b]
+        assert exact_linalg._initial_minors_positive(b) == _totally_positive(b)
+        assert b == copy
 
 
 class TestMinorTableMemo:
