@@ -474,8 +474,15 @@ def _flag(value) -> bool:
     return value
 
 
+def _line(value) -> str:
+    """A stored name that ``report`` prints: a string with no line break, so it cannot forge a line."""
+    if not isinstance(value, str) or "".join(value.splitlines()) != value:
+        raise TypeError(f"a string without line breaks expected, got {value!r:.60}")
+    return value
+
+
 def _stored_verdicts(obj: Mapping) -> list[tuple[str, bool]]:
-    stored = [(v["name"], _flag(v["ok"])) for v in as_list(obj["verdicts"])]
+    stored = [(_line(v["name"]), _flag(v["ok"])) for v in as_list(obj["verdicts"])]
     # A file that lists no verdict shows nothing, so it fails instead of passing vacuously.
     return stored or [("lists_a_verdict", False)]
 
@@ -552,9 +559,7 @@ def _report_file(path: str, listed: bool = False) -> bool:
         raise UserInputError(f"{path}: no verdicts found")
     try:
         verdicts = recheck(obj)
-        artifacts = as_list(obj.get("artifacts", [])) if is_report else []
-        if not all(isinstance(name, str) for name in artifacts):
-            raise TypeError("artifact names must be strings")
+        artifacts = [_line(name) for name in as_list(obj.get("artifacts", []))] if is_report else []
     except _MALFORMED as exc:
         raise UserInputError(f"{path}: missing or mistyped field: {exc!r}") from exc
     all_ok = True

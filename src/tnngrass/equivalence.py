@@ -47,6 +47,7 @@ from .exact_linalg import (
     RationalMatrix,
     RowVector,
     all_maximal_minors,
+    _colex_unrank,
     rational_to_string,
     solve_for_left_factor,
 )
@@ -241,10 +242,11 @@ def cyclic_polytope_vertices(setup: AmplituhedronSetup) -> list[RowVector]:
                 )
             charted.append(tuple(x / f for x in col))
         orientations = all_maximal_minors(RationalMatrix(zip(*charted)))
-        for subset, value in zip(orientations.subsets, orientations.ints):  # colex order
+        for i, value in enumerate(orientations.ints):  # colex order
             if value <= 0:
                 problem = "are affinely dependent" if value == 0 else "changed sign: not in convex position"
-                raise InternalConsistencyError(f"charted columns {list(subset.members)} {problem}")
+                cols = list(_colex_unrank(i, orientations.k))
+                raise InternalConsistencyError(f"charted columns {cols} {problem}")
     return columns
 
 

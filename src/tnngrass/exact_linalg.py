@@ -62,10 +62,12 @@ Column subsets are 1-based throughout and ordered colexicographically
 (compare largest member first); every subset-keyed result in the
 package shares that convention.  A subset's place in that order is its
 colex rank, sum_i C(c_i - 1, i) over its members c_1 < ... < c_k
-(Knuth, TAOCP 4A, section 7.2.1.3), so a table is read by rank
-(``MinorTable.int_at``) and a violation is named by unranking its
-place (``_colex_unrank``).  No decision builds the C(n, k) subsets;
-only a caller that iterates ``MinorTable.subsets`` does.
+(Knuth, TAOCP 4A, section 7.2.1.3), so a table is read by position:
+``MinorTable.int_at`` reads one subset's minor by its rank, a reader
+that scans every minor zips ``ints`` with the cached member tuples of
+``_colex_members``, and a violation is named by unranking its place
+(``_colex_unrank``).  No decision builds the C(n, k) subsets, and no
+reader of a table builds an ``IndexSubset`` per minor.
 """
 
 from __future__ import annotations
@@ -235,18 +237,20 @@ def subsets_colex(n: int, k: int) -> list[IndexSubset]:
     """
     if k < 0 or n < 0:
         raise DimensionError("subset parameters must be nonnegative")
-    return list(_colex_subsets(n, k))
+    return list(map(IndexSubset._trusted, _colex_members(n, k)))
 
 
-# Shape data (the subsets of a table, its expansion and ladder plans) is
-# cached in three caches of at most this many subsets' worth of entries
-# each, least recently used first out.  tracemalloc measured 180-235 bytes
-# per subset for k <= 8 on 500 subsets or more (284 on the 56 of 3 x 8)
-# and at most 240 bytes per plan entry on plans of 1000 subsets or more (a
-# ladder plan also holds a fixed 1-2 KB; expansion plans of 3 x 40, 3 x 80
-# and 2 x 400 took 216, 200 and 166 bytes per subset), so about 70 MB in
-# all; each member beyond 8 adds 8 bytes to a subset.  Larger shapes
-# rebuild their shape data once per call, and no decision builds subsets.
+# Shape data is cached in three caches of at most this many subsets' worth
+# of entries each, least recently used first out: the member tuples of
+# ``_colex_members`` and the plans of ``_expansion_plan`` and
+# ``_ladder_plan``.  On CPython 3.11 tracemalloc measured 85-160 bytes per
+# member tuple for k <= 8 on 56 to 125970 subsets (a k-tuple is 40 + 8k
+# bytes and a slot of the outer tuple; ints below 257 are shared), and at
+# most 240 bytes per plan entry on plans of 1000 subsets or more (a ladder
+# plan also holds a fixed 1-2 KB; expansion plans of 3 x 40, 3 x 80 and
+# 2 x 400 took 216, 200 and 166 bytes per subset), so about 65 MB in all.
+# Larger shapes rebuild their shape data once per call, and no decision
+# builds subsets.
 CACHED_SUBSETS = 100_000
 
 
@@ -289,15 +293,20 @@ def _subset_count(n: int, k: int) -> int:
     return count
 
 
-def _colex_members(n: int, k: int) -> list[tuple[int, ...]]:
+@_shape_cache
+def _colex_members(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The k-subsets of {1..n} as increasing tuples in colexicographic order.
 
     Colex order is the lexicographic order of the decreasing tuples over
     the alphabet n, n-1, ..., 1, read backwards.  More than ``MAX_SUBSETS``
-    subsets raise UnsupportedParameterError before any is built.
+    subsets raise UnsupportedParameterError before any is built.  Position
+    i holds the subset of colex rank i, so a reader that scans a table
+    zips ``ints`` with these tuples.
     """
     _subset_count(n, k)
-    return [c[::-1] for c in reversed(list(itertools.combinations(range(n, 0, -1), k)))]
+    # a list first: tuple() of a generator took 0.083 s against 0.058 s at
+    # C(20, 10) on CPython 3.11, its growing result rescanned by the collector
+    return tuple([c[::-1] for c in reversed(list(itertools.combinations(range(n, 0, -1), k)))])
 
 
 def _colex_rank(members: Sequence[int]) -> int:
@@ -325,23 +334,18 @@ def _colex_unrank(rank: int, k: int) -> IndexSubset:
     return IndexSubset._trusted(tuple(reversed(members)))
 
 
-@_shape_cache
-def _colex_subsets(n: int, k: int) -> tuple[IndexSubset, ...]:
-    """The k-subsets of {1..n} in colexicographic order, for callers that iterate them."""
-    return tuple(map(IndexSubset._trusted, _colex_members(n, k)))
-
-
 @dataclass(frozen=True, slots=True)
 class MinorTable:
     """All maximal minors of a k x n matrix as integers over one positive scale.
 
     ``ints[i] / scale`` is the minor on the column subset of colex rank
     i, sum_j C(c_j - 1, j) for its members c_1 < ... < c_k
-    (``_colex_rank``); ``int_at`` reads a subset's minor by that rank,
-    and ``subsets`` lists them in that order.  The scale is positive, so
-    the sign of a minor is the sign of its integer and sign tests never
-    build a Fraction.  Built only by ``all_maximal_minors``, once per
-    matrix, and kept on it.
+    (``_colex_rank``).  ``int_at`` reads a subset's minor by that rank;
+    a reader of every minor zips ``ints`` with the members of those
+    subsets in the same order, ``_colex_members(n, k)``.  The scale is
+    positive, so the sign of a minor is the sign of its integer and sign
+    tests never build a Fraction.  Built only by ``all_maximal_minors``,
+    once per matrix, and kept on it.
     """
 
     n: int
@@ -354,11 +358,6 @@ class MinorTable:
             raise DimensionError(f"{len(self.ints)} minors for C({self.n}, {self.k}) column subsets")
         if self.scale <= 0:
             raise ValueError(f"minor table scale must be positive, got {self.scale}")
-
-    @property
-    def subsets(self) -> tuple[IndexSubset, ...]:
-        """The column subsets in colex order, ``ints``' order."""
-        return _colex_subsets(self.n, self.k)
 
     def int_at(self, subset: IndexSubset) -> int:
         """The minor on ``subset`` times ``scale``: an integer of the same sign.

@@ -43,6 +43,8 @@ from .exact_linalg import (
     RationalMatrix,
     RowVector,
     all_maximal_minors,
+    _colex_members,
+    _colex_unrank,
     det,
     invert,
     rank,
@@ -142,11 +144,11 @@ class FiberConvexityCertificate:
             "cell": self.cell.to_json_dict(),
             "minors": [
                 {
-                    "cols": list(subset.members),
+                    "cols": list(cols),
                     "alpha": _ratio_string(m_u, s),
                     "beta": _ratio_string(m_v * s - m_u * t, s * t),
                 }
-                for subset, m_u, m_v in zip(u.subsets, u.ints, v.ints)
+                for cols, m_u, m_v in zip(_colex_members(u.n, u.k), u.ints, v.ints)
             ],
             "verdict": self.verdict,
         }
@@ -181,10 +183,10 @@ def convexity_certificate(
     minors2 = all_maximal_minors(v.add_outer(x, a))
     s0, s1, s2 = minors0.scale, minors1.scale, minors2.scale
     s01, s02, s12 = s0 * s1, s0 * s2, s1 * s2
-    for subset, m0, m1, m2 in zip(minors0.subsets, minors0.ints, minors1.ints, minors2.ints):
+    for i, (m0, m1, m2) in enumerate(zip(minors0.ints, minors1.ints, minors2.ints)):
         if m2 * s01 != 2 * m1 * s02 - m0 * s12:
             raise InternalConsistencyError(
-                f"minor on columns {list(subset.members)} is not affine along the fiber line"
+                f"minor on columns {list(_colex_unrank(i, minors0.k))} is not affine along the fiber line"
             )
     # Both ends are in the closed cell, so every minor is nonnegative at
     # both, and zero at both on a nonbasis; being affine, it satisfies

@@ -158,8 +158,8 @@ def matroid_of(point: TNNPoint) -> PositroidCellSpec:
 
     Nonbases are exactly the column subsets with vanishing minor.
     """
-    minors = point.minors
-    nonbases = frozenset(s for s, v in zip(minors.subsets, minors.ints) if v == 0)
+    members = exact_linalg._colex_members(point.n, point.k)
+    nonbases = frozenset(IndexSubset._trusted(c) for c, v in zip(members, point.minors.ints) if v == 0)
     return PositroidCellSpec(k=point.k, n=point.n, nonbases=nonbases)
 
 
@@ -214,12 +214,8 @@ def zero_columns(point: TNNPoint, cols: IndexSubset) -> RationalMatrix:
     cols.check_bounds(point.n)
     dead = set(cols)
     result = point.matrix.scale_columns([int(j not in dead) for j in range(1, point.n + 1)])
-    minors = point.minors
-    survives = any(
-        value != 0
-        for subset, value in zip(minors.subsets, minors.ints)
-        if not dead.intersection(subset.members)
-    )
+    members = exact_linalg._colex_members(point.n, point.k)
+    survives = any(value != 0 for c, value in zip(members, point.minors.ints) if dead.isdisjoint(c))
     if not survives:
         raise DegeneracyError(
             f"zeroing columns {sorted(dead)} drops the rank below {point.k}"

@@ -35,6 +35,7 @@ from tnngrass import (
     fiber_displacement,
     in_closed_cell,
     outer_product,
+    subsets_colex,
 )
 from tnngrass import exact_linalg
 from tnngrass.exact_linalg import MinorTable
@@ -120,7 +121,7 @@ def tnn_report_by_table(m: RationalMatrix) -> TNNWitnessReport:
     and scanned here in colex order, as ``check_tnn`` did before the test.
     """
     table = all_maximal_minors(RationalMatrix.from_int_rows(m.int_rows))
-    for subset, value in zip(table.subsets, table.ints):
+    for subset, value in zip(subsets_colex(table.n, table.k), table.ints):
         if value < 0:
             return TNNWitnessReport(rank_ok=True, first_violation=(subset, Fraction(value, table.scale)))
     return TNNWitnessReport(rank_ok=any(table.ints))
@@ -256,7 +257,7 @@ def minor(m: RationalMatrix, row_subset: IndexSubset, col_subset: IndexSubset) -
 
 def minors_of(table: MinorTable) -> dict[IndexSubset, Fraction]:
     """A minor table as column subset -> ``Fraction``, in colexicographic order."""
-    return {s: Fraction(v, table.scale) for s, v in zip(table.subsets, table.ints)}
+    return {s: Fraction(v, table.scale) for s, v in zip(subsets_colex(table.n, table.k), table.ints)}
 
 
 def subset_minor_table(m: RationalMatrix) -> dict[IndexSubset, Fraction]:

@@ -522,6 +522,14 @@ class TestReportFiberCertificates:
         report = {"verdicts": [{"name": "x", "ok": "true"}]}
         assert main(["report", write(tmp_path / "r.json", report)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("name", [["x"], 1, None, "x\nother.json: [PASS] verdict", "x\r", "x\u2028y"])
+    def test_verdict_name_that_is_no_single_line_is_usage_error(self, tmp_path, name, capsys):
+        # a list printed as "[PASS] ['x']", or a line break that forges a PASS line for another file
+        report = {"verdicts": [{"name": name, "ok": True}]}
+        assert main(["report", write(tmp_path / "r.json", report)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestReportArtifacts:
     """A report file passes only if every artifact it lists is there and passes."""
@@ -571,6 +579,14 @@ class TestReportArtifacts:
         report["artifacts"] = artifacts
         assert main(["report", write(campaign / "report.json", report)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_artifact_name_with_a_line_break_is_usage_error(self, campaign, capsys):
+        report = json.loads((campaign / "report.json").read_text())
+        report["artifacts"].append("missing.json\nother.json: [PASS] verdict")
+        capsys.readouterr()
+        assert main(["report", write(campaign / "report.json", report)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out and captured.err.startswith("error:")
 
     @pytest.mark.parametrize(
         "command",

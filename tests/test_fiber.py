@@ -33,6 +33,7 @@ from tnngrass import (
     sample_fiber_partner,
     sample_top_cell,
     section_witness,
+    subsets_colex,
     zero_columns,
 )
 from helpers import (
@@ -56,7 +57,8 @@ from helpers import (
 
 def assert_certificate_matches(cert, per_minor):
     """Coefficients and written minors of ``cert`` against the oracle's (subset, alpha, beta)."""
-    assert [(s, *cert.coefficients(s)) for s in cert.u_minors.subsets] == per_minor
+    table = cert.u_minors
+    assert [(s, *cert.coefficients(s)) for s in subsets_colex(table.n, table.k)] == per_minor
     assert cert.to_json_dict()["minors"] == [
         {"cols": list(s.members), "alpha": rational_to_string(alpha), "beta": rational_to_string(beta)}
         for s, alpha, beta in per_minor
@@ -183,7 +185,7 @@ class TestConvexityCertificate:
         u = RationalMatrix([[1, 1, 1, 1]])
         cert = convexity_certificate(setup, cell, u, u)
         assert cert.verdict
-        assert all(cert.coefficients(s)[1] == 0 for s in cert.u_minors.subsets)
+        assert all(cert.coefficients(s)[1] == 0 for s in subsets_colex(4, 1))
 
     def test_top_cell_random_pairs_with_grid_spot_check(self):
         rng = Random(71)
@@ -276,7 +278,7 @@ class TestConvexityCertificate:
                 continue
             rule = all(
                 fiber_mod.segment_in_cell(*cert.coefficients(s), s in cell.nonbases)
-                for s in cert.u_minors.subsets
+                for s in subsets_colex(cert.u_minors.n, cert.u_minors.k)
             )
             assert cert.verdict is rule is True
 
@@ -335,8 +337,10 @@ class TestConvexityCertificate:
             return dataclasses.replace(table, ints=tuple(ints))
 
         monkeypatch.setattr(fiber_mod, "all_maximal_minors", tampered)
-        with pytest.raises(InternalConsistencyError, match="not affine"):
+        with pytest.raises(InternalConsistencyError, match="not affine") as raised:
             convexity_certificate(setup, cell, pair.u, pair.v)
+        # the message names the tampered minor's subset, unranked from its position
+        assert f"columns {list(subsets_colex(6, 3)[position].members)} " in str(raised.value)
         assert len(tables) == 3
         # the tampered copy was returned, never kept: each matrix holds its own table
         for matrix, table in zip(matrices, tables):

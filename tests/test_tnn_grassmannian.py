@@ -418,6 +418,16 @@ class TestMatroidOf:
         nonbases = {tuple(s.members) for s in matroid_of(point).nonbases}
         assert nonbases == {(1, 3), (2, 3)}
 
+    def test_a_table_above_the_shape_cache_is_read_by_position(self):
+        # C(20, 10) = 184756 minors, more than CACHED_SUBSETS: matroid_of and
+        # zero_columns zip the table with member tuples built for the call
+        point = TNNPoint.from_matrix(RationalMatrix(vandermonde_rows(10, range(1, 21))))
+        assert capped_comb(20, 10, exact_linalg.CACHED_SUBSETS) > exact_linalg.CACHED_SUBSETS
+        assert matroid_of(point).nonbases == frozenset()
+        # the minors on columns 1..19 survive, so the rank stays 10
+        zeroed = zero_columns(point, IndexSubset((20,)))
+        assert zeroed == point.matrix.scale_columns([1] * 19 + [0])
+
 
 class TestInClosedCell:
     def test_top_cell_equals_tnn_check(self):
