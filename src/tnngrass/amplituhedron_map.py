@@ -299,12 +299,10 @@ def build_z0(k: int, m: int, precision_digits: int = 12) -> AmplituhedronSetup:
         elif lead == 0:
             digits *= 2
             continue
-        try:
-            setup = build_setup(k, m, candidate)
-        except RankError:
-            digits *= 2
-            continue
-        if setup.all_minors_positive and setup.kernel_alternating:
+        # a nonzero minor means full rank, and build_setup raises for a
+        # positive Z whose kernel does not alternate
+        setup = build_setup(k, m, candidate)
+        if setup.all_minors_positive:
             return setup
         digits *= 2
     raise ConstructionError(

@@ -52,11 +52,13 @@ Total nonnegativity and the colex-first violation are one decision,
 ``in_closed_cell``.  A table held by the matrix is scanned.  A matrix
 with no table is eliminated and tested, whatever its shape, and keeps no
 table: rank below k, and a negative minor on columns 1..k, are read off
-the pivots; otherwise the k(n - k) initial minors of the signed free
-block test total positivity (Fomin and Zelevinsky), and only a failed
-test reads minors in colex order off the same elimination's ladder, as
-far as the first violation needs.  Held or laddered, the minors are
-read by one loop.
+the pivots; otherwise the solid minors of the signed free block, on
+consecutive rows and columns, test total positivity (Fekete; Fomin and
+Zelevinsky).  They come from one 2 x 2 recurrence (Dodgson
+condensation, by the Desnanot-Jacobi identity), so ``_bareiss`` is the
+only elimination loop.  Only a failed test reads minors in colex order
+off the same elimination's ladder, as far as the first violation needs.
+Held or laddered, the minors are read by one loop.
 
 Column subsets are 1-based throughout and ordered colexicographically
 (compare largest member first); every subset-keyed result in the
@@ -959,12 +961,15 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     positive, m reduces to R = [I | F] and its minors are that minor
     times those of B, B[i][j] = (-1)^i F[k-1-i][j] (Postnikov,
     arXiv math/0609764, section 3).  So all are positive iff B is
-    totally positive, which holds iff its k(n - k) initial minors are
-    positive (Fomin and Zelevinsky, "Total positivity: tests and
-    parametrizations", arXiv math/9912128).  They are read on
-    sign(d) d B, row i of which is (-1)^i sign(d) times row k-1-i of the
-    free columns D = d F; its s x s minors are |d|^s times those of B.
-    A pass is the answer (True, None).
+    totally positive, which holds iff its solid minors, on consecutive
+    rows and columns, are positive (Fekete's criterion; the k(n - k)
+    initial minors among them already suffice, Fomin and Zelevinsky,
+    "Total positivity: tests and parametrizations", arXiv math/9912128).
+    ``_solid_minors_positive`` computes them level by level by the
+    Desnanot-Jacobi identity, on sign(d) d B, row i of which is
+    (-1)^i sign(d) times row k-1-i of the free columns D = d F; its
+    s x s minors are |d|^s times those of B.  A pass, or n = k with no
+    free column, is the answer (True, None).
 
     Otherwise the minors are streamed in colex order off the ladder of
     the same echelon form (``_ladder_scan``), which climbs one more level
@@ -996,7 +1001,7 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
                 row if i % 2 == (d < 0) else [-x for x in row]
                 for i, row in enumerate(reversed(echelon.reduced))
             ]
-            if n == k or _initial_minors_positive(scaled_b):
+            if _solid_minors_positive(scaled_b):
                 return True, None
         minors = _ladder_scan(echelon, n, k)
     for i, value in enumerate(minors):
@@ -1005,37 +1010,33 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     return table is None or any(table.ints), None
 
 
-def _initial_minors_positive(b: list[list[int]]) -> bool:
-    """Whether every initial minor of an integer matrix is positive, block by block.
+def _solid_minors_positive(rows: list[list[int]]) -> bool:
+    """Whether every solid minor of an integer matrix is positive, by Dodgson condensation.
 
-    An initial minor has consecutive rows and columns and starts in the
-    first row or the first column; it is the largest such minor with its
-    last row and column at one entry, so there is one per entry.  Those
-    that start at b[r][c], min(r, c) = 0, are the leading principal minors
-    of the square block from b[r][c] on, and Bareiss elimination without
-    row swaps makes them its pivots: pivot t is the minor of size t + 1,
-    and step t divides exactly by pivot t - 1, already checked positive.
-    The minors of size 1, the first row and column, are checked before
-    any block is copied; then each block is eliminated on its own, and
-    the first nonpositive pivot stops the test.
+    A solid minor has consecutive rows and consecutive columns.  Level s
+    holds those of size s, each at its top-left entry: level 1 is the
+    matrix, level 0 all ones, and the Desnanot-Jacobi identity builds
+    each level from the two below it,
+
+        M_{s+1}(i, j) = (M_s(i, j) M_s(i+1, j+1) - M_s(i, j+1) M_s(i+1, j))
+                        / M_{s-1}(i+1, j+1),
+
+    the 2 x 2 determinant a d - b c of four neighbours over the inner
+    minor e.  Each row is checked positive as it is built, and the first
+    nonpositive minor stops the test, so every divisor is positive and
+    every division exact.  A matrix with no columns passes.
     """
-    rows, cols = len(b), len(b[0])
-    corners = [(0, c) for c in range(cols)] + [(r, 0) for r in range(1, rows)]
-    # size 1: the first row and column themselves, read before any block is copied
-    if any(b[r][c] <= 0 for r, c in corners):
+    level, below = rows, [[1] * (len(rows[0]) + 1)] * (len(rows) + 1)
+    if level[0] and min(map(min, level)) <= 0:
         return False
-    for r, c in corners:
-        size = min(rows - r, cols - c)
-        block = [row[c:c + size] for row in b[r:r + size]]
-        prev = 1
-        for t in range(size - 1):
-            pivot, tail = block[t][t], block[t][t + 1:]
-            for row in block[t + 1:]:
-                f = row[t]
-                row[t + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[t + 1:], tail)]
-            if block[t + 1][t + 1] <= 0:
+    while len(level) > 1 and len(level[0]) > 1:
+        above = []
+        for top, bottom, mid in zip(level, level[1:], below[1:]):
+            row = [(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], bottom, bottom[1:], mid[1:])]
+            if min(row) <= 0:
                 return False
-            prev = pivot
+            above.append(row)
+        level, below = above, level
     return True
 
 

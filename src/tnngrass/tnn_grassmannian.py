@@ -30,6 +30,7 @@ from .exact_linalg import (
     as_list,
     as_rational,
     capped_comb,
+    rank,
     rational_to_string,
 )
 
@@ -209,14 +210,12 @@ def zero_columns(point: TNNPoint, cols: IndexSubset) -> RationalMatrix:
 
     Minors avoiding the zeroed columns are unchanged and all others
     vanish, so the result stays totally nonnegative; it is rejected when
-    the rank would drop below k.
+    the rank drops below k, which one elimination of the result decides.
     """
     cols.check_bounds(point.n)
     dead = set(cols)
     result = point.matrix.scale_columns([int(j not in dead) for j in range(1, point.n + 1)])
-    members = exact_linalg._colex_members(point.n, point.k)
-    survives = any(value != 0 for c, value in zip(members, point.minors.ints) if dead.isdisjoint(c))
-    if not survives:
+    if rank(result) < point.k:
         raise DegeneracyError(
             f"zeroing columns {sorted(dead)} drops the rank below {point.k}"
         )

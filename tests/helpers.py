@@ -198,6 +198,45 @@ def full_back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[li
     return reduced, d
 
 
+def initial_minors_positive(b: list[list[int]]) -> bool:
+    """Whether every initial minor of an integer matrix is positive, block by block.
+
+    An initial minor has consecutive rows and columns and starts in the
+    first row or the first column; it is the largest such minor with its
+    last row and column at one entry, so there is one per entry.  Those
+    that start at b[r][c], min(r, c) = 0, are the leading principal minors
+    of the square block from b[r][c] on, and Bareiss elimination without
+    row swaps makes them its pivots: pivot t is the minor of size t + 1,
+    and step t divides exactly by pivot t - 1, already checked positive.
+    A matrix with no columns has no minor and passes.
+
+    The oracle for ``exact_linalg._solid_minors_positive``: the initial
+    minors decide total positivity too (Fomin and Zelevinsky, arXiv
+    math/9912128), and this elimination shares none of the condensation's
+    arithmetic.
+    """
+    rows, cols = len(b), len(b[0])
+    if not cols:
+        return True
+    corners = [(0, c) for c in range(cols)] + [(r, 0) for r in range(1, rows)]
+    # size 1: the first row and column themselves, read before any block is copied
+    if any(b[r][c] <= 0 for r, c in corners):
+        return False
+    for r, c in corners:
+        size = min(rows - r, cols - c)
+        block = [row[c:c + size] for row in b[r:r + size]]
+        prev = 1
+        for t in range(size - 1):
+            pivot, tail = block[t][t], block[t][t + 1:]
+            for row in block[t + 1:]:
+                f = row[t]
+                row[t + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[t + 1:], tail)]
+            if block[t + 1][t + 1] <= 0:
+                return False
+            prev = pivot
+    return True
+
+
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 

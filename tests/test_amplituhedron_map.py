@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tnngrass.amplituhedron_map as map_mod
 from tnngrass import (
+    ConstructionError,
     DimensionError,
     InternalConsistencyError,
     RankError,
@@ -256,6 +257,48 @@ class TestBuildZ0:
     def test_higher_precision_also_verifies(self):
         setup = build_z0(2, 2, precision_digits=20)
         assert setup.all_minors_positive
+
+
+class TestBuildZ0Retries:
+    """``build_z0``'s retries, on (k, m) = (1, 2) rows that stand in for ``_trig_rows``'s estimates."""
+
+    Z0_ROWS = [[1, 1, 1, 1], [1, 0, -1, 0], [0, 1, 0, -1]]
+
+    @staticmethod
+    def _estimates(monkeypatch, rows_at):
+        """Replace the estimates by ``rows_at(digits)``; the precisions asked for, in order."""
+        asked = []
+
+        def estimates(k, m, n, digits):
+            asked.append(digits)
+            return [[Fraction(x) for x in row] for row in rows_at(digits)]
+
+        monkeypatch.setattr(map_mod, "_trig_rows", estimates)
+        return asked
+
+    def test_rank_deficient_candidate_is_retried_at_doubled_precision(self, monkeypatch):
+        # rank 2 at 12 digits, the last row the sum of the others: every minor vanishes
+        deficient = [[1, 1, 1, 1], [1, 0, -1, 0], [2, 1, 0, 1]]
+        asked = self._estimates(monkeypatch, lambda digits: deficient if digits == 12 else self.Z0_ROWS)
+        setup = build_z0(1, 2)
+        assert asked == [12, 24]
+        assert setup.Z == RationalMatrix(self.Z0_ROWS) and setup.all_minors_positive
+
+    def test_negatively_oriented_candidate_is_flipped(self, monkeypatch):
+        negated = [[-x for x in self.Z0_ROWS[0]], *self.Z0_ROWS[1:]]
+        asked = self._estimates(monkeypatch, lambda digits: negated)
+        setup = build_z0(1, 2)
+        assert asked == [12]
+        assert setup.Z == RationalMatrix(self.Z0_ROWS) and setup.kernel_alternating
+
+    def test_candidate_that_never_verifies_raises(self, monkeypatch):
+        # Vandermonde rows at nodes 1, 2, 4, 3: the leading minor is positive,
+        # the one on columns 1, 3, 4 negative, at every precision
+        mixed = [[x ** i for x in (1, 2, 4, 3)] for i in range(3)]
+        asked = self._estimates(monkeypatch, lambda digits: mixed)
+        with pytest.raises(ConstructionError, match="no rationalization up to 640 digits"):
+            build_z0(1, 2)
+        assert asked == [12, 24, 48, 96, 192, 384]
 
 
 class TestTrigRows:

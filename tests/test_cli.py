@@ -5,6 +5,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import tnngrass
 from tnngrass import amplituhedron_map
-from tnngrass import RationalMatrix, UserInputError, all_maximal_minors, build_setup
+from tnngrass import RationalMatrix, UserInputError, build_setup
 from tnngrass.cli import (
     EXIT_FALSE_VERDICT,
     EXIT_FALSIFIED,
@@ -250,18 +251,25 @@ class TestFiberCommands:
         assert "[PASS] all_certificates_valid" in out
         assert "trials = 100" in out
 
-    def test_internal_consistency_maps_to_exit_3(self, tmp_path, setup_file, monkeypatch):
+    @staticmethod
+    def _inconsistent(monkeypatch):
         import tnngrass.cli as cli_mod
-        from tnngrass.fiber import FiberConvexityCertificate
+        from tnngrass import InternalConsistencyError
 
-        def fake_certificate(setup, cell, u, v):
-            return FiberConvexityCertificate(
-                cell=cell, u_minors=all_maximal_minors(u), v_minors=all_maximal_minors(v), verdict=False
-            )
+        def inconsistent(setup, cell, u, v):
+            # convexity_certificate returns a true verdict or raises this
+            raise InternalConsistencyError("lambda = 2 minor differs from its affine prediction")
 
-        monkeypatch.setattr(cli_mod, "convexity_certificate", fake_certificate)
+        monkeypatch.setattr(cli_mod, "convexity_certificate", inconsistent)
+
+    def test_internal_consistency_maps_to_exit_3(self, tmp_path, setup_file, monkeypatch):
+        self._inconsistent(monkeypatch)
         u = write(tmp_path / "u.json", RationalMatrix([[1, 1, 1, 1]]).to_json_dict())
         assert main(["fiber-check", setup_file, u, u]) == EXIT_FALSIFIED
+
+    def test_internal_consistency_in_a_campaign_maps_to_exit_3(self, monkeypatch):
+        self._inconsistent(monkeypatch)
+        assert main(["fiber-campaign", "--k", "1", "--m", "2", "--trials", "2"]) == EXIT_FALSIFIED
 
 
 class TestZ0Command:
@@ -587,6 +595,31 @@ class TestReportArtifacts:
         assert main(["report", write(campaign / "report.json", report)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert "[PASS]" not in captured.out and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "listed",
+        [
+            "../runB/certificate_00000.json",
+            "{absolute}",
+            "runB/certificate_00000.json",
+            "",
+            ".",
+            "..",
+        ],
+        ids=["parent-dir", "absolute", "subdir", "empty", "dot", "dot-dot"],
+    )
+    def test_artifact_that_is_no_plain_file_name_is_usage_error(self, campaign, listed, capsys):
+        # a valid certificate of another run, beside the report's directory and inside it
+        for run_dir in (campaign.parent / "runB", campaign / "runB"):
+            run_dir.mkdir()
+            shutil.copy(campaign / "certificate_00000.json", run_dir)
+        report = json.loads((campaign / "report.json").read_text())
+        report["artifacts"] = [listed.format(absolute=campaign.parent / "runB" / "certificate_00000.json")]
+        capsys.readouterr()
+        assert main(["report", write(campaign / "report.json", report)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out and captured.err.startswith("error:")
+        assert "a plain file name expected" in captured.err
 
     @pytest.mark.parametrize(
         "command",

@@ -44,6 +44,7 @@ from helpers import (
     fraction_rref,
     full_back_substitute,
     identity,
+    initial_minors_positive,
     minor,
     minors_of,
     random_invertible,
@@ -529,17 +530,18 @@ def vandermonde_like_st(draw, rows=st.integers(1, 4), cols=st.integers(1, 5)):
 
 
 @st.composite
-def late_block_broken_st(draw):
-    """A Vandermonde-like matrix whose initial minor of size 2 or 3 at a corner other than b[0][0] is made 0 or negative.
+def late_block_broken_st(draw, rows=st.integers(2, 4), cols=st.integers(3, 5), sizes=(2, 3)):
+    """A Vandermonde-like matrix with one initial minor made 0 or negative.
 
-    The minor's last entry is lowered: the minor is linear in it, with the
+    The minor has a size in ``sizes`` and a corner other than b[0][0].
+    Its last entry is lowered: the minor is linear in it, with the
     positive minor of its other rows and columns as the slope.
     """
-    b = draw(vandermonde_like_st(rows=st.integers(2, 4), cols=st.integers(3, 5)))
+    b = draw(vandermonde_like_st(rows=rows, cols=cols))
     rows, cols = len(b), len(b[0])
     corners = [(0, c) for c in range(1, cols)] + [(r, 0) for r in range(1, rows)]
     r0, c0, s = draw(st.sampled_from([
-        (r, c, s) for r, c in corners for s in (2, 3) if s <= min(rows - r, cols - c)
+        (r, c, s) for r, c in corners for s in sizes if s <= min(rows - r, cols - c)
     ]))
     block = [row[c0:c0 + s] for row in b[r0:r0 + s]]
     slope = int(cofactor_det([row[:-1] for row in block[:-1]]))
@@ -549,10 +551,9 @@ def late_block_broken_st(draw):
     return b
 
 
-class TestInitialMinors:
-    """``_initial_minors_positive`` against every minor of every size (Fomin and Zelevinsky)."""
-
-    random_st = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+def _integer_matrices_st(rows, cols):
+    """Integer matrices of the drawn shape, entries -1..30: most fail on a small minor."""
+    return st.tuples(rows, cols).flatmap(
         lambda shape: st.lists(
             st.lists(st.integers(-1, 30), min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
@@ -560,11 +561,44 @@ class TestInitialMinors:
         )
     )
 
+
+class TestInitialMinors:
+    """``_solid_minors_positive`` against every minor of every size, and against the initial-minors oracle.
+
+    Total positivity holds iff every solid minor is positive (Fekete), iff
+    every initial minor is (Fomin and Zelevinsky); ``initial_minors_positive``
+    is the block-by-block elimination the solid-minor test replaced.
+    """
+
     @settings(max_examples=300, deadline=None)
-    @given(b=random_st | vandermonde_like_st() | late_block_broken_st())
+    @given(b=_integer_matrices_st(st.integers(1, 4), st.integers(1, 5))
+           | vandermonde_like_st()
+           | late_block_broken_st())
+    # zero width: an n = k matrix has no free column, so B has no minor
+    @example(b=[[]])
+    @example(b=[[], [], []])
+    # one row or one column: the solid minors are its entries
+    @example(b=[[3, 1, 4, 1, 5]])
+    @example(b=[[3, 1, 4, 0, 5]])
+    @example(b=[[2], [7], [1], [8]])
+    @example(b=[[2], [7], [-1], [8]])
+    # every entry positive, det -2; the 3 x 3 Pascal matrix, TP; its corner lowered by 1, det 0
+    @example(b=[[1, 2], [3, 4]])
+    @example(b=[[1, 1, 1], [1, 2, 3], [1, 3, 6]])
+    @example(b=[[1, 1, 1], [1, 2, 3], [1, 3, 5]])
     def test_the_verdict_is_total_positivity(self, b):
         copy = [row[:] for row in b]
-        assert exact_linalg._initial_minors_positive(b) == _totally_positive(b)
+        assert exact_linalg._solid_minors_positive(b) == _totally_positive(b) == initial_minors_positive(b)
+        assert b == copy
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=_integer_matrices_st(st.just(6), st.just(6))
+           | vandermonde_like_st(rows=st.just(6), cols=st.just(6))
+           | late_block_broken_st(rows=st.just(6), cols=st.just(6), sizes=(2, 3, 4, 5)))
+    def test_six_by_six_against_the_oracle(self, b):
+        # 923 minors per matrix: brute force is too slow here, the oracle alone decides
+        copy = [row[:] for row in b]
+        assert exact_linalg._solid_minors_positive(b) == initial_minors_positive(b)
         assert b == copy
 
 

@@ -419,14 +419,18 @@ class TestMatroidOf:
         assert nonbases == {(1, 3), (2, 3)}
 
     def test_a_table_above_the_shape_cache_is_read_by_position(self):
-        # C(20, 10) = 184756 minors, more than CACHED_SUBSETS: matroid_of and
-        # zero_columns zip the table with member tuples built for the call
+        # C(20, 10) = 184756 minors, more than CACHED_SUBSETS: matroid_of zips
+        # the table with member tuples built for the call, and zero_columns
+        # reads no minor, only the rank of the zeroed matrix
         point = TNNPoint.from_matrix(RationalMatrix(vandermonde_rows(10, range(1, 21))))
         assert capped_comb(20, 10, exact_linalg.CACHED_SUBSETS) > exact_linalg.CACHED_SUBSETS
         assert matroid_of(point).nonbases == frozenset()
         # the minors on columns 1..19 survive, so the rank stays 10
         zeroed = zero_columns(point, IndexSubset((20,)))
         assert zeroed == point.matrix.scale_columns([1] * 19 + [0])
+        # 9 columns are left: every minor vanishes
+        with pytest.raises(DegeneracyError, match=r"drops the rank below 10"):
+            zero_columns(point, IndexSubset(range(10, 21)))
 
 
 class TestInClosedCell:
@@ -538,8 +542,30 @@ class TestZeroColumns:
 
     def test_rank_drop_rejected(self):
         point = sample_top_cell(2, 3, [1, 2, 3])
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DegeneracyError, match=r"zeroing columns \[2, 3\] drops the rank below 2"):
             zero_columns(point, IndexSubset((2, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_refused_iff_no_nonzero_minor_avoids_the_columns(self, seed):
+        # the oracle reads the table: some nonzero minor on columns none of which is zeroed
+        rng = Random(seed)
+        k = rng.randint(1, 3)
+        n = rng.randint(k, k + 4)
+        point = sample_top_cell(k, n, draw_nodes(rng, n))
+        if n > k and rng.random() < 0.5:  # a lower cell, with zero minors of its own
+            point = TNNPoint.from_matrix(zero_columns(point, IndexSubset((rng.randint(1, n),))))
+        dead = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        survives = any(
+            value != 0 and dead.isdisjoint(subset.members)
+            for subset, value in minors_of(point.minors).items()
+        )
+        if survives:
+            zeroed = zero_columns(point, IndexSubset(sorted(dead)))
+            assert zeroed == point.matrix.scale_columns([int(j not in dead) for j in range(1, n + 1)])
+        else:
+            with pytest.raises(DegeneracyError):
+                zero_columns(point, IndexSubset(sorted(dead)))
 
     def test_closure_order_monotone(self):
         rng = Random(23)
