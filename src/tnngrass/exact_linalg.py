@@ -51,14 +51,20 @@ Total nonnegativity and the colex-first violation are one decision,
 ``_tnn_witness``, behind ``check_tnn``, ``TNNPoint.from_matrix`` and
 ``in_closed_cell``.  A table held by the matrix is scanned.  A matrix
 with no table is eliminated and tested, whatever its shape, and keeps no
-table: rank below k, and a negative minor on columns 1..k, are read off
-the pivots; otherwise the solid minors of the signed free block, on
-consecutive rows and columns, test total positivity (Fekete; Fomin and
-Zelevinsky).  They come from one 2 x 2 recurrence (Dodgson
-condensation, by the Desnanot-Jacobi identity), so ``_bareiss`` is the
-only elimination loop.  Only a failed test reads minors in colex order
-off the same elimination's ladder, as far as the first violation needs.
-Held or laddered, the minors are read by one loop.
+table.  It is eliminated with each integer column divided by its
+content g_j, the gcd of its entries: scaling columns by positive numbers
+preserves Gr>=0(k, n) and each of its cells (the positive torus;
+Postnikov, arXiv math/0609764, section 3), so every minor keeps its
+sign, and only the one violation reported is multiplied back, by the
+product of g_j over its columns.  Rank below k, and a negative minor on
+columns 1..k, are read off the pivots; otherwise the solid minors of
+the signed free block, on consecutive rows and columns, test total
+positivity (Fekete; Fomin and Zelevinsky).  They come from one 2 x 2
+recurrence (Dodgson condensation, by the Desnanot-Jacobi identity), so
+``_bareiss`` is the only elimination loop.  Only a failed test reads
+minors in colex order off the same elimination's ladder, as far as the
+first violation needs.  Held or laddered, the minors are read by one
+loop.
 
 Column subsets are 1-based throughout and ordered colexicographically
 (compare largest member first); every subset-keyed result in the
@@ -118,6 +124,8 @@ __all__ = [
 # The documented scalar format: an integer or "p/q", no spaces, decimals or
 # exponents, so an entry's size is bounded by its length.
 _RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# A row of such entries joined by commas, the same grammar without groups.
+_RATIONAL_ROW = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?(?:,[+-]?[0-9]+(?:/[0-9]+)?)*")
 
 
 def _parse(value: int | str | Fraction) -> tuple[int, int]:
@@ -383,11 +391,31 @@ def _primitive(ints: Sequence[int], den: int) -> IntRow:
 
 
 def _parse_row(row: Iterable[int | str | Fraction]) -> IntRow:
+    """A row of scalars as one primitive (integers, denominator) row.
+
+    A row of strings is read at once: one pattern, ``_RATIONAL_ROW``,
+    the grammar of ``_RATIONAL_STRING`` for each entry, validates the
+    comma-joined row, whose comma count must then be one less than the
+    entry count, so no entry holds a comma; ``int`` converts the
+    validated digits.  Any other row, and a row with a zero denominator,
+    goes entry by entry through ``_parse``, which accepts and refuses
+    exactly the same strings and raises as it always has.
+    """
     # refused, not iterated: a string of rows is also a sequence of strings
     if isinstance(row, str):
         raise TypeError(f"a row of entries expected, got the string {row[:40]!r}")
-    pairs = [_parse(x) for x in row]
+    entries = list(row)
+    try:
+        joined = ",".join(entries)
+    except TypeError:  # an entry that is no string
+        joined = ""
+    if _RATIONAL_ROW.fullmatch(joined) and joined.count(",") == len(entries) - 1:
+        pairs = [(int(p), int(q) if q else 1) for p, _, q in (x.partition("/") for x in entries)]
+    else:
+        pairs = [_parse(x) for x in entries]
     den = lcm(*(q for _, q in pairs))
+    if den == 0:  # a "p/0" entry: ``_parse`` raises at the first one
+        pairs = [_parse(x) for x in entries]
     return _primitive([p * (den // q) for p, q in pairs], den)
 
 
@@ -607,6 +635,21 @@ def _int_rows_and_scale(m: RationalMatrix) -> tuple[list[list[int]], int]:
     return [list(ints) for ints, _ in m.int_rows], prod(den for _, den in m.int_rows)
 
 
+def _content_free_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
+    """m's integer rows as fresh lists with each column divided by its content.
+
+    Returns those rows, the contents g_j, each the gcd of column j's
+    integers (1 for a zero column), and the scale of ``_int_rows_and_scale``.
+    Every g_j is positive, so each maximal minor of m on columns I is
+    prod_{j in I} g_j / scale times the same integer minor of the rows.
+    """
+    rows = [ints for ints, _ in m.int_rows]
+    contents = [g or 1 for g in map(gcd, *rows)]
+    if contents.count(1) < len(contents):
+        rows = [map(operator.floordiv, ints, contents) for ints in rows]
+    return list(map(list, rows)), contents, prod(den for _, den in m.int_rows)
+
+
 def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free row echelon form of an integer matrix, in place.
 
@@ -615,8 +658,9 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
     skipped.  Afterwards row r holds, at column ``pivots[r]``, the minor
     of the row-swapped input on its first r+1 rows and first r+1 pivot
     columns; rows from ``len(pivots)`` on are zero.  Every division is
-    exact (Sylvester's identity).  Returns the pivot columns and the sign
-    of the row permutation.
+    exact (Sylvester's identity), and none is made while the previous
+    pivot is 1.  Returns the pivot columns and the sign of the row
+    permutation.
     """
     nrows, ncols = len(a), len(a[0])
     pivots: list[int] = []
@@ -637,8 +681,12 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
         for j in range(r + 1, nrows):
             row_j = a[j]
             ajc = row_j[c]
-            for cc in range(c + 1, ncols):
-                row_j[cc] = (row_j[cc] * piv - ajc * row_r[cc]) // prev
+            if prev == 1:
+                for cc in range(c + 1, ncols):
+                    row_j[cc] = row_j[cc] * piv - ajc * row_r[cc]
+            else:
+                for cc in range(c + 1, ncols):
+                    row_j[cc] = (row_j[cc] * piv - ajc * row_r[cc]) // prev
             row_j[c] = 0
         prev = piv
         pivots.append(c)
@@ -660,7 +708,8 @@ def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[i
         return [], 1
     r = len(pivots)
     d = a[r - 1][pivots[-1]]
-    free = [c for c in range(len(a[0])) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(len(a[0])) if c not in pivot_set]
     reduced: list[list[int]] = [[]] * r
     for i in reversed(range(r)):
         row = a[i]
@@ -954,7 +1003,14 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     gives its first negative minor, or else rank k iff some minor is
     nonzero.  Any other matrix is refused above ``MAX_SUBSETS``
     (``_subset_count``) before anything is eliminated, and is otherwise
-    eliminated and tested: rank below k is the answer (False, None).
+    eliminated and tested on its ``_content_free_rows``, each column
+    divided by its content g_j > 0.  Each maximal minor on columns I is
+    then prod_{j in I} g_j times the one eliminated, the same sign, so
+    rank, pivots and every test below decide as on m (positive column
+    scaling keeps each cell of Gr>=0(k, n); Postnikov, arXiv
+    math/0609764, section 3), and the one violation reported is
+    multiplied back by prod_{j in I} g_j before its Fraction is built.
+    Rank below k is the answer (False, None).
     When the pivots are the first k columns, the minor on them, the
     colex-first one, is sign * d, read off ``_bareiss`` before any
     back-substitution; if it is negative it is the answer.  If it is
@@ -982,10 +1038,10 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     k, n = m.rows, m.cols
     table = getattr(m, "_minors", None) if k <= n else all_maximal_minors(m)  # held; tall is refused
     if table is not None:
-        minors, scale = table.ints, table.scale
+        minors, scale, contents = table.ints, table.scale, [1] * n
     else:
         _subset_count(n, k)
-        int_rows, scale = _int_rows_and_scale(m)
+        int_rows, contents, scale = _content_free_rows(m)
         pivots, sign = _bareiss(int_rows)
         if len(pivots) < k:
             return False, None
@@ -993,7 +1049,7 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
         pivot_minor = sign * int_rows[k - 1][pivots[-1]]
         leading = pivots[-1] == k - 1
         if leading and pivot_minor < 0:
-            return True, (_colex_unrank(0, k), Fraction(pivot_minor, scale))
+            return True, (_colex_unrank(0, k), Fraction(pivot_minor * prod(contents[:k]), scale))
         echelon = _Echelon(pivots, sign, *_back_substitute(int_rows, pivots))
         if leading:
             d = echelon.d
@@ -1006,7 +1062,8 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
         minors = _ladder_scan(echelon, n, k)
     for i, value in enumerate(minors):
         if value < 0:
-            return True, (_colex_unrank(i, k), Fraction(value, scale))
+            subset = _colex_unrank(i, k)
+            return True, (subset, Fraction(value * prod(contents[c - 1] for c in subset), scale))
     return table is None or any(table.ints), None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -235,6 +236,25 @@ def initial_minors_positive(b: list[list[int]]) -> bool:
                 return False
             prev = pivot
     return True
+
+
+# Entries the documented "p/q" format refuses: other digits, spaces, an
+# underscore, a zero or signed denominator, a comma, an empty or bare sign or
+# slash, a newline, hex, and one digit past Python's int digit limit.
+HOSTILE_ENTRIES = ["١٢", "１", " 1", "1_0", "1/0", "1,2", "", "+", "1/", "/2", "1/-2", "1\n", "0x1f", "1" * 4301]
+
+
+def parse_row_by_entry(row) -> tuple[tuple[int, ...], int]:
+    """A row of scalars as one primitive (integers, denominator) row, entry by entry.
+
+    The oracle for ``exact_linalg._parse_row``, which reads a row of
+    strings at once: this one parses each entry with
+    ``exact_linalg._parse``, raising at the first it refuses, and clears
+    the denominators by their lcm.
+    """
+    pairs = [exact_linalg._parse(x) for x in row]
+    den = lcm(*(q for _, q in pairs))
+    return exact_linalg._primitive([p * (den // q) for p, q in pairs], den)
 
 
 def identity(n: int) -> RationalMatrix:

@@ -31,7 +31,7 @@ from tnngrass.cli import (
     main,
     random_top_cell_point,
 )
-from helpers import count_computed_tables, identity, power_draw_nodes, power_top_cell_point, vandermonde_setup
+from helpers import HOSTILE_ENTRIES, count_computed_tables, identity, power_draw_nodes, power_top_cell_point, vandermonde_setup
 
 
 def run_python(*args, **run_kwargs):
@@ -915,6 +915,12 @@ class TestStrictRationals:
     def test_matrix_file_entry_rejected(self, tmp_path, entry):
         path = write(tmp_path / "m.json", {"rows": 1, "cols": 2, "entries": [["1", entry]]})
         assert main(["check-tnn", path]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("entry", HOSTILE_ENTRIES, ids=range(len(HOSTILE_ENTRIES)))
+    def test_hostile_matrix_entry_is_usage_error(self, tmp_path, entry, capsys):
+        path = write(tmp_path / "m.json", {"rows": 2, "cols": 2, "entries": [["1", "2/3"], ["-4", entry]]})
+        assert main(["check-tnn", path]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "args",

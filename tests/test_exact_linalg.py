@@ -34,6 +34,7 @@ from tnngrass import exact_linalg
 from tnngrass.cli import canonical_json
 from tnngrass.exact_linalg import MAX_SUBSETS, MinorTable
 from helpers import (
+    HOSTILE_ENTRIES,
     cofactor_det,
     common_denominator_left_factor,
     count_computed_tables,
@@ -47,6 +48,7 @@ from helpers import (
     initial_minors_positive,
     minor,
     minors_of,
+    parse_row_by_entry,
     random_invertible,
     random_matrix,
     rref_inverse,
@@ -1211,3 +1213,37 @@ class TestSubsetsAndSerialization:
         assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
         assert a.int_rows == b.int_rows
         assert_canonical(a)
+
+
+digits_st = st.builds(lambda zeros, p: "0" * zeros + str(p), st.integers(0, 3), st.integers(0, 10 ** 30))
+string_entry_st = st.builds(
+    lambda sign, p, q: sign + p + q,
+    st.sampled_from(["", "+", "-"]),
+    digits_st,
+    st.just("") | st.builds(lambda zeros, q: "/" + "0" * zeros + str(q), st.integers(0, 2), st.integers(1, 10 ** 20)),
+)
+scalar_entry_st = string_entry_st | st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 6)
+
+
+class TestParseRow:
+    """``_parse_row`` reads a row at once, and agrees with the entry-by-entry parse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(string_entry_st, min_size=1, max_size=12) | st.lists(scalar_entry_st, min_size=1, max_size=12))
+    @example(["007", "+0/05", "-0", "-12/0008"])
+    @example(["1", 2, Fraction(3, 4), "-5/6"])
+    def test_a_valid_row_parses_as_its_entries(self, row):
+        expected = parse_row_by_entry(row)
+        assert exact_linalg._parse_row(row) == expected
+        assert exact_linalg._parse_row(tuple(row)) == expected
+        assert RationalMatrix([row]).int_rows == (expected,)
+
+    @pytest.mark.parametrize("entry", HOSTILE_ENTRIES, ids=range(len(HOSTILE_ENTRIES)))
+    @pytest.mark.parametrize("place", ["alone", "between", "last"])
+    def test_a_hostile_entry_is_refused_as_by_entry(self, entry, place):
+        row = {"alone": [entry], "between": ["1", entry, "2/3"], "last": ["-4/5", "6", entry]}[place]
+        with pytest.raises((TypeError, ValueError)) as expected:
+            parse_row_by_entry(row)
+        with pytest.raises((TypeError, ValueError)) as got:
+            RationalMatrix.from_json_dict({"rows": 1, "cols": len(row), "entries": [row]})
+        assert type(got.value) is type(expected.value)

@@ -3,7 +3,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -28,8 +28,9 @@ from tnngrass import (
     zero_columns,
 )
 from tnngrass.cli import canonical_json
-from tnngrass.exact_linalg import capped_comb
+from tnngrass.exact_linalg import capped_comb, rational_to_string
 from helpers import (
+    cofactor_det,
     count_back_substitutions,
     count_computed_tables,
     count_eliminations,
@@ -388,6 +389,112 @@ class TestPositivityTest:
         assert report.to_json_dict()["firstViolation"] == {
             "cols": nodes, "minor": "-169507484299610711654400000"
         }
+
+
+@st.composite
+def column_scaled_rows_st(draw):
+    """k x n rows, k <= 5 and n <= 9, times positive column scales, some columns zeroed or negated.
+
+    The rows are a Vandermonde matrix at increasing positive nodes,
+    totally positive, or integer or p/q entries in -9..9; a row may be
+    replaced by a combination of two others, so rank can fall below k.
+    The scales carry common factors up to 10^12, so the integer columns
+    hold large contents.  Entries are Fractions or their "p/q" strings.
+    """
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 9))
+    if draw(st.booleans()):
+        nodes = sorted(draw(st.sets(st.fractions(Fraction(1, 4), 12, max_denominator=4), min_size=n, max_size=n)))
+        rows = [[x ** i for x in nodes] for i in range(k)]
+    else:
+        entry = st.integers(-9, 9).map(Fraction) | st.fractions(-9, 9, max_denominator=6)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if k >= 2 and draw(st.integers(0, 4)) == 0:
+        rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[k // 2])]
+    scale = st.builds(
+        lambda p, q, common: Fraction(p * common, q),
+        st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 6, 2 ** 40, 10 ** 12]),
+    )
+    scales = draw(st.lists(scale, min_size=n, max_size=n))
+    changes = draw(st.lists(st.sampled_from([1, 1, 1, 1, 0, -1]), min_size=n, max_size=n))
+    rows = [[x * s * c for x, s, c in zip(row, scales, changes)] for row in rows]
+    if draw(st.booleans()):
+        return [[rational_to_string(x) for x in row] for row in rows]
+    return rows
+
+
+class TestColumnContents:
+    """The decision on column contents divided out, against the full table and cofactor minors."""
+
+    @staticmethod
+    def _scaled_vandermonde(k, n, negated):
+        # column j scaled by (j + 1) 2^40 / (j % 4 + 1), so every integer column has a large content
+        scales = [Fraction((j + 1) * 2 ** 40, j % 4 + 1) for j in range(n)]
+        rows = [[s * x ** i for s, x in zip(scales, range(1, n + 1))] for i in range(k)]
+        return negate_column(rows, negated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_scaled_rows_st())
+    @example([["6", "-12", "18/5", "24"], ["6", "-24", "54/5", "96"]])  # negative minor on 1..k
+    @example([["6", "12", "-18/5", "24"], ["6", "24", "-54/5", "96"]])  # the ladder's first violation
+    @example([["0", "4", "8"], ["0", "4", "16"]])  # a zero first column: pivots off 1..k
+    @example([["0", "4", "8"], ["0", "6", "12"]])  # rank below k
+    def test_the_report_is_the_tables(self, rows):
+        m = RationalMatrix(rows)
+        oracle = tnn_report_by_table(m)
+        report = check_tnn(m)
+        assert report.to_json_dict() == oracle.to_json_dict()
+        assert report == oracle
+        if oracle.first_violation is not None:
+            subset, value = report.first_violation
+            assert value == oracle.first_violation[1]
+            # the minor scaled back, recomputed by cofactors from the entries
+            assert value == cofactor_det([[m.entry(i, j - 1) for j in subset] for i in range(m.rows)])
+
+    @pytest.mark.parametrize("negated, cols", [(3, (1, 2, 3, 4, 5, 6)), (8, (1, 2, 3, 4, 5, 8))])
+    def test_the_elimination_reads_content_free_columns(self, monkeypatch, negated, cols):
+        rows = self._scaled_vandermonde(6, 9, negated)
+        rows = [[0 if j == 6 else x for j, x in enumerate(row)] for row in rows]  # column 7 zero
+        m = RationalMatrix(rows)
+        stored = list(zip(*(ints for ints, _ in m.int_rows)))
+        assert all(gcd(*col) > 1 for j, col in enumerate(stored) if j != 6)
+        seen = []
+        bareiss = exact_linalg._bareiss
+
+        def recorded(a):
+            seen.append([row[:] for row in a])
+            return bareiss(a)
+
+        monkeypatch.setattr(exact_linalg, "_bareiss", recorded)
+        report = check_tnn(m)
+        [eliminated] = seen
+        for col, before in zip(zip(*eliminated), stored):
+            if any(before):
+                # each column divided by its content, a positive integer
+                assert gcd(*col) == 1
+                content = gcd(*before)
+                assert [x * content for x in col] == list(before)
+            else:
+                assert not any(col)
+        # column 7 is zero: the minor on 1..6 is the colex-first violation when
+        # a pivot column is negated; otherwise the ladder's first minor holding column 8
+        subset, value = report.first_violation
+        assert subset == IndexSubset(cols)
+        assert value == cofactor_det([[m.entry(i, j - 1) for j in cols] for i in range(6)])
+
+    def test_a_refused_shape_divides_nothing(self, monkeypatch):
+        calls = []
+        content_free_rows = exact_linalg._content_free_rows
+
+        def recorded(m):
+            calls.append(m)
+            return content_free_rows(m)
+
+        monkeypatch.setattr(exact_linalg, "_content_free_rows", recorded)
+        # C(40, 20) minors, above MAX_SUBSETS
+        with pytest.raises(UnsupportedParameterError):
+            check_tnn(RationalMatrix(vandermonde_rows(20, range(1, 41))))
+        assert calls == []
 
 
 class TestTnnPoint:
