@@ -16,8 +16,9 @@ and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
 1968), whose intermediate entries are all minors, so they never blow up.
 Rank and determinants (its last pivot) come from its output; kernels,
 solves, inverses and minor tables from the reduced row echelon form R,
-after a back-substitution that returns only the non-pivot columns of
-d R: the pivot columns are d e_i and are never built.
+after a back-substitution that solves the non-pivot columns of d R one
+at a time and returns only those: the pivot columns are d e_i and are
+never built.
 
 A table of all maximal minors of a k x n matrix takes one of two paths,
 chosen by k alone.  Both climb one Laplace recurrence on integer rows A
@@ -60,11 +61,14 @@ product of g_j over its columns.  Rank below k, and a negative minor on
 columns 1..k, are read off the pivots; otherwise the solid minors of
 the signed free block, on consecutive rows and columns, test total
 positivity (Fekete; Fomin and Zelevinsky).  They come from one 2 x 2
-recurrence (Dodgson condensation, by the Desnanot-Jacobi identity), so
-``_bareiss`` is the only elimination loop.  Only a failed test reads
-minors in colex order off the same elimination's ladder, as far as the
-first violation needs.  Held or laddered, the minors are read by one
-loop.
+recurrence (Dodgson condensation, by the Desnanot-Jacobi identity), on
+the scale of the maximal minors, so ``_bareiss`` is the only elimination
+loop.  A failed test names j, the least last column (0-based) of a
+nonpositive solid minor; every maximal minor on columns 1..k + j is
+then positive, and colex order lists those C(k + j, k) subsets first.
+So only a failed test reads minors in colex order off the same
+elimination's ladder, from that index on and as far as the first
+violation needs.  Held or laddered, the minors are read by one loop.
 
 Column subsets are 1-based throughout and ordered colexicographically
 (compare largest member first); every subset-keyed result in the
@@ -701,26 +705,35 @@ def _back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[i
     Returns the nonzero rows of d R on the non-pivot columns, in column
     order (the pivot columns, d e_i, are never built), and d itself.  d
     is the last Bareiss pivot, the determinant of the pivot block, so by
-    Cramer's rule the scaled rows are integral and back-substitution
-    from the bottom divides exactly.
+    Cramer's rule the scaled rows are integral.  They are solved one free
+    column c at a time, from the last pivot row up,
+
+        x_i = (d a[i][c] - sum_{j > i} a[i][p_j] x_j) / a[i][p_i],
+
+    every division exact, and x_{r-1} = a[r-1][c] since that row's pivot
+    is d.  Row i's entries at the later pivots are read once, last pivot
+    first, so each sum is one dot product with the column's solution so
+    far, which grows from its last row up.
     """
     if not pivots:
         return [], 1
     r = len(pivots)
-    d = a[r - 1][pivots[-1]]
+    last = a[r - 1]
+    d = last[pivots[-1]]
     pivot_set = set(pivots)
-    free = [c for c in range(len(a[0])) if c not in pivot_set]
-    reduced: list[list[int]] = [[]] * r
-    for i in reversed(range(r)):
-        row = a[i]
-        acc = [d * row[c] for c in free]
-        for j in range(i + 1, r):
-            f = row[pivots[j]]
-            if f != 0:
-                acc = [x - f * y for x, y in zip(acc, reduced[j])]
-        piv = row[pivots[i]]
-        reduced[i] = [x // piv for x in acc]
-    return reduced, d
+    later = pivots[::-1]
+    # the rows above the last, bottom up: each with its pivot and its entries at the later pivots
+    steps = [(a[i], a[i][pivots[i]], [a[i][p] for p in later[:r - 1 - i]]) for i in range(r - 2, -1, -1)]
+    columns = []
+    for c in range(len(last)):
+        if c not in pivot_set:
+            x = [last[c]]
+            for row, piv, coeffs in steps:
+                x.append((d * row[c] - sum(map(operator.mul, coeffs, x))) // piv)
+            columns.append(x)
+    if not columns:
+        return [[] for _ in pivots], d
+    return [list(row) for row in reversed(list(zip(*columns)))], d
 
 
 class _Echelon(NamedTuple):
@@ -872,21 +885,22 @@ def _ladder_minors(echelon: _Echelon, n: int, k: int) -> list[int]:
     return [values[p] if p >= 0 else -values[~p] for p in plan.positions]
 
 
-def _ladder_scan(echelon: _Echelon, n: int, k: int) -> Iterator[int]:
-    """The maximal minors of k integer rows of rank k in colex order, from their ``_echelon``.
+def _ladder_scan(echelon: _Echelon, n: int, k: int, start: int) -> Iterator[int]:
+    """The maximal minors of k integer rows of rank k in colex order from index ``start``, from their ``_echelon``.
 
     Minor i is read off the levels concatenated at its signed position
     ``_Ladder.positions[i]``, and more levels are taken from
     ``_ladder_levels`` only when that position lies above the values
-    read so far.  So a reader that stops after minor i has climbed to
-    level s, the most free columns any of minors 0..i holds, and built
-    nothing above it.  The climb runs on the read's IndexError, so a
-    minor on a level already climbed costs no bounds check.
+    read so far.  So a reader that starts at minor ``start`` and stops
+    after minor i has climbed to level s, the most free columns any of
+    minors start..i holds, and built nothing above it.  The climb runs
+    on the read's IndexError, so a minor on a level already climbed
+    costs no bounds check.
     """
     plan = _ladder_plan(n, k, tuple(echelon.pivots))
     levels = _ladder_levels(echelon, plan)
     values: list[int] = []
-    for p in plan.positions:
+    for p in plan.positions[start:]:
         try:
             value = values[p] if p >= 0 else -values[~p]
         except IndexError:  # p lies above the levels climbed so far
@@ -1021,22 +1035,29 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     rows and columns, are positive (Fekete's criterion; the k(n - k)
     initial minors among them already suffice, Fomin and Zelevinsky,
     "Total positivity: tests and parametrizations", arXiv math/9912128).
-    ``_solid_minors_positive`` computes them level by level by the
-    Desnanot-Jacobi identity, on sign(d) d B, row i of which is
-    (-1)^i sign(d) times row k-1-i of the free columns D = d F; its
-    s x s minors are |d|^s times those of B.  A pass, or n = k with no
-    free column, is the answer (True, None).
+    ``_solid_minors_positive`` condenses them by the Desnanot-Jacobi
+    identity on |d| B, row i of which is (-1)^i sign(d) times row k-1-i
+    of the free columns D = d F, with |d| for the empty minor, so each
+    value is |d| times a minor of B: a maximal minor of the eliminated
+    rows, up to sign.  A pass, or n = k with no free column, is the
+    answer (True, None).
 
-    Otherwise the minors are streamed in colex order off the ladder of
-    the same echelon form (``_ladder_scan``), which climbs one more level
-    only when the next minor lies on it.  One loop reads that stream, or
-    a held table's integers, and stops at the first negative minor, so a
-    matrix that is nonnegative but not positive climbs every level.
+    A failure names j, the least last column (0-based) of a nonpositive
+    solid minor.  Then B[:, :j] is totally positive, so every maximal
+    minor on columns 1..k + j is positive, and colex order lists those
+    C(k + j, k) subsets first: the minors are streamed in colex order
+    from that index off the ladder of the same echelon form
+    (``_ladder_scan``), which climbs one more level only when the next
+    minor lies on it.  Pivots off the first k columns, and a held table,
+    start at index 0.  One loop reads that stream, or a held table's
+    integers, and stops at the first negative minor, so a matrix that is
+    nonnegative but not positive climbs every level its stream reaches.
     Every violation, on a held table, on the pivots or on the ladder, is
     named by ``_colex_unrank`` of its colex rank.
     """
     k, n = m.rows, m.cols
     table = getattr(m, "_minors", None) if k <= n else all_maximal_minors(m)  # held; tall is refused
+    start = 0
     if table is not None:
         minors, scale, contents = table.ints, table.scale, [1] * n
     else:
@@ -1057,44 +1078,81 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
                 row if i % 2 == (d < 0) else [-x for x in row]
                 for i, row in enumerate(reversed(echelon.reduced))
             ]
-            if _solid_minors_positive(scaled_b):
+            least = _solid_minors_positive(scaled_b, abs(d))
+            if least is None:
                 return True, None
-        minors = _ladder_scan(echelon, n, k)
-    for i, value in enumerate(minors):
+            start = comb(k + least, k)
+        minors = _ladder_scan(echelon, n, k, start)
+    for i, value in enumerate(minors, start):
         if value < 0:
             subset = _colex_unrank(i, k)
             return True, (subset, Fraction(value * prod(contents[c - 1] for c in subset), scale))
     return table is None or any(table.ints), None
 
 
-def _solid_minors_positive(rows: list[list[int]]) -> bool:
-    """Whether every solid minor of an integer matrix is positive, by Dodgson condensation.
+def _solid_minors_positive(rows: list[list[int]], unit: int) -> int | None:
+    """The least last column (0-based) of a nonpositive solid minor of an integer matrix, or None.
 
-    A solid minor has consecutive rows and consecutive columns.  Level s
-    holds those of size s, each at its top-left entry: level 1 is the
-    matrix, level 0 all ones, and the Desnanot-Jacobi identity builds
-    each level from the two below it,
+    A solid minor has consecutive rows and consecutive columns, and the
+    matrix is totally positive iff every one is positive (Fekete), so
+    None means totally positive; a matrix with no columns has none.
+    Dodgson condensation builds them level by level.  Level s holds
+    unit^(1-s) times those of size s, each at its top-left entry: level
+    0 is ``unit`` throughout, level 1 the matrix, and the Desnanot-Jacobi
+    identity, homogeneous in that scale, builds each level from the two
+    below it,
 
         M_{s+1}(i, j) = (M_s(i, j) M_s(i+1, j+1) - M_s(i, j+1) M_s(i+1, j))
                         / M_{s-1}(i+1, j+1),
 
     the 2 x 2 determinant a d - b c of four neighbours over the inner
-    minor e.  Each row is checked positive as it is built, and the first
-    nonpositive minor stops the test, so every divisor is positive and
-    every division exact.  A matrix with no columns passes.
+    minor e.  ``unit`` is 1, or |d| when the rows are |d| times a signed
+    free block whose minors times |d| are maximal minors of the matrix
+    eliminated (``_tnn_witness``); either way every value is an integer.
+
+    Each level is cut before the least last column of a nonpositive
+    minor on it, and the next level is built from the cut one, so every
+    divisor is a positive minor and every division exact, and each later
+    nonpositive minor found has a smaller last column than the one
+    before.  A matrix taller than wide is held one list per column, so a
+    cut drops the level's later lists and stops building it; any other
+    is held one list per row, and each row is cut at that column.
     """
-    level, below = rows, [[1] * (len(rows[0]) + 1)] * (len(rows) + 1)
-    if level[0] and min(map(min, level)) <= 0:
-        return False
-    while len(level) > 1 and len(level[0]) > 1:
-        above = []
-        for top, bottom, mid in zip(level, level[1:], below[1:]):
-            row = [(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], bottom, bottom[1:], mid[1:])]
-            if min(row) <= 0:
-                return False
-            above.append(row)
-        level, below = above, level
-    return True
+    least = None
+    if len(rows) > len(rows[0]):
+        level = list(zip(*rows))
+        if not level:
+            return None
+        below = [[unit] * (len(rows) + 1)] * (len(level) + 1)
+        for i, line in enumerate(level):
+            if min(line) <= 0:
+                level, least = level[:i], i
+                break
+        s = 1
+        while len(level) > 1 and len(level[0]) > 1:
+            above = []
+            for left, right, mid in zip(level, level[1:], below[1:]):
+                line = [(a * d - b * c) // e for a, b, c, d, e in zip(left, left[1:], right, right[1:], mid[1:])]
+                if min(line) <= 0:
+                    least = len(above) + s
+                    break
+                above.append(line)
+            level, below = above, level
+            s += 1
+        return least
+    level, below = rows, [[unit] * (len(rows[0]) + 1)] * (len(rows) + 1)
+    s = 0
+    while True:
+        if min(map(min, level)) <= 0:
+            cut = min(next(j for j, x in enumerate(line) if x <= 0) for line in level if min(line) <= 0)
+            level, least = [line[:cut] for line in level], cut + s
+        if len(level) < 2 or len(level[0]) < 2:
+            return least
+        level, below = [
+            [(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], bottom, bottom[1:], mid[1:])]
+            for top, bottom, mid in zip(level, level[1:], below[1:])
+        ], level
+        s += 1
 
 
 def rank(m: RationalMatrix) -> int:

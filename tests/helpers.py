@@ -199,6 +199,34 @@ def full_back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[li
     return reduced, d
 
 
+def row_back_substitute(a: list[list[int]], pivots: list[int]) -> tuple[list[list[int]], int]:
+    """Reduced rows of a ``_bareiss`` echelon form on the non-pivot columns, times d, row by row.
+
+    Each row, from the last pivot row up, is d times its free entries
+    minus each later reduced row times its entry at that row's pivot,
+    divided exactly by its own pivot.  The oracle for
+    ``exact_linalg._back_substitute``, which solves one free column at a
+    time instead; this is the routine it replaced.
+    """
+    if not pivots:
+        return [], 1
+    r = len(pivots)
+    d = a[r - 1][pivots[-1]]
+    pivot_set = set(pivots)
+    free = [c for c in range(len(a[0])) if c not in pivot_set]
+    reduced: list[list[int]] = [[]] * r
+    for i in reversed(range(r)):
+        row = a[i]
+        acc = [d * row[c] for c in free]
+        for j in range(i + 1, r):
+            f = row[pivots[j]]
+            if f != 0:
+                acc = [x - f * y for x, y in zip(acc, reduced[j])]
+        piv = row[pivots[i]]
+        reduced[i] = [x // piv for x in acc]
+    return reduced, d
+
+
 def initial_minors_positive(b: list[list[int]]) -> bool:
     """Whether every initial minor of an integer matrix is positive, block by block.
 
@@ -236,6 +264,23 @@ def initial_minors_positive(b: list[list[int]]) -> bool:
                 return False
             prev = pivot
     return True
+
+
+def least_nonpositive_solid_column(b: list[list[Fraction]]) -> int | None:
+    """The least last column (0-based) of a nonpositive solid minor, by cofactors, or None.
+
+    The oracle for what ``exact_linalg._solid_minors_positive`` returns:
+    every minor on consecutive rows and columns is expanded on its own.
+    """
+    rows, cols = len(b), len(b[0])
+    last_columns = [
+        c0 + s - 1
+        for s in range(1, min(rows, cols) + 1)
+        for r0 in range(rows - s + 1)
+        for c0 in range(cols - s + 1)
+        if cofactor_det([row[c0:c0 + s] for row in b[r0:r0 + s]]) <= 0
+    ]
+    return min(last_columns, default=None)
 
 
 # Entries the documented "p/q" format refuses: other digits, spaces, an

@@ -46,6 +46,7 @@ from helpers import (
     full_back_substitute,
     identity,
     initial_minors_positive,
+    least_nonpositive_solid_column,
     minor,
     minors_of,
     parse_row_by_entry,
@@ -54,6 +55,7 @@ from helpers import (
     rref_inverse,
     rref_kernel,
     rref_left_factor,
+    row_back_substitute,
     submatrix,
     subset_minor_table,
     vandermonde_det,
@@ -503,12 +505,13 @@ class TestLadderPlan:
             assert sorted(p if p >= 0 else ~p for p in plan.positions) == list(range(count))
             # a subset's level is the number of free columns it holds
             free_held = [len(set(subset.members) - {c + 1 for c in pivots}) for subset in subsets_colex(n, k)]
-            scanned = []
-            for i, value in enumerate(exact_linalg._ladder_scan(echelon, n, k)):
-                # minors 0..i read: levels 0..s climbed, s the highest level among them
-                assert climbs[-1] == max(free_held[:i + 1])
-                scanned.append(value)
-            assert scanned == direct
+            for start in range(count):
+                scanned = []
+                for i, value in enumerate(exact_linalg._ladder_scan(echelon, n, k, start), start):
+                    # minors start..i read: levels 0..s climbed, s the highest level among them
+                    assert climbs[-1] == max(free_held[start:i + 1])
+                    scanned.append(value)
+                assert scanned == direct[start:]
 
 
 def _totally_positive(b):
@@ -567,6 +570,9 @@ def _integer_matrices_st(rows, cols):
 class TestInitialMinors:
     """``_solid_minors_positive`` against every minor of every size, and against the initial-minors oracle.
 
+    The column it names is checked against each solid minor expanded by
+    cofactors (``least_nonpositive_solid_column``).
+
     Total positivity holds iff every solid minor is positive (Fekete), iff
     every initial minor is (Fomin and Zelevinsky); ``initial_minors_positive``
     is the block-by-block elimination the solid-minor test replaced.
@@ -588,10 +594,19 @@ class TestInitialMinors:
     @example(b=[[1, 2], [3, 4]])
     @example(b=[[1, 1, 1], [1, 2, 3], [1, 3, 6]])
     @example(b=[[1, 1, 1], [1, 2, 3], [1, 3, 5]])
+    # a 2 x 2 minor ending in column 1 found after the zero entry in column 3, wide and tall
+    @example(b=[[1, 2, 1, 5], [1, 1, 3, 0]])
+    @example(b=[[1, 2, 0], [1, 1, 1], [1, 1, 1], [1, 1, 1]])
     def test_the_verdict_is_total_positivity(self, b):
         copy = [row[:] for row in b]
-        assert exact_linalg._solid_minors_positive(b) == _totally_positive(b) == initial_minors_positive(b)
+        least = exact_linalg._solid_minors_positive(b, 1)
+        assert (least is None) == _totally_positive(b) == initial_minors_positive(b)
         assert b == copy
+        # the column named is the least last column of a nonpositive solid minor
+        assert least == least_nonpositive_solid_column(b)
+        # on the scale of the condensation in ``_tnn_witness``: the rows and the empty minor times one unit
+        for unit in (2, 3 ** 40):
+            assert exact_linalg._solid_minors_positive([[unit * x for x in row] for row in b], unit) == least
 
     @settings(max_examples=150, deadline=None)
     @given(b=_integer_matrices_st(st.just(6), st.just(6))
@@ -600,8 +615,11 @@ class TestInitialMinors:
     def test_six_by_six_against_the_oracle(self, b):
         # 923 minors per matrix: brute force is too slow here, the oracle alone decides
         copy = [row[:] for row in b]
-        assert exact_linalg._solid_minors_positive(b) == initial_minors_positive(b)
+        least = exact_linalg._solid_minors_positive(b, 1)
+        assert (least is None) == initial_minors_positive(b)
         assert b == copy
+        # the 91 solid minors alone are few enough to expand
+        assert least == least_nonpositive_solid_column(b)
 
 
 class TestMinorTableMemo:
@@ -808,7 +826,7 @@ class TestAgainstFractionRref:
 
 
 class TestBackSubstitution:
-    """The non-pivot block agrees with the full-row oracle, whose pivot columns are d e_i."""
+    """The non-pivot block agrees with the row-by-row routine it replaced and with the full-row oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(deficient_rows_st(), minor_table_rows_st()))
@@ -817,10 +835,19 @@ class TestBackSubstitution:
     @example([[0, 1, 2, 3], [0, 2, 4, 5]])  # a zero column, a skipped column, a negative d
     @example([[1, 2], [2, 4], [3, 6]])  # tall and rank deficient
     @example([[1, 0], [0, 1]])  # no free column
+    @example([[2, 1, 3], [1, 4, 5], [3, 2, 7], [1, 1, 1]])  # one free column
+    @example([[1, 3, 0, 2], [2, 5, 0, 7], [0, 0, 0, 0]])  # one free column past a zero one, rank deficient
+    # r x 2r, [M | I] as ``invert`` reduces it, and with a pivot off the leading columns
+    @example([[2, 1, 1, 0], [1, 3, 0, 1]])
+    @example([[1, 2, 3, 1, 0, 0], [0, 1, 4, 0, 1, 0], [5, 6, 0, 0, 0, 1]])
+    @example([[0, 2, 1, 5, 3, 1], [0, 4, 2, 7, 1, 2], [1, 1, 1, 1, 1, 1]])
+    # non-leading pivots with several rows above the last pivot, and a row of two others
+    @example([[0, 1, 2, 0, 3], [0, 2, 5, 1, 1], [0, 3, 7, 1, 4], [0, 1, 3, 1, -2]])
     def test_free_block_of_the_full_rows(self, rows):
         a, _ = exact_linalg._int_rows_and_scale(RationalMatrix(rows))
         pivots, _ = exact_linalg._bareiss(a)
         block, d = exact_linalg._back_substitute(a, pivots)
+        assert (block, d) == row_back_substitute(a, pivots)
         full, full_d = full_back_substitute(a, pivots)
         free = [c for c in range(len(a[0])) if c not in pivots]
         assert d == full_d
@@ -828,6 +855,15 @@ class TestBackSubstitution:
         # the columns that are not built: d times the unit vectors
         r = len(pivots)
         assert [[row[c] for c in pivots] for row in full] == [[d * (i == j) for j in range(r)] for i in range(r)]
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 8])
+    def test_r_by_2r(self, r):
+        rng = Random(f"back-substitution:{r}")
+        rows = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(2 * r)] for _ in range(r)]
+        a, _ = exact_linalg._int_rows_and_scale(RationalMatrix(rows))
+        pivots, _ = exact_linalg._bareiss(a)
+        assert pivots == list(range(r))
+        assert exact_linalg._back_substitute(a, pivots) == row_back_substitute(a, pivots)
 
 
 class TestCauchyBinet:

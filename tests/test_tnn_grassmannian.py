@@ -36,7 +36,9 @@ from helpers import (
     count_eliminations,
     count_ladder_levels,
     draw_nodes,
+    fraction_rref,
     identity,
+    least_nonpositive_solid_column,
     minors_of,
     random_positive_det,
     tnn_report_by_table,
@@ -342,9 +344,9 @@ class TestPositivityTest:
         back_substitutions = count_back_substitutions(monkeypatch)
         assert [check_tnn(m) for m in matrices] == oracles
         # the colex-first subset holding column j is 1..12 for j <= 12, read
-        # off the elimination alone, and 1..11, j for j = 13 to 15; before
-        # 1..11, 15 comes 1..10, 13, 14
-        assert climbs == [1, 1, 2]
+        # off the elimination alone, and 1..11, j for j = 13 to 15, each read
+        # from index C(j - 1, 12), past 1..10, 13, 14 on level 2
+        assert climbs == [1, 1, 1]
         assert len(back_substitutions) == 3
 
     def test_a_matrix_holding_its_table_makes_no_elimination(self, monkeypatch):
@@ -495,6 +497,82 @@ class TestColumnContents:
         with pytest.raises(UnsupportedParameterError):
             check_tnn(RationalMatrix(vandermonde_rows(20, range(1, 41))))
         assert calls == []
+
+
+@st.composite
+def planted_prefix_st(draw):
+    """k, Vandermonde nodes, positive column scales and a column to zero, for ``TestPrefixStart``.
+
+    k <= 5 and n <= 9; the nodes increase, the scales are all 1 or each
+    p/q with p <= 10^12 and q <= 7, and the zeroed column is None or 1..n.
+    """
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 9))
+    nodes = sorted(draw(st.sets(st.integers(1, 40), min_size=n, max_size=n)))
+    scale = st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 7))
+    scales = draw(st.just([1] * n) | st.lists(scale, min_size=n, max_size=n))
+    zeroed = draw(st.none() | st.integers(1, n))
+    return k, nodes, scales, zeroed
+
+
+class TestPrefixStart:
+    """A failed test scans from C(k + j, k), j the least last column of a nonpositive solid minor of B."""
+
+    @staticmethod
+    def _plants(k, nodes, scales, zeroed):
+        """The scaled Vandermonde rows with one column negated, and with one node repeated, at every position."""
+        n = len(nodes)
+        columns = [[x ** i for i in range(k)] for x in nodes]
+        plants = [columns[:j] + [[-v for v in columns[j]]] + columns[j + 1:] for j in range(n)]
+        plants += [columns[:j] + [columns[j - 1]] + columns[j + 1:] for j in range(1, n)]
+        for cols in plants:
+            if zeroed is not None:
+                cols[zeroed - 1] = [0] * k
+            yield [[s * col[i] for s, col in zip(scales, cols)] for i in range(k)]
+
+    @staticmethod
+    def _expected_start(rows):
+        """The scan's start from Fractions alone: None when no scan runs, 0 off the leading pivots."""
+        k = len(rows)
+        reduced, pivots = fraction_rref([[Fraction(x) for x in row] for row in rows])
+        if len(pivots) < k:
+            return None
+        if pivots != list(range(k)):
+            return 0
+        if cofactor_det([[Fraction(x) for x in row[:k]] for row in rows]) < 0:
+            return None
+        # R = [I | F] and B[i][j] = (-1)^i F[k-1-i][j] (Postnikov)
+        b = [[(-1) ** i * x for x in reduced[k - 1 - i][k:]] for i in range(k)]
+        least = least_nonpositive_solid_column(b)
+        return None if least is None else comb(k + least, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_prefix_st())
+    @example((3, [1, 2, 3, 4, 5, 6, 7], [1] * 7, None))
+    @example((2, [1, 2, 3, 5, 8, 13], [3, 1, 4, 1, 5, 9], 6))  # a zeroed free column
+    @example((5, [1, 2, 3, 4, 5, 6, 7, 8, 9], [1] * 9, 3))  # a zeroed pivot column
+    @example((1, [2, 3, 5], [1, 1, 1], None))
+    @example((4, [1, 2, 3, 4], [1] * 4, None))  # square: no free column
+    def test_a_planted_violation_is_scanned_from_the_prefix(self, case):
+        starts = []
+        scan = exact_linalg._ladder_scan
+
+        def recorded(echelon, n, k, start):
+            starts.append(start)
+            return scan(echelon, n, k, start)
+
+        for rows in self._plants(*case):
+            m = RationalMatrix(rows)
+            oracle = tnn_report_by_table(m)
+            starts.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exact_linalg, "_ladder_scan", recorded)
+                assert check_tnn(m).to_json_dict() == oracle.to_json_dict()
+            expected = self._expected_start(rows)
+            assert starts == ([] if expected is None else [expected])
+            # every minor the scan skips is positive
+            table = all_maximal_minors(RationalMatrix(rows))
+            assert all(value > 0 for value in table.ints[:expected or 0])
 
 
 class TestTnnPoint:
