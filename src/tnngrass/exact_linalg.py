@@ -68,7 +68,9 @@ nonpositive solid minor; every maximal minor on columns 1..k + j is
 then positive, and colex order lists those C(k + j, k) subsets first.
 So only a failed test reads minors in colex order off the same
 elimination's ladder, from that index on and as far as the first
-violation needs.  Held or laddered, the minors are read by one loop.
+violation needs; when k > n - k the ladder builds no value that only
+those first C(k + j, k) minors need.  Held or laddered, the minors are
+read by one loop.
 
 Column subsets are 1-based throughout and ordered colexicographically
 (compare largest member first); every subset-keyed result in the
@@ -895,10 +897,18 @@ def _ladder_scan(echelon: _Echelon, n: int, k: int, start: int) -> Iterator[int]
     after minor i has climbed to level s, the most free columns any of
     minors start..i holds, and built nothing above it.  The climb runs
     on the read's IndexError, so a minor on a level already climbed
-    costs no bounds check.
+    costs no bounds check.  Every minor from ``start`` on holds a column
+    at least ``top``, the largest member of subset ``start``.  When the
+    ladder is transposed, its block rows are the free columns, and when
+    every column from ``top`` on is free, no minor read holds only free
+    columns below ``top``: nor does any value its levels are built from,
+    since each subset of block rows is expanded along its least member.
+    So ``_ladder_levels`` builds no subset of those settled free columns.
     """
     plan = _ladder_plan(n, k, tuple(echelon.pivots))
-    levels = _ladder_levels(echelon, plan)
+    top = next(c for c in itertools.count(k) if comb(c, k) > start)
+    settled = top - 1 - k if plan.transposed and echelon.pivots[-1] < top - 1 else 0
+    levels = _ladder_levels(echelon, plan, settled)
     values: list[int] = []
     for p in plan.positions[start:]:
         try:
@@ -910,7 +920,7 @@ def _ladder_scan(echelon: _Echelon, n: int, k: int, start: int) -> Iterator[int]
         yield value
 
 
-def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]]:
+def _ladder_levels(echelon: _Echelon, plan: _Ladder, settled: int = 0) -> Iterator[list[list[int]]]:
     """The values of the reduced form's ladder, one level per step, from level 0 up.
 
     Let D = d R be the scaled reduced rows, whose free columns the
@@ -934,6 +944,9 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
     Tables take every level (``_ladder_minors``); ``_ladder_scan`` takes
     the next one only when the next minor it reads lies on it, so a
     reader that stops early builds nothing above the last level it read.
+    A scan may also name the first ``settled`` block rows, which no
+    value it reads depends on: level s then holds zeros for their
+    C(settled, s) subsets, which colex order lists first.
     """
     _, sign, reduced, d = echelon
     yield [[sign * d]]
@@ -943,8 +956,12 @@ def _ladder_levels(echelon: _Echelon, plan: _Ladder) -> Iterator[list[list[int]]
     level = blocks if sign > 0 else [[-x for x in row] for row in blocks]
     signed = [row + [-x for x in row] for row in blocks[:-1]]
     yield level
-    for row_steps, col_terms in plan.steps:
-        level = [_level_step(signed[r0], level[rest], col_terms, d) for r0, rest in row_steps]
+    for s, (row_steps, col_terms) in enumerate(plan.steps, 2):
+        # the settled subsets come first in colex order; each holds zeros
+        skip = comb(settled, s)
+        level = [[0] * len(col_terms[0])] * skip + [
+            _level_step(signed[r0], level[rest], col_terms, d) for r0, rest in row_steps[skip:]
+        ]
         yield level
 
 
@@ -1048,7 +1065,9 @@ def _tnn_witness(m: RationalMatrix) -> tuple[bool, tuple[IndexSubset, Fraction] 
     C(k + j, k) subsets first: the minors are streamed in colex order
     from that index off the ladder of the same echelon form
     (``_ladder_scan``), which climbs one more level only when the next
-    minor lies on it.  Pivots off the first k columns, and a held table,
+    minor lies on it, and builds no value that only the first C(k + j, k)
+    minors need when its block rows are the free columns (k > n - k).
+    Pivots off the first k columns, and a held table,
     start at index 0.  One loop reads that stream, or a held table's
     integers, and stops at the first negative minor, so a matrix that is
     nonnegative but not positive climbs every level its stream reaches.
@@ -1110,49 +1129,32 @@ def _solid_minors_positive(rows: list[list[int]], unit: int) -> int | None:
     free block whose minors times |d| are maximal minors of the matrix
     eliminated (``_tnn_witness``); either way every value is an integer.
 
-    Each level is cut before the least last column of a nonpositive
-    minor on it, and the next level is built from the cut one, so every
-    divisor is a positive minor and every division exact, and each later
-    nonpositive minor found has a smaller last column than the one
-    before.  A matrix taller than wide is held one list per column, so a
-    cut drops the level's later lists and stops building it; any other
-    is held one list per row, and each row is cut at that column.
+    Each level is held one list per column and built left to right; the
+    first nonpositive minor on it stops it there, and the next level is
+    built from the columns before, so every divisor is a positive minor
+    and every division exact, and each later nonpositive minor found has
+    a smaller last column than the one before.
     """
-    least = None
-    if len(rows) > len(rows[0]):
-        level = list(zip(*rows))
-        if not level:
-            return None
-        below = [[unit] * (len(rows) + 1)] * (len(level) + 1)
-        for i, line in enumerate(level):
+    level = list(zip(*rows))
+    if not level:
+        return None
+    below, least = [[unit] * (len(rows) + 1)] * (len(level) + 1), None
+    for j, line in enumerate(level):
+        if min(line) <= 0:
+            level, least = level[:j], j
+            break
+    s = 1
+    while len(level) > 1 and len(level[0]) > 1:
+        above = []
+        for left, right, mid in zip(level, level[1:], below[1:]):
+            line = [(a * d - b * c) // e for a, b, c, d, e in zip(left, left[1:], right, right[1:], mid[1:])]
             if min(line) <= 0:
-                level, least = level[:i], i
+                least = len(above) + s
                 break
-        s = 1
-        while len(level) > 1 and len(level[0]) > 1:
-            above = []
-            for left, right, mid in zip(level, level[1:], below[1:]):
-                line = [(a * d - b * c) // e for a, b, c, d, e in zip(left, left[1:], right, right[1:], mid[1:])]
-                if min(line) <= 0:
-                    least = len(above) + s
-                    break
-                above.append(line)
-            level, below = above, level
-            s += 1
-        return least
-    level, below = rows, [[unit] * (len(rows[0]) + 1)] * (len(rows) + 1)
-    s = 0
-    while True:
-        if min(map(min, level)) <= 0:
-            cut = min(next(j for j, x in enumerate(line) if x <= 0) for line in level if min(line) <= 0)
-            level, least = [line[:cut] for line in level], cut + s
-        if len(level) < 2 or len(level[0]) < 2:
-            return least
-        level, below = [
-            [(a * d - b * c) // e for a, b, c, d, e in zip(top, top[1:], bottom, bottom[1:], mid[1:])]
-            for top, bottom, mid in zip(level, level[1:], below[1:])
-        ], level
+            above.append(line)
+        level, below = above, level
         s += 1
+    return least
 
 
 def rank(m: RationalMatrix) -> int:

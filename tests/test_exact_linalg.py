@@ -621,6 +621,39 @@ class TestInitialMinors:
         # the 91 solid minors alone are few enough to expand
         assert least == least_nonpositive_solid_column(b)
 
+    @pytest.mark.parametrize("k, nodes, negated", [
+        (3, [2, 3, 5, 7, 11, 13, 17], None),  # B 3 x 4, TP
+        (3, [2, 3, 5, 7, 11, 13, 17], 6),  # column 6 negated: B fails in its column 2
+        (4, [2, 3, 4, 6, 9, 10], None),  # B 4 x 2, taller than wide
+        (2, [3, 5, 6, 9, 12, 18], 5),  # B 2 x 4, failing in its column 2
+    ])
+    def test_the_witness_condenses_on_the_scale_of_maximal_minors(self, monkeypatch, k, nodes, negated):
+        # each value unit^(1-s) det of an s x s solid block is, up to sign, the
+        # maximal minor of the eliminated rows on the columns that block stands for
+        calls = []
+        condense = exact_linalg._solid_minors_positive
+
+        def recorded(rows, unit):
+            calls.append(([row[:] for row in rows], unit))
+            return condense(rows, unit)
+
+        monkeypatch.setattr(exact_linalg, "_solid_minors_positive", recorded)
+        # a column scaled by 6 is divided by its content before the elimination
+        rows = [[(-1) ** (j + 1 == negated) * (6 if j == 1 else 1) * x ** i for j, x in enumerate(nodes)]
+                for i in range(k)]
+        exact_linalg._tnn_witness(RationalMatrix(rows))
+        [(b, unit)] = calls
+        eliminated, _, _ = exact_linalg._content_free_rows(RationalMatrix(rows))
+        assert unit == abs(cofactor_det([row[:k] for row in eliminated])) > 1
+        width = len(b[0])
+        for s in range(1, min(k, width) + 1):
+            for i, j in itertools.product(range(k - s + 1), range(width - s + 1)):
+                block = cofactor_det([row[j:j + s] for row in b[i:i + s]])
+                # row r of B is pivot row k-1-r; free column c is column k + c
+                columns = sorted({*range(k)} - {k - 1 - r for r in range(i, i + s)} | {k + c for c in range(j, j + s)})
+                minor = cofactor_det([[row[c] for c in columns] for row in eliminated])
+                assert abs(block) == unit ** (s - 1) * abs(minor)
+
 
 class TestMinorTableMemo:
     def test_a_matrix_keeps_its_table(self):
